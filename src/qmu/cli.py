@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .distributions import w2_lp_oracle, w2_quantile
+from .distributions import LP_MAX, w2_lp_oracle, w2_quantile
 from .relations import qubit_error_bound
 from .scenarios import (
     EX,
@@ -295,6 +295,9 @@ def cmd_wasserstein(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"malformed distribution input: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    if args.oracle and max(mu.support.size, nu.support.size) > LP_MAX:
+        print(f"--oracle takes at most {LP_MAX} support points per side", file=sys.stderr)
+        return EXIT_UNKNOWN
     value, coupling = w2_quantile(mu, nu)
     print(f"{value:.12g}")
     if args.oracle:
@@ -368,6 +371,9 @@ def cmd_check(args) -> int:
             f"unknown relation {args.relation!r}; choose from {CHECK_RELATIONS}",
             file=sys.stderr,
         )
+        return EXIT_UNKNOWN
+    if config.budget < 1:
+        print(f"--budget must be at least 1, got {config.budget}", file=sys.stderr)
         return EXIT_UNKNOWN
     summary, ok = _run_check(args.relation, config)
     ok = bool(ok)

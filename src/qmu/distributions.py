@@ -114,31 +114,48 @@ def convolve(mu: Distribution, nu: Distribution, merge_tol: float = MERGE_TOL) -
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint measure on a product of finite supports with prescribed marginals."""
+    """Joint measure on a product of finite supports with prescribed marginals.
+
+    Stored by its cells: cell k carries mass ``weights[k]`` at
+    ``(row_support[rows[k]], col_support[cols[k]])``.  The quantile coupling
+    has at most m+n-1 cells, listed in staircase order.
+    """
 
     row_support: np.ndarray
     col_support: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         rs = np.asarray(self.row_support, dtype=float).reshape(-1)
         cs = np.asarray(self.col_support, dtype=float).reshape(-1)
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (rs.size, cs.size):
-            raise ValueError("weights shape does not match supports")
-        if w.min() < -PROB_TOL:
+        if not rows.shape == cols.shape == w.shape == (w.size,):
+            raise ValueError("rows, cols and weights must be 1-D arrays of equal length")
+        if w.size and w.min() < -PROB_TOL:
             raise ValueError(f"negative coupling weight {w.min():.3e}")
         object.__setattr__(self, "row_support", rs)
         object.__setattr__(self, "col_support", cs)
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "weights", np.maximum(w, 0.0))
 
     def row_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        return np.bincount(self.rows, self.weights, self.row_support.size)
 
     def col_marginal(self) -> np.ndarray:
-        return self.weights.sum(axis=0)
+        return np.bincount(self.cols, self.weights, self.col_support.size)
 
     def check_marginals(self, mu: Distribution, nu: Distribution, tol: float = MARGINAL_TOL):
+        if self.rows.size and (
+            min(self.rows.min(), self.cols.min()) < 0
+            or self.rows.max() >= self.row_support.size
+            or self.cols.max() >= self.col_support.size
+        ):
+            raise ValueError("coupling cell index outside the supports")
         if self.row_support.shape != mu.support.shape or not np.allclose(
             self.row_support, mu.support
         ):
@@ -153,44 +170,34 @@ class Coupling:
             raise ValueError("column sums do not reproduce the second marginal")
 
     def cost(self) -> float:
-        diff = self.row_support[:, None] - self.col_support[None, :]
-        return float(np.sum(self.weights * diff**2))
+        diff = self.row_support[self.rows] - self.col_support[self.cols]
+        return float(np.dot(self.weights, diff * diff))
 
 
 def w2_quantile(mu: Distribution, nu: Distribution) -> tuple[float, Coupling]:
     """Wasserstein 2-deviation via the quantile (comonotone) construction.
 
-    The squared value is the integral of the squared quantile difference,
-    evaluated exactly by merging the cumulative breakpoints of both
-    distributions; the returned coupling attains it.
+    The squared value is the integral of the squared quantile difference.
+    Both quantile functions are constant between the merged cumulative
+    breakpoints ``t``, so each interval (t[k-1], t[k]] of positive length is
+    one cell of the staircase coupling, at the atoms whose cumulative sums
+    first reach t[k].  The returned coupling attains the value and has at
+    most m+n-1 cells.  The stable sort merges the two sorted runs of
+    breakpoints, so time and memory are linear in m+n.
     """
-    m, n = mu.support.size, nu.support.size
-    weights = np.zeros((m, n))
-    cost = 0.0
-    # Two-pointer sweep over remaining masses.
-    rem_a = mu.probs.astype(float).copy()
-    rem_b = nu.probs.astype(float).copy()
-    i = j = 0
-    while i < m and j < n:
-        if rem_a[i] <= 0:
-            i += 1
-            continue
-        if rem_b[j] <= 0:
-            j += 1
-            continue
-        seg = min(rem_a[i], rem_b[j])
-        weights[i, j] += seg
-        cost += seg * (mu.support[i] - nu.support[j]) ** 2
-        rem_a[i] -= seg
-        rem_b[j] -= seg
-        if rem_a[i] <= rem_b[j]:
-            rem_a[i] = 0.0
-            i += 1
-        else:
-            rem_b[j] = 0.0
-            j += 1
-    coupling = Coupling(mu.support, nu.support, weights)
-    return math.sqrt(max(cost, 0.0)), coupling
+    # Clamped to at most 1, so that a partial sum rounding above 1 cannot
+    # become a breakpoint past the other side's last one.
+    a, b = np.minimum(mu.probs.cumsum(), 1.0), np.minimum(nu.probs.cumsum(), 1.0)
+    a[-1] = b[-1] = 1.0
+    t = np.concatenate(([0.0], a, b))
+    t.sort(kind="stable")
+    w = t[1:] - t[:-1]
+    keep = w > 0
+    t, w = t[1:][keep], w[keep]
+    i, j = a.searchsorted(t), b.searchsorted(t)
+    diff = mu.support[i] - nu.support[j]
+    cost = float(np.dot(w, diff * diff))
+    return math.sqrt(max(cost, 0.0)), Coupling(mu.support, nu.support, i, j, w)
 
 
 def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:

@@ -156,14 +156,15 @@ def write_distribution_csv(dist: Distribution, path):
 
 
 def write_coupling_csv(coupling: Coupling, path):
+    """One row per cell of positive weight, in the coupling's cell order."""
+    keep = coupling.weights > 0
+    xs = coupling.row_support[coupling.rows[keep]].tolist()
+    ys = coupling.col_support[coupling.cols[keep]].tolist()
+    ws = coupling.weights[keep].tolist()
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row_value", "col_value", "weight"])
-        for i, x in enumerate(coupling.row_support):
-            for j, y in enumerate(coupling.col_support):
-                w = coupling.weights[i, j]
-                if w > 0:
-                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(w))])
+        writer.writerows([repr(x), repr(y), repr(w)] for x, y, w in zip(xs, ys, ws))
 
 
 def grid_config_to_json(grid) -> dict:

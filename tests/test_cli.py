@@ -114,6 +114,17 @@ def test_wasserstein_random_pair_oracle(tmp_path, capsys):
     assert "oracle agrees" in err
 
 
+def test_wasserstein_oracle_scale_limit(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_distribution_csv(Distribution(np.arange(65.0), np.full(65, 1 / 65)), a)
+    write_distribution_csv(Distribution(np.arange(65.0) + 0.5, np.full(65, 1 / 65)), b)
+    code, out, err = run_cli(capsys, "wasserstein", str(a), str(b), "--oracle")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "64" in err
+
+
 def test_sweep_bound_relation(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(
@@ -153,6 +164,14 @@ def test_check_commands(capsys):
     assert code == 0 and json.loads(out)["passed"]
     code, _, _ = run_cli(capsys, "check", "not-a-relation")
     assert code == 2
+
+
+@pytest.mark.parametrize("relation, budget", [("ozawa", "0"), ("unbiased", "-5")])
+def test_check_rejects_nonpositive_budget(capsys, relation, budget):
+    code, out, err = run_cli(capsys, "check", relation, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

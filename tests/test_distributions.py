@@ -160,7 +160,93 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         Distribution([0.0, 1.0], [0.7, 0.7])
     with pytest.raises(ValueError):
-        Coupling([0.0], [0.0, 1.0], np.array([[0.5, -0.5]]))
+        Coupling([0.0], [0.0, 1.0], [0, 0], [0, 1], [0.5, -0.5])
+    with pytest.raises(ValueError):
+        Coupling([0.0], [0.0, 1.0], [0, 0], [0], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        Coupling([0.0], [0.0, 1.0], [0, 1], [0, 1], [0.5, 0.5]).check_marginals(
+            delta(0.0), Distribution([0.0, 1.0], [0.5, 0.5])
+        )
+
+
+def quantile_integral(mu, nu):
+    """Squared-quantile integral on the merged breakpoints, read off at midpoints."""
+    cp, cq = np.cumsum(mu.probs), np.cumsum(nu.probs)
+    cp[-1] = cq[-1] = 1.0
+    t = np.union1d(cp, cq)
+    t = t[(t > 0.0) & (t <= 1.0)]
+    lengths = np.diff(np.concatenate(([0.0], t)))
+    mid = t - 0.5 * lengths
+    i = np.minimum(np.searchsorted(cp, mid), mu.support.size - 1)
+    j = np.minimum(np.searchsorted(cq, mid), nu.support.size - 1)
+    return np.sqrt(np.sum(lengths * (mu.support[i] - nu.support[j]) ** 2))
+
+
+def assert_staircase(mu, nu, val, coupling):
+    """Cells in one monotone chain, at most m+n-1 of them, reproducing both marginals."""
+    assert coupling.weights.size <= mu.support.size + nu.support.size - 1
+    assert np.all(coupling.weights > 0)
+    assert np.all(np.diff(coupling.rows) >= 0) and np.all(np.diff(coupling.cols) >= 0)
+    steps = np.diff(coupling.rows) + np.diff(coupling.cols)
+    assert np.all(steps > 0)
+    coupling.check_marginals(mu, nu)
+    assert abs(coupling.cost() - val**2) <= 1e-12 * max(1.0, val**2)
+
+
+def test_staircase_zero_probability_atoms():
+    cases = [
+        (Distribution([-1.0, 0.0, 1.0, 2.0, 3.0], [0.0, 0.25, 0.0, 0.75, 0.0]),
+         Distribution([0.0, 0.5, 4.0], [0.5, 0.0, 0.5])),
+        (Distribution([0.0, 1.0, 2.0], [0.5, 0.5, 0.0]),
+         Distribution([-2.0, 0.0, 1.0], [0.0, 0.0, 1.0])),
+        (Distribution([0.0, 1.0], [0.0, 1.0]), Distribution([5.0, 6.0], [1.0, 0.0])),
+    ]
+    for mu, nu in cases:
+        val, coupling = w2_quantile(mu, nu)
+        assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
+        assert_staircase(mu, nu, val, coupling)
+        assert np.all(mu.probs[coupling.rows] > 0) and np.all(nu.probs[coupling.cols] > 0)
+
+
+def test_staircase_cumulative_overshoot():
+    # Twenty atoms of 0.05 sum to 1 + 2.2e-16 in floating point; the trailing
+    # zero atoms put that overshoot before the last breakpoint of the side.
+    probs = np.concatenate((np.full(20, 0.05), np.zeros(237)))
+    assert np.cumsum(probs)[19] > 1.0
+    mu = Distribution(np.linspace(-3.0, 3.0, 257), probs)
+    nu = Distribution([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])
+    for a, b in ((mu, nu), (nu, mu)):
+        val, coupling = w2_quantile(a, b)
+        assert abs(val - quantile_integral(a, b)) < 1e-12
+        assert_staircase(a, b, val, coupling)
+
+
+def test_staircase_single_points_and_unequal_sizes():
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 1), (1, 9), (9, 1), (2, 13), (13, 2), (5, 16)):
+        mu, nu = (
+            Distribution(np.sort(rng.uniform(-4, 4, k)), rng.dirichlet(np.ones(k)))
+            for k in (m, n)
+        )
+        val, coupling = w2_quantile(mu, nu)
+        assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
+        assert_staircase(mu, nu, val, coupling)
+        if min(m, n) == 1:
+            assert coupling.weights.size == max(m, n)
+
+
+def test_staircase_large_supports():
+    rng = np.random.default_rng(12)
+    k = 16384
+    mu = Distribution(np.sort(rng.normal(0.0, 1.0, k)), rng.dirichlet(np.ones(k)))
+    nu = Distribution(np.sort(rng.normal(0.4, 1.3, k)), rng.dirichlet(np.ones(k)))
+    val, coupling = w2_quantile(mu, nu)
+    assert coupling.weights.size <= 2 * k - 1
+    coupling.check_marginals(mu, nu, tol=1e-9)
+    assert abs(coupling.cost() - val**2) <= 1e-12 * val**2
+    assert abs(val - quantile_integral(mu, nu)) <= 1e-12 * val
+    shifted, _ = w2_quantile(mu, mu.translate(-0.7))
+    assert abs(shifted - 0.7) < 1e-12
 
 
 @st.composite
