@@ -372,9 +372,6 @@ def cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_UNKNOWN
-    if config.budget < 1:
-        print(f"--budget must be at least 1, got {config.budget}", file=sys.stderr)
-        return EXIT_UNKNOWN
     summary, ok = _run_check(args.relation, config)
     ok = bool(ok)
     payload = {
@@ -475,8 +472,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args) -> str | None:
+    """One-line message for a malformed numeric flag, or None; checked before any work."""
+    n = args.grid_n
+    if n < 4 or n & (n - 1):
+        return f"--grid-n must be a power of two, at least 4, got {n}"
+    if not args.grid_L > 0:
+        return f"--grid-L must be positive, got {args.grid_L}"
+    if args.command == "sweep" and args.points < 1:
+        return f"--points must be at least 1, got {args.points}"
+    if args.command == "check" and args.budget < 1:
+        return f"--budget must be at least 1, got {args.budget}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error = _input_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return EXIT_UNKNOWN
     return args.func(args)
 
 

@@ -10,6 +10,7 @@ calibration over near-eigenstate preparations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import opalg
 from .distributions import Distribution, w2_quantile
 from .observables import (
+    TOL_COMMUTE,
     BiProbabilityTable,
     Observable,
     SharpObservable,
@@ -34,6 +36,8 @@ from .schemes import Instrument, MeasurementScheme, distorted_observable
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
 PURITY_TOL = 1e-10
 DEFAULT_SCHEDULE = tuple(0.5**k for k in range(11))  # 1, 1/2, ..., 2^-10
+STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the search
+EIG_CHUNK_ENTRIES = 2**18  # matrix entries per stacked eigvalsh call (4 MB complex)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +288,112 @@ def qubit_worst_case_closed_form(a: Observable, c: Observable) -> float | None:
     return math.sqrt(2 * abs(1 - c0) + 2 * np.linalg.norm(avec - cvec))
 
 
+def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis (columns) diagonalising every effect, or None.
+
+    The candidate is the eigenbasis of one generic real combination of the
+    effects; it is accepted only when every effect is diagonal in it to
+    ``TOL_COMMUTE``.  Fixed pseudo-random weights keep the combination's
+    eigenvalues simple wherever the effects tell basis states apart.
+    """
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, effects.shape[0])
+    _, basis = np.linalg.eigh(np.einsum("k,kij->ij", weights, effects))
+    rotated = np.einsum("ia,kij,jb->kab", basis.conj(), effects, basis)
+    off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
+    if np.linalg.norm(off_diagonal, axis=(1, 2)).max() > TOL_COMMUTE:
+        return None
+    return basis
+
+
+def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dual potentials of every staircase tree of the cost (x_i - y_j)^2.
+
+    ``x`` and ``y`` are increasing supports of sizes m and n.  A staircase
+    tree is a monotone cell path from (0, 0) to (m-1, n-1); on sorted
+    supports the cost is Monge, so each of the C(m+n-2, m-1) paths carries a
+    feasible dual u_i + v_j <= (x_i - y_j)^2 with equality on the path, and
+    for every pair of marginals one of them is optimal.  Returns ``u`` of
+    shape (T, m) and ``v`` of shape (T, n), normalised by u_0 = 0.
+    """
+    m, n = x.size, y.size
+    steps = m + n - 2
+    trees = math.comb(steps, m - 1)
+    cost = (x[:, None] - y[None, :]) ** 2
+    down_at = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(steps), m - 1)),
+        dtype=np.intp, count=trees * (m - 1),
+    ).reshape(trees, m - 1)
+    is_down = np.zeros((trees, steps), dtype=bool)
+    is_down[np.arange(trees)[:, None], down_at] = True
+    rows_before = np.cumsum(is_down, axis=1) - is_down
+    cols_before = np.arange(steps) - rows_before
+    # Row k is entered down column entry_col[:, k-1]; column j is entered
+    # along row entry_row[:, j-1].  The two path cells of each step share a
+    # potential, so the other one changes by the difference of their costs.
+    entry_col = cols_before[is_down].reshape(trees, m - 1)
+    entry_row = rows_before[~is_down].reshape(trees, n - 1)
+    rows = np.arange(1, m)
+    cols = np.arange(1, n)
+    du = cost[rows, entry_col] - cost[rows - 1, entry_col]
+    dv = cost[entry_row, cols] - cost[entry_row, cols - 1]
+    zero = np.zeros((trees, 1))
+    u = np.concatenate([zero, np.cumsum(du, axis=1)], axis=1)
+    v = cost[0, 0] + np.concatenate([zero, np.cumsum(dv, axis=1)], axis=1)
+    return u, v
+
+
+def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> WorstCaseResult:
+    """Exact worst case when every effect of a and c is diagonal in ``basis``.
+
+    Every dual operator sum u_i A_i + sum v_j C_j is then diagonal, so the sup
+    over states is the largest classical deviation over the basis states.
+    """
+    best_val, best_state = -1.0, None
+    for psi in basis.T:
+        val = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))[0]
+        if val > best_val:
+            best_val, best_state = val, psi
+    return WorstCaseResult(value=best_val, state=best_state, exact=True)
+
+
+def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
+    """Exact worst case by Kantorovich duality over the staircase duals.
+
+    W2^2 in state rho is the max over dual-feasible (u, v) of tr rho M(u, v)
+    with M = sum u_i A_i + sum v_j C_j, so sup_rho W2^2 is the largest top
+    eigenvalue of M over the staircase duals.  Its top eigenvector is the
+    witness, and the reported value is the deviation at the witness.
+    """
+    u, v = staircase_duals(a.outcomes, c.outcomes)
+    coeffs = np.concatenate([u, v], axis=1)
+    d = a.dim
+    effects = np.concatenate([a.effects, c.effects]).reshape(-1, d * d)
+    chunk = max(1, EIG_CHUNK_ENTRIES // (d * d))
+    top = np.empty(coeffs.shape[0])
+    for lo in range(0, coeffs.shape[0], chunk):
+        stack = (coeffs[lo:lo + chunk] @ effects).reshape(-1, d, d)
+        top[lo:lo + chunk] = np.linalg.eigvalsh(stack)[:, -1]
+    best = (coeffs[int(np.argmax(top))] @ effects).reshape(d, d)
+    psi = opalg.eig_hermitian(0.5 * (best + best.conj().T))[1][:, -1]
+    value = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))[0]
+    return WorstCaseResult(value=value, state=psi, exact=True)
+
+
 def w2_observables_worst(a: Observable, c: Observable,
                          policy: StateSearchPolicy = StateSearchPolicy()) -> WorstCaseResult:
     """Worst-case Wasserstein deviation between two dense observables.
 
-    Qubit sharp-vs-two-outcome pairs use the exact closed form (still
-    reporting a certifying state from the search); everything else returns
-    the sampled-and-refined lower bound.
+    Exact when the effects of a and c share an eigenbasis, or when there are
+    at most ``STAIRCASE_TREE_LIMIT`` staircase duals; otherwise the
+    sampled-and-refined search lower bound (``exact`` false).
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
+    basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
+    if basis is not None:
+        return w2_worst_common_basis(a, c, basis)
+    if math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) <= STAIRCASE_TREE_LIMIT:
+        return w2_worst_staircase(a, c)
 
     def da(psi):
         return distribution_of_pure(a, psi)
@@ -305,11 +405,7 @@ def w2_observables_worst(a: Observable, c: Observable,
     for op in (moment_operator(a, 1), moment_operator(c, 1)):
         _, vecs = opalg.eig_hermitian(op)
         extra.extend(vecs.T)
-    searched = worst_case_deviation(da, dc, a.dim, policy, extra_states=extra)
-    closed = qubit_worst_case_closed_form(a, c)
-    if closed is not None:
-        return WorstCaseResult(value=closed, state=searched.state, exact=True)
-    return searched
+    return worst_case_deviation(da, dc, a.dim, policy, extra_states=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +438,42 @@ class CalibrationResult:
         return abs(self.schedule[-1][1] - self.value)
 
 
-def _best_point_deviation(dist: Distribution, lo: float, hi: float) -> float:
-    """max over y' in [lo, hi] of Delta(dist, delta_y')."""
-    return max(dist.deviation_from_point(lo), dist.deviation_from_point(hi))
+def _family_sups(fam: CalibrationFamily, eps: np.ndarray) -> np.ndarray:
+    """Near-eigenstate suprema of one family at every schedule step eps[k]."""
+    sups = np.zeros(eps.size)
+    for c_dist in fam.exact:
+        # max over reference points y' in [y - eps, y + eps] of Delta(c, delta_y')
+        for ref in (fam.y - eps, fam.y + eps):
+            dev2 = np.sum((c_dist.support - ref[:, None]) ** 2 * c_dist.probs, axis=1)
+            sups = np.maximum(sups, np.sqrt(dev2))
+    # Means and second moments of the exact states and of the perturbing pairs.
+    base = np.array([(c.mean, c.moment(2)) for c in fam.exact]).reshape(-1, 2)
+    pert = np.array(
+        [(e.mean, e.moment(2), c.mean, c.moment(2)) for e, c in fam.perturbed]
+    ).reshape(-1, 4)
+    if not (base.size and pert.size):
+        return sups
+    span2 = max(fam.span, 1e-12) ** 2
+    # Mixing weights from every schedule step not exceeding eps keep the
+    # candidate sets nested, so the schedule is monotone by construction
+    # (Delta(E_mix, delta_y)^2 <= w * span^2 <= eps^2).
+    w = np.minimum(1.0, eps**2 / span2)
+    allowed = eps[None, :] <= eps[:, None] + 1e-15
+    # Axes: (schedule step, perturber, exact base state, mixing weight).
+    eps2 = (eps**2)[:, None, None, None]
+    e_mean = w * pert[:, 0, None, None] + (1 - w) * fam.y
+    e_second = w * pert[:, 1, None, None] + (1 - w) * fam.y**2
+    e_var = np.maximum(e_second - e_mean**2, 0.0)
+    # admissible reference points y': var + (mean - y')^2 <= eps^2
+    s = np.sqrt(np.maximum(eps2 - e_var, 0.0))
+    lo, hi = e_mean - s, e_mean + s
+    c_mean = w * pert[:, 2, None, None] + (1 - w) * base[None, :, 0, None]
+    c_second = w * pert[:, 3, None, None] + (1 - w) * base[None, :, 1, None]
+    far = np.where(np.abs(c_mean - lo) > np.abs(c_mean - hi), lo, hi)
+    val2 = c_second - 2 * far * c_mean + far**2
+    admissible = (e_var <= eps2) & allowed[:, None, None, :]
+    val2 = np.where(admissible, val2, 0.0).max(axis=(1, 2, 3))
+    return np.maximum(sups, np.sqrt(np.maximum(val2, 0.0)))
 
 
 def calibration_from_families(families, schedule=DEFAULT_SCHEDULE) -> CalibrationResult:
@@ -355,62 +484,41 @@ def calibration_from_families(families, schedule=DEFAULT_SCHEDULE) -> Calibratio
     perturbations and exploit the allowed reference-point slack, so they
     decrease monotonically onto the limit.
     """
+    eps = np.asarray(schedule, dtype=float)
     limit = 0.0
+    sups = np.zeros(eps.size)
     for fam in families:
         for c_dist in fam.exact:
             limit = max(limit, c_dist.deviation_from_point(fam.y))
-    sched = []
-    for eps in schedule:
-        sup = 0.0
-        for fam in families:
-            for c_dist in fam.exact:
-                sup = max(sup, _best_point_deviation(c_dist, fam.y - eps, fam.y + eps))
-            span2 = max(fam.span, 1e-12) ** 2
-            # Mixing weights from every schedule step not exceeding eps keep
-            # the candidate sets nested, so the schedule is monotone by
-            # construction (Delta(E_mix, delta_y)^2 <= w * span^2 <= eps^2).
-            allowed_w = sorted({min(1.0, e**2 / span2) for e in schedule if e <= eps + 1e-15})
-            for (e_dist, c_pert) in fam.perturbed:
-                for c_base in fam.exact:
-                    for w in allowed_w:
-                        e_mean = w * e_dist.mean + (1 - w) * fam.y
-                        e_second = w * e_dist.moment(2) + (1 - w) * fam.y**2
-                        e_var = max(e_second - e_mean**2, 0.0)
-                        if e_var > eps**2:
-                            continue
-                        # admissible reference points y': var + (mean - y')^2 <= eps^2
-                        s = math.sqrt(max(eps**2 - e_var, 0.0))
-                        lo, hi = e_mean - s, e_mean + s
-                        c_mean = w * c_pert.mean + (1 - w) * c_base.mean
-                        c_second = w * c_pert.moment(2) + (1 - w) * c_base.moment(2)
-                        far = lo if abs(c_mean - lo) > abs(c_mean - hi) else hi
-                        val2 = c_second - 2 * far * c_mean + far**2
-                        sup = max(sup, math.sqrt(max(val2, 0.0)))
-        sched.append((eps, sup))
+        sups = np.maximum(sups, _family_sups(fam, eps))
+    sched = tuple(zip(schedule, sups.tolist()))
     for (_, v1), (_, v2) in zip(sched, sched[1:]):
         if v2 > v1 + 1e-9:
             raise AssertionError("calibration schedule is not monotone decreasing")
-    return CalibrationResult(value=limit, schedule=tuple(sched))
+    return CalibrationResult(value=limit, schedule=sched)
 
 
 def dense_calibration_families(a: SharpObservable, c: Observable,
                                policy: StateSearchPolicy = StateSearchPolicy(),
-                               eigenspace_samples: int = 12,
                                perturbations: int = 8):
-    """Families for a dense sharp target: eigenspace states plus Haar perturbers."""
+    """Families for a dense sharp target: eigenspace states plus Haar perturbers.
+
+    On an eigenspace of dimension above one, the top eigenvector of the
+    compressed squared deviation V^dag (sum_x (x-y)^2 C(x)) V joins the basis
+    states; it attains the eps -> 0 limit over that eigenspace.
+    """
     rng = np.random.default_rng(policy.seed)
     span_all = float(np.max(np.abs(a.outcomes[:, None] - a.outcomes[None, :])))
     families = []
     for k, y in enumerate(a.outcomes):
-        eff = a.effects[k]
-        evals, evecs = opalg.eig_hermitian(eff)
-        basis = [evecs[:, i] for i in range(a.dim) if evals[i] > 0.5]
-        states = list(basis)
-        if len(basis) > 1:
-            for _ in range(eigenspace_samples):
-                coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-                vec = sum(co * b for co, b in zip(coeff, basis))
-                states.append(vec / np.linalg.norm(vec))
+        evals, evecs = opalg.eig_hermitian(a.effects[k])
+        basis = evecs[:, evals > 0.5]
+        states = list(basis.T)
+        if basis.shape[1] > 1:
+            deviation = np.einsum("x,xij->ij", (c.outcomes - y) ** 2, c.effects)
+            compressed = basis.conj().T @ deviation @ basis
+            _, vecs = opalg.eig_hermitian(0.5 * (compressed + compressed.conj().T))
+            states.append(basis @ vecs[:, -1])
         exact = tuple(distribution_of_pure(c, s) for s in states)
         pert = []
         for _ in range(perturbations):
@@ -446,7 +554,7 @@ class ErrorReport:
     bias: float
     intrinsic_noise_expectation: float
     w2_worst_unbounded: bool = False
-    calibration_unbounded: bool = False
+    w2_worst_exact: bool = False
     witness_state: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -480,5 +588,6 @@ def error_report(a, c: Observable, rho,
         bias=bias,
         intrinsic_noise_expectation=noise,
         w2_worst_unbounded=worst.unbounded,
+        w2_worst_exact=worst.exact,
         witness_state=worst.state,
     )

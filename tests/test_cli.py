@@ -174,6 +174,27 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
     assert "--budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "qubit-error-bound", "{csv}", "--points", "0"),
+        ("sweep", "qubit-error-bound", "{csv}", "--points", "-3"),
+        ("--grid-n", "1000", "check", "phase-space"),
+        ("--grid-n", "0", "scenario", "run", "husimi-saturation"),
+        ("--grid-L", "0", "check", "phase-space"),
+    ],
+    ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
+         "grid-L-zero"],
+)
+def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
+    csv_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert not csv_path.exists()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     outputs = []
     for run in range(2):

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qmu import opalg
-from qmu.distributions import Distribution
+from qmu.distributions import Distribution, w2_quantile
+from qmu import errmetrics
 from qmu.errmetrics import (
     StateSearchPolicy,
     bloch_parameters,
@@ -18,9 +20,13 @@ from qmu.errmetrics import (
     eta_no_from_instrument,
     eta_no_from_scheme,
     qubit_worst_case_closed_form,
+    shared_eigenbasis,
+    staircase_duals,
     three_state_eps,
     value_comparison_eps,
     w2_observables_worst,
+    w2_worst_common_basis,
+    w2_worst_staircase,
     worst_case_deviation,
 )
 from qmu.grid import (
@@ -42,6 +48,7 @@ from qmu.observables import (
     spectral_measure,
 )
 from qmu.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, expectation
+from qmu.serialize import report_to_json
 from qmu.schemes import (
     constant_channel_instrument,
     identity_scheme,
@@ -371,6 +378,110 @@ def test_worst_case_smearing_grid():
     assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-6
 
 
+def random_povm(d, n, rng):
+    """Random n-outcome POVM with full-rank, pairwise non-commuting effects."""
+    grams = []
+    for _ in range(n):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        grams.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(grams))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    effects = np.stack([inv_sqrt @ g @ inv_sqrt for g in grams])
+    effects = 0.5 * (effects + effects.conj().transpose(0, 2, 1))
+    return Observable(np.sort(rng.uniform(-2.0, 2.0, n)), effects)
+
+
+def staircase_sup_reference(a, c):
+    """max over monotone cell paths of lambda_max(sum u_i A_i + sum v_j C_j), by plain loops.
+
+    Also asserts that every path's dual is feasible for the cost (x - y)^2.
+    """
+    m, n = a.n_outcomes, c.n_outcomes
+    cost = (a.outcomes[:, None] - c.outcomes[None, :]) ** 2
+    best = -math.inf
+    for downs in itertools.combinations(range(m + n - 2), m - 1):
+        u, v = np.zeros(m), np.zeros(n)
+        i = j = 0
+        v[0] = cost[0, 0]
+        for step in range(m + n - 2):
+            if step in downs:
+                i += 1
+                u[i] = cost[i, j] - v[j]
+            else:
+                j += 1
+                v[j] = cost[i, j] - u[i]
+        assert np.all(u[:, None] + v[None, :] <= cost + 1e-12)
+        op = np.tensordot(u, a.effects, 1) + np.tensordot(v, c.effects, 1)
+        best = max(best, np.linalg.eigvalsh(op)[-1])
+    return best
+
+
+def test_staircase_duals_match_path_walk():
+    rng = np.random.default_rng(21)
+    x = np.sort(rng.uniform(-2, 2, 4))
+    y = np.sort(rng.uniform(-2, 2, 3))
+    u, v = staircase_duals(x, y)
+    assert u.shape == (math.comb(5, 3), 4) and v.shape == (math.comb(5, 3), 3)
+    cost = (x[:, None] - y[None, :]) ** 2
+    for t, downs in enumerate(itertools.combinations(range(5), 3)):
+        i = j = 0
+        assert abs(u[t, i] + v[t, j] - cost[i, j]) < 1e-12
+        for step in range(5):
+            i, j = (i + 1, j) if step in downs else (i, j + 1)
+            assert abs(u[t, i] + v[t, j] - cost[i, j]) < 1e-12
+    assert np.all(u[:, :, None] + v[:, None, :] <= cost + 1e-12)
+
+
+def test_worst_case_exact_on_random_noncommuting_pairs():
+    rng = np.random.default_rng(22)
+    policy = StateSearchPolicy(seed=5, samples=60, refine_starts=2)
+    for _ in range(12):
+        d = int(rng.integers(2, 5))
+        a = spectral_measure(opalg.random_hermitian(d, rng))
+        c = random_povm(d, int(rng.integers(2, 5)), rng)
+        assert shared_eigenbasis(np.concatenate([a.effects, c.effects])) is None
+        res = w2_observables_worst(a, c)
+        assert res.exact
+        searched = worst_case_deviation(
+            lambda p: distribution_of(a, opalg.projector(p)),
+            lambda p: distribution_of(c, opalg.projector(p)),
+            d,
+            policy,
+        )
+        assert res.value >= searched.value - 1e-12
+        rho = opalg.projector(res.state)
+        at_witness, _ = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
+        assert abs(at_witness - res.value) < 1e-9
+        assert abs(res.value - math.sqrt(staircase_sup_reference(a, c))) < 1e-9
+
+
+def test_worst_case_common_basis_matches_enumeration():
+    rng = np.random.default_rng(23)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    a = spectral_measure(u @ np.diag([-1.3, 0.2, 1.1]) @ u.conj().T)
+    mu = Distribution([-0.5, 0.1, 0.4], [0.2, 0.5, 0.3])
+    c = smear(a, mu)
+    basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
+    assert basis is not None
+    common = w2_worst_common_basis(a, c, basis)
+    enumerated = w2_worst_staircase(a, c)
+    assert common.exact and enumerated.exact
+    assert abs(common.value - enumerated.value) < 1e-12
+    assert abs(common.value - math.sqrt(mu.moment(2))) < 1e-12
+
+
+def test_worst_case_falls_back_to_search_above_tree_limit(monkeypatch):
+    monkeypatch.setattr(errmetrics, "STAIRCASE_TREE_LIMIT", 1)
+    a = spectral_measure(SIGMA_Z)
+    c = BlochObservable(1.0, np.array([0.4, 0.0, 0.3])).to_observable()
+    res = w2_observables_worst(a, c, StateSearchPolicy(samples=20))
+    assert not res.exact
+    assert res.value <= qubit_worst_case_closed_form(a, c) + 1e-12
+    rep = error_report(SIGMA_Z, c, bloch_state([0.0, 0.0, 1.0]), StateSearchPolicy(samples=20))
+    assert not rep.w2_worst_exact
+    assert report_to_json(rep)["w2_worst_method"] == "search-lower-bound"
+
+
 def test_bloch_parameter_extraction():
     c0, cvec = bloch_parameters(BlochObservable(0.8, np.array([0.1, 0.2, 0.3])).to_observable())
     assert abs(c0 - 0.8) < 1e-12
@@ -414,6 +525,21 @@ def test_calibration_below_worst_case():
         assert calib <= worst + 1e-9
 
 
+def test_calibration_degenerate_target_exact_limit():
+    rng = np.random.default_rng(24)
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    a_op = u @ np.diag([-0.8, -0.8, -0.8, 1.3, 1.3, 1.3]) @ u.conj().T
+    a = spectral_measure(a_op)
+    assert a.n_outcomes == 2
+    c = random_povm(6, 3, rng)
+    exact = 0.0
+    for y in (-0.8, 1.3):
+        proj = u[:, :3] @ u[:, :3].conj().T if y < 0 else u[:, 3:] @ u[:, 3:].conj().T
+        dev = sum((x - y) ** 2 * eff for x, eff in zip(c.outcomes, c.effects))
+        exact = max(exact, np.linalg.eigvalsh(proj @ dev @ proj)[-1])
+    assert abs(calibration_error(a, c).value - math.sqrt(exact)) < 1e-12
+
+
 def test_calibration_grid_smearing():
     grid = GridSystem(256, 10.0)
     mu = Distribution([-0.5, 0.0, 0.5], [0.25, 0.5, 0.25])
@@ -436,3 +562,5 @@ def test_error_report_fields_and_invariant():
     assert abs(rep.w2_worst**2 - 2 * 0.3) < 1e-9
     assert rep.w2_state >= 0
     assert not rep.w2_worst_unbounded
+    assert rep.w2_worst_exact
+    assert report_to_json(rep)["w2_worst_method"] == "exact"
