@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .distributions import LP_MAX, w2_lp_oracle, w2_quantile
+from .grid import grid_size_error, half_width_error
 from .relations import qubit_error_bound
 from .scenarios import (
     EX,
@@ -27,6 +28,7 @@ from .scenarios import (
     ScenarioOutcome,
     epsno_sum_suite,
     eps_form_equivalence_suite,
+    feasible_models,
     naive_falsification_cases,
     ozawa_branciard_suite,
     run_scenario,
@@ -47,6 +49,10 @@ EXIT_UNKNOWN = 2
 EXIT_NUMERIC = 3
 EXIT_UNWRITABLE = 4
 
+GRID_OVERRIDE_CHECKS = {
+    "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
+    "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
+}
 SWEEP_RELATIONS = ("qubit-error-bound", "naive-product", "branciard")
 CHECK_RELATIONS = (
     "ozawa",
@@ -138,9 +144,15 @@ def _parse_overrides(pairs) -> dict:
             raise ValueError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
         try:
-            overrides[key] = json.loads(raw)
+            value = json.loads(raw)
         except json.JSONDecodeError:
-            overrides[key] = raw
+            value = raw
+        # None keeps the run configuration's grid where a scenario defaults to it.
+        check = GRID_OVERRIDE_CHECKS.get(key)
+        error = check(value) if check and value is not None else None
+        if error:
+            raise ValueError(f"--set {key}: {error}")
+        overrides[key] = value
     return overrides
 
 
@@ -225,18 +237,12 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
                  "slack": verdict.slack}
             )
     elif relation == "branciard":
-        from .relations import check_branciard_joint, qubit_joint_feasible
+        from .opalg import bloch_state
+        from .relations import check_branciard_joint
 
-        rng = np.random.default_rng(config.seed)
-        rho = bloch_state_for_sweep()
-        made = 0
-        while made < points:
-            c = rng.uniform(-1, 1, 3)
-            d = rng.uniform(-1, 1, 3)
-            if np.linalg.norm(c + d) + np.linalg.norm(c - d) > 2:
-                continue
-            made += 1
-            model = qubit_joint_feasible(c, d, a=EZ, b=EX)
+        rho = bloch_state(EY)
+        for model in feasible_models(np.random.default_rng(config.seed), points):
+            c, d = model.c, model.d
             verdict = check_branciard_joint(model, rho)
             rows.append(
                 {
@@ -248,12 +254,6 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
     else:
         raise KeyError(relation)
     return rows
-
-
-def bloch_state_for_sweep():
-    from .opalg import bloch_state
-
-    return bloch_state(EY)
 
 
 def cmd_sweep(args) -> int:
@@ -474,11 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _input_error(args) -> str | None:
     """One-line message for a malformed numeric flag, or None; checked before any work."""
-    n = args.grid_n
-    if n < 4 or n & (n - 1):
-        return f"--grid-n must be a power of two, at least 4, got {n}"
-    if not args.grid_L > 0:
-        return f"--grid-L must be positive, got {args.grid_L}"
+    for flag, error in (("--grid-n", grid_size_error(args.grid_n)),
+                        ("--grid-L", half_width_error(args.grid_L))):
+        if error:
+            return f"{flag}: {error}"
     if args.command == "sweep" and args.points < 1:
         return f"--points must be at least 1, got {args.points}"
     if args.command == "check" and args.budget < 1:

@@ -76,32 +76,60 @@ def delta(y: float) -> Distribution:
     return Distribution(np.array([y]), np.array([1.0]))
 
 
+def merge_groups(values, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Sort real values and group the nearly equal ones: the outcome-merge rule.
+
+    Returns ``order``, the stable ascending argsort of ``values``, and
+    ``starts``, the positions in ``values[order]`` where each group begins.  A
+    value joins the current group when it lies within
+    ``tol * max(1, |v|, |first|)`` of the group's *first* value, so a chain of
+    small gaps still splits once it drifts ``tol`` away from where it began.
+    """
+    values = np.asarray(values, dtype=float)
+    order = values.argsort(kind="stable")
+    starts = []
+    for k, v in enumerate(values[order].tolist()):
+        if not starts or abs(v - first) > tol * max(1.0, abs(v), abs(first)):
+            starts.append(k)
+            first = v
+    return order, np.array(starts, dtype=np.intp)
+
+
+def merge_outcomes(values, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome values grouped by ``merge_groups`` and their summed weights.
+
+    Returns each group's first value, ascending, and the sum of its weights
+    along the leading axis (scalars or matrices).  Each group is summed left
+    to right in sorted order; ``np.add.reduceat`` would sum groups of nine or
+    more pairwise and move the last bits of analytically zero figures.
+    """
+    order, starts = merge_groups(values, tol)
+    values, weights = np.asarray(values, dtype=float)[order], np.asarray(weights)[order]
+    if starts.size == order.size:
+        return values, weights
+    sums = weights[starts]
+    sizes = np.diff(starts, append=order.size)
+    for k in range(1, sizes.max()):
+        longer = sizes > k
+        sums[longer] += weights[starts[longer] + k]
+    return values[starts], sums
+
+
 def make_distribution(values, probs, merge_tol: float = MERGE_TOL) -> Distribution:
     """Build a Distribution, sorting and merging nearby support points.
 
-    Values closer than ``merge_tol * max(1, |v|)`` are merged, their
-    probabilities summed; zero-probability atoms are kept only if needed to
-    leave at least one point.
+    Support points are merged by ``merge_outcomes``, their probabilities
+    summed; zero-probability atoms are kept only if needed to leave at least
+    one point.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     probs = np.asarray(probs, dtype=float).reshape(-1)
-    order = np.argsort(values, kind="stable")
-    values, probs = values[order], probs[order]
-    out_v: list[float] = []
-    out_p: list[float] = []
-    for v, p in zip(values, probs):
-        if out_v and abs(v - out_v[-1]) <= merge_tol * max(1.0, abs(v), abs(out_v[-1])):
-            out_p[-1] += p
-        else:
-            out_v.append(v)
-            out_p.append(p)
-    v_arr = np.array(out_v)
-    p_arr = np.array(out_p)
+    v_arr, p_arr = merge_outcomes(values, probs, merge_tol)
     keep = p_arr > 0
     if keep.any():
         v_arr, p_arr = v_arr[keep], p_arr[keep]
     else:
-        v_arr, p_arr = v_arr[:1], np.array([p_arr[:1].sum()])
+        v_arr, p_arr = v_arr[:1], p_arr[:1]
     return Distribution(v_arr, p_arr)
 
 

@@ -151,11 +151,6 @@ class ValueComparison:
     table: BiProbabilityTable
     w2_distributions: float
 
-    @property
-    def is_coupling_bound(self) -> bool:
-        """Whether the value is certified as an upper bound on the w2 deviation."""
-        return self.commuting
-
 
 def value_comparison_eps(a: SharpObservable, c: Observable, rho) -> ValueComparison:
     """Squared-deviation integral of the bimeasure Re<A(dx)C(dy)>_rho.
@@ -195,7 +190,6 @@ class StateSearchPolicy:
     refine_starts: int = 3
     refine_maxiter: int = 600
     refine_dim_limit: int = 8
-    ceiling: float = 1e6
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,6 @@ class WorstCaseResult:
     value: float
     state: np.ndarray
     exact: bool = False
-    unbounded: bool = False
 
 
 def _refine_pure_state(objective, psi0, maxiter):
@@ -252,11 +245,7 @@ def worst_case_deviation(dist_a, dist_b, dim: int, policy: StateSearchPolicy = S
             rv = objective(refined)
             if rv > best_val:
                 best_val, best_state = rv, refined
-    return WorstCaseResult(
-        value=best_val,
-        state=best_state,
-        unbounded=bool(best_val > policy.ceiling),
-    )
+    return WorstCaseResult(value=best_val, state=best_state)
 
 
 def bloch_parameters(obs: Observable) -> tuple[float, np.ndarray] | None:
@@ -553,7 +542,6 @@ class ErrorReport:
     calibration: float
     bias: float
     intrinsic_noise_expectation: float
-    w2_worst_unbounded: bool = False
     w2_worst_exact: bool = False
     witness_state: np.ndarray | None = field(default=None, compare=False)
 
@@ -587,7 +575,6 @@ def error_report(a, c: Observable, rho,
         calibration=calib.value,
         bias=bias,
         intrinsic_noise_expectation=noise,
-        w2_worst_unbounded=worst.unbounded,
         w2_worst_exact=worst.exact,
         witness_state=worst.state,
     )

@@ -10,6 +10,7 @@ act by FFT application.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,22 @@ class GridAliasingError(ValueError):
     """Raised when wavefunction mass sits too close to the grid boundary."""
 
 
+def grid_size_error(n) -> str | None:
+    """Why n is no grid size (an integer power of two, at least 4), or None."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4 or n & (n - 1):
+        return f"grid size must be a power of two, at least 4, got {n!r}"
+    return None
+
+
+def half_width_error(half_width) -> str | None:
+    """Why half_width is no grid half width (a positive finite number), or None."""
+    if isinstance(half_width, bool) or not isinstance(half_width, numbers.Real) or not (
+        0 < half_width < math.inf
+    ):
+        return f"half width must be positive and finite, got {half_width!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class GridSystem:
     """Uniform position grid of n points (power of two) on [-L, L)."""
@@ -34,10 +51,9 @@ class GridSystem:
     half_width: float
 
     def __post_init__(self):
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("grid size must be a power of two, at least 4")
-        if self.half_width <= 0:
-            raise ValueError("half width must be positive")
+        error = grid_size_error(self.n) or half_width_error(self.half_width)
+        if error:
+            raise ValueError(error)
 
     @property
     def dx(self) -> float:
@@ -142,14 +158,11 @@ def apply_momentum(grid: GridSystem, psi) -> np.ndarray:
     return _to_position(grid.momenta * _to_momentum(psi))
 
 
-def apply_oscillator(grid: GridSystem, psi, subtract_ground: bool = True) -> np.ndarray:
+def apply_oscillator(grid: GridSystem, psi) -> np.ndarray:
     """(P^2/2 + Q^2/2 - 1/2) psi; the shift makes the ground state a null vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     kinetic = _to_position(0.5 * grid.momenta**2 * _to_momentum(psi))
-    out = kinetic + 0.5 * grid.positions**2 * psi
-    if subtract_ground:
-        out = out - 0.5 * psi
-    return out
+    return kinetic + 0.5 * grid.positions**2 * psi - 0.5 * psi
 
 
 def operator_moment(grid: GridSystem, apply_op, psi, n: int = 1) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .distributions import Distribution, MERGE_TOL, make_distribution
+from .distributions import Distribution, MERGE_TOL, make_distribution, merge_outcomes
 
 TOL_EFFECT = 1e-12        # effect eigenvalue window [-tol, 1+tol]
 TOL_SUM = 1e-10           # effects must sum to identity within this
@@ -25,7 +25,7 @@ TOL_COMMUTE = 1e-10       # commutator norm below which a pair counts as commuti
 class Observable:
     """POVM on a finite real outcome set."""
 
-    def __init__(self, outcomes, effects, *, validate: bool = True):
+    def __init__(self, outcomes, effects):
         outcomes = np.asarray(outcomes, dtype=float).reshape(-1)
         effects = np.asarray(effects, dtype=complex)
         if effects.ndim != 3 or effects.shape[0] != outcomes.size:
@@ -38,8 +38,7 @@ class Observable:
             raise ValueError("outcomes must be strictly increasing")
         self.outcomes = outcomes
         self.effects = effects
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         d = self.dim
@@ -136,22 +135,12 @@ def qubit_triple() -> Observable:
 def spectral_measure(op, merge_tol: float = MERGE_TOL) -> SharpObservable:
     """Spectral measure of a Hermitian operator.
 
-    Eigenvalues within ``merge_tol`` (relative) are merged into one outcome,
-    their eigenprojections summed.
+    Eigenvalues merged by ``merge_outcomes`` form one outcome, their
+    eigenprojections summed.
     """
     evals, evecs = opalg.eig_hermitian(op)
-    outcomes: list[float] = []
-    effects: list[np.ndarray] = []
-    for lam, k in zip(evals, range(evals.size)):
-        proj = np.outer(evecs[:, k], evecs[:, k].conj())
-        if outcomes and abs(lam - outcomes[-1]) <= merge_tol * max(
-            1.0, abs(lam), abs(outcomes[-1])
-        ):
-            effects[-1] = effects[-1] + proj
-        else:
-            outcomes.append(float(lam))
-            effects.append(proj)
-    return SharpObservable(outcomes, np.stack(effects))
+    projections = evecs.T[:, :, None] * evecs.T.conj()[:, None, :]
+    return SharpObservable(*merge_outcomes(evals, projections, merge_tol))
 
 
 def moment_operator(obs: Observable, n: int) -> np.ndarray:
@@ -173,25 +162,13 @@ def is_sharp(obs: Observable, tol: float = TOL_PROJ) -> bool:
 
 
 def smear(obs: Observable, mu: Distribution, merge_tol: float = MERGE_TOL) -> Observable:
-    """Convolution observable: outcome sums x+y weighted by mu(y) F(x)."""
-    d = obs.dim
-    sums: list[float] = []
-    mats: list[np.ndarray] = []
-    for y, p in zip(mu.support, mu.probs):
-        for x, eff in zip(obs.outcomes, obs.effects):
-            sums.append(x + y)
-            mats.append(p * eff)
-    order = np.argsort(sums, kind="stable")
-    out_v: list[float] = []
-    out_e: list[np.ndarray] = []
-    for idx in order:
-        v = sums[idx]
-        if out_v and abs(v - out_v[-1]) <= merge_tol * max(1.0, abs(v), abs(out_v[-1])):
-            out_e[-1] = out_e[-1] + mats[idx]
-        else:
-            out_v.append(v)
-            out_e.append(mats[idx].copy())
-    return Observable(out_v, np.stack(out_e))
+    """Convolution observable: outcome sums x+y weighted by mu(y) F(x).
+
+    Sums merged by ``merge_outcomes`` form one outcome, zero-weight ones kept.
+    """
+    sums = (mu.support[:, None] + obs.outcomes[None, :]).reshape(-1)
+    mats = (mu.probs[:, None, None, None] * obs.effects[None]).reshape(-1, obs.dim, obs.dim)
+    return Observable(*merge_outcomes(sums, mats, merge_tol))
 
 
 def distribution_of(obs: Observable, rho) -> Distribution:

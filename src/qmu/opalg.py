@@ -7,6 +7,8 @@ operators and unitaries.  Tolerances are build-time constants, not knobs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Validation tolerances (absolute unless noted).
@@ -67,6 +69,12 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """Real expectation value tr(rho op) for Hermitian op."""
     return float(np.einsum("ij,ji->", rho, op).real)
+
+
+def spread(op: np.ndarray, rho: np.ndarray) -> float:
+    """Standard deviation sqrt(tr[(A - <A>) rho (A - <A>)]) of Hermitian op in rho."""
+    centred = op - expectation(op, rho) * np.eye(op.shape[0])
+    return math.sqrt(max(expectation(centred @ centred, rho), 0.0))
 
 
 def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:

@@ -27,9 +27,8 @@ from .observables import (
     distribution_of,
     intrinsic_noise,
     moment_operator,
-    spectral_measure,
 )
-from .opalg import expectation
+from .opalg import expectation, spread
 from .schemes import MeasurementScheme
 
 SLACK_TOL = 1e-9
@@ -82,28 +81,33 @@ def check_purity(rho, tol: float = 1e-8) -> np.ndarray:
 
 
 def ozawa_verdict(eps: float, eta: float, dev_a: float, dev_b: float,
-                  comm: float, witnesses=None) -> RelationVerdict:
+                  comm: float) -> RelationVerdict:
     """Error-disturbance relation: eps*eta + eps*Delta(B) + Delta(A)*eta >= comm/2."""
     lhs = eps * eta + eps * dev_b + dev_a * eta
-    return RelationVerdict("ozawa", lhs, 0.5 * comm, witnesses or {})
+    return RelationVerdict("ozawa", lhs, 0.5 * comm,
+                           {"eps": eps, "eta": eta, "dev_a": dev_a, "dev_b": dev_b})
 
 
-def naive_product_verdict(eps: float, eta: float, comm: float,
-                          witnesses=None) -> RelationVerdict:
+def naive_product_verdict(eps: float, eta: float, comm: float) -> RelationVerdict:
     """The plain product bound eps*eta >= comm/2 (fails in general)."""
-    return RelationVerdict("naive-product", eps * eta, 0.5 * comm, witnesses or {})
+    return RelationVerdict("naive-product", eps * eta, 0.5 * comm, {"eps": eps, "eta": eta})
 
 
 def branciard_verdict(eps_a: float, eps_b: float, dev_a: float, dev_b: float,
                       comm: float, witnesses=None) -> RelationVerdict:
-    """Tight pure-state relation combining both errors and both spreads."""
+    """Tight pure-state relation combining both errors and both spreads.
+
+    The witnesses default to the two errors.
+    """
     cross = max(dev_a**2 * dev_b**2 - 0.25 * comm**2, 0.0)
     lhs = (
         eps_a**2 * dev_b**2
         + eps_b**2 * dev_a**2
         + 2.0 * math.sqrt(cross) * eps_a * eps_b
     )
-    return RelationVerdict("branciard", lhs, 0.25 * comm**2, witnesses or {})
+    if witnesses is None:
+        witnesses = {"eps_a": eps_a, "eps_b": eps_b}
+    return RelationVerdict("branciard", lhs, 0.25 * comm**2, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -111,33 +115,35 @@ def branciard_verdict(eps_a: float, eps_b: float, dev_a: float, dev_b: float,
 # ---------------------------------------------------------------------------
 
 
+def error_disturbance_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
+    """(eps, eta, dev_a, dev_b, comm): every input of the scheme relations.
+
+    The noise-operator error of the scheme for target a, its disturbance of
+    b, the spreads of a and b, and |tr(rho [A, B])|, all in state rho.  The
+    order matches the arguments of the verdict cores.
+    """
+    a, b, rho = (np.asarray(m, dtype=complex) for m in (a, b, rho))
+    return (
+        eps_no_from_scheme(scheme, a, rho),
+        eta_no_from_scheme(scheme, b, rho),
+        spread(a, rho),
+        spread(b, rho),
+        commutator_expectation(a, b, rho),
+    )
+
+
 def check_ozawa(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
-    eps = eps_no_from_scheme(scheme, a, rho)
-    eta = eta_no_from_scheme(scheme, b, rho)
-    dev_a = distribution_of(spectral_measure(a), rho).std
-    dev_b = distribution_of(spectral_measure(b), rho).std
-    comm = commutator_expectation(a, b, rho)
-    return ozawa_verdict(eps, eta, dev_a, dev_b, comm,
-                         {"eps": eps, "eta": eta, "dev_a": dev_a, "dev_b": dev_b})
+    return ozawa_verdict(*error_disturbance_figures(scheme, a, b, rho))
 
 
 def check_naive_heisenberg(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
-    eps = eps_no_from_scheme(scheme, a, rho)
-    eta = eta_no_from_scheme(scheme, b, rho)
-    comm = commutator_expectation(a, b, rho)
-    return naive_product_verdict(eps, eta, comm, {"eps": eps, "eta": eta})
+    eps, eta, _, _, comm = error_disturbance_figures(scheme, a, b, rho)
+    return naive_product_verdict(eps, eta, comm)
 
 
 def check_branciard_scheme(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
     """Error-disturbance form: the second error is the disturbance of b."""
-    rho = check_purity(rho)
-    eps = eps_no_from_scheme(scheme, a, rho)
-    eta = eta_no_from_scheme(scheme, b, rho)
-    dev_a = distribution_of(spectral_measure(a), rho).std
-    dev_b = distribution_of(spectral_measure(b), rho).std
-    comm = commutator_expectation(a, b, rho)
-    return branciard_verdict(eps, eta, dev_a, dev_b, comm,
-                             {"eps_a": eps, "eps_b": eta})
+    return branciard_verdict(*error_disturbance_figures(scheme, a, b, check_purity(rho)))
 
 
 def naive_violation_search(cases) -> list[RelationVerdict]:
@@ -240,11 +246,8 @@ def check_branciard_joint(model: QubitJointModel, rho) -> RelationVerdict:
     rho = check_purity(rho)
     eps_a, eps_b = model.eps_pair(rho)
     a_op, b_op = model.target_first(), model.target_second()
-    dev_a = distribution_of(spectral_measure(a_op), rho).std
-    dev_b = distribution_of(spectral_measure(b_op), rho).std
     comm = commutator_expectation(a_op, b_op, rho)
-    return branciard_verdict(eps_a, eps_b, dev_a, dev_b, comm,
-                             {"eps_a": eps_a, "eps_b": eps_b})
+    return branciard_verdict(eps_a, eps_b, spread(a_op, rho), spread(b_op, rho), comm)
 
 
 def check_unbiased_tradeoffs(model: QubitJointModel, rho, a_op=None,

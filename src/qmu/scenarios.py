@@ -23,7 +23,6 @@ from .errmetrics import (
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
-    eta_no_from_scheme,
     three_state_eps,
     value_comparison_eps,
     w2_observables_worst,
@@ -56,10 +55,11 @@ from .relations import (
     RelationVerdict,
     branciard_verdict,
     check_branciard_joint,
-    check_branciard_scheme,
     check_naive_heisenberg,
-    check_ozawa,
     check_unbiased_tradeoffs,
+    error_disturbance_figures,
+    naive_product_verdict,
+    ozawa_verdict,
     phase_space_relation_check,
     qubit_epsno_sum_check,
     qubit_error_bound,
@@ -301,8 +301,8 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
         scheme = identity_scheme(a_sharp, sigma)
     else:
         scheme = swap_scheme(a_sharp, sigma)
-    eps = eps_no_from_scheme(scheme, a, rho)
-    eta = eta_no_from_scheme(scheme, b, rho)
+    figures = error_disturbance_figures(scheme, a, b, rho)
+    eps, eta, _, _, comm = figures
     da, ds = distribution_of(a_sharp, rho), distribution_of(a_sharp, sigma)
     b_sharp = spectral_measure(b)
     db, dbs = distribution_of(b_sharp, rho), distribution_of(b_sharp, sigma)
@@ -316,9 +316,9 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
         eps_target, w2_approx_target = 0.0, 0.0
         eta_target = math.sqrt(db.variance + dbs.variance + (db.mean - dbs.mean) ** 2)
         w2_dist, _ = w2_quantile(db, dbs)  # disturbed distribution is B_sigma
-    naive = check_naive_heisenberg(scheme, a, b, rho)
-    ozawa = check_ozawa(scheme, a, b, rho)
-    branciard = check_branciard_scheme(scheme, a, b, rho)
+    naive = naive_product_verdict(eps, eta, comm)
+    ozawa = ozawa_verdict(*figures)
+    branciard = branciard_verdict(*figures)
     values = {
         "eps_no": eps,
         "eta_no": eta,
@@ -457,7 +457,7 @@ def _run_double_zero(params: dict, config: RunConfig) -> ScenarioOutcome:
         max(float(grid.inner(b_psi, b_psi).real) - float(grid.inner(psi, b_psi).real) ** 2, 0.0)
     )
     comm = abs(complex(grid.inner(a_psi, b_psi)) - complex(grid.inner(b_psi, a_psi)))
-    verdict = branciard_verdict(eps_a, eps_b, dev_a, dev_b, comm)
+    verdict = branciard_verdict(eps_a, eps_b, dev_a, dev_b, comm, witnesses={})
     values = {
         "eps_a": eps_a,
         "eps_b": eps_b,
@@ -698,8 +698,8 @@ def ozawa_branciard_suite(seed: int = 0, draws: int = 10000) -> dict:
         a = opalg.random_hermitian(2, rng)
         b = opalg.random_hermitian(2, rng)
         rho = opalg.projector(opalg.haar_state(2, rng))
-        oz = check_ozawa(scheme, a, b, rho)
-        br = check_branciard_scheme(scheme, a, b, rho)
+        figures = error_disturbance_figures(scheme, a, b, rho)
+        oz, br = ozawa_verdict(*figures), branciard_verdict(*figures)
         min_ozawa = min(min_ozawa, oz.slack)
         min_branciard = min(min_branciard, br.slack)
         if not oz.holds or not br.holds:
@@ -739,19 +739,27 @@ def naive_falsification_cases(config: RunConfig = RunConfig()) -> list[RelationV
     return [check_naive_heisenberg(s, a, b, r) for s, a, b, r in cases]
 
 
+def feasible_models(rng: np.random.Generator, count: int):
+    """``count`` random feasible covariant joint models for the targets EZ and EX.
+
+    Marginal Bloch vectors c and d are drawn from the cube [-1, 1]^3 until
+    ||c + d|| + ||c - d|| <= 2.  The generator reads ``rng`` only when asked
+    for its next model, so draws a caller makes in between keep their place
+    in the stream.
+    """
+    for _ in range(count):
+        c, d = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        while np.linalg.norm(c + d) + np.linalg.norm(c - d) > 2:
+            c, d = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        yield qubit_joint_feasible(c, d, a=EZ, b=EX)
+
+
 def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
     """Random feasible covariant models: the unbiased trade-offs must hold."""
     rng = np.random.default_rng(seed)
     mins = {"unbiased-intrinsic-noise": math.inf, "unbiased-output-spread": math.inf,
             "unbiased-error-product": math.inf}
-    count = 0
-    while count < draws:
-        c = rng.uniform(-1, 1, 3)
-        d = rng.uniform(-1, 1, 3)
-        if np.linalg.norm(c + d) + np.linalg.norm(c - d) > 2:
-            continue
-        count += 1
-        model = qubit_joint_feasible(c, d, a=EZ, b=EX)
+    for model in feasible_models(rng, draws):
         rho = opalg.random_density(2, rng)
         for name, verdict in check_unbiased_tradeoffs(model, rho).items():
             mins[name] = min(mins[name], verdict.slack)
@@ -759,15 +767,6 @@ def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
 
 
 def epsno_sum_suite(seed: int = 0, draws: int = 10000) -> dict:
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    count = 0
-    while count < draws:
-        c = rng.uniform(-1, 1, 3)
-        d = rng.uniform(-1, 1, 3)
-        if np.linalg.norm(c + d) + np.linalg.norm(c - d) > 2:
-            continue
-        count += 1
-        model = qubit_joint_feasible(c, d, a=EZ, b=EX)
-        worst = min(worst, qubit_epsno_sum_check(model).slack)
+    models = feasible_models(np.random.default_rng(seed), draws)
+    worst = min((qubit_epsno_sum_check(model).slack for model in models), default=math.inf)
     return {"draws": draws, "min_slack": worst}

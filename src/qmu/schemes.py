@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
+from .distributions import merge_groups, merge_outcomes
 from .observables import (
     BiProbabilityTable,
     Observable,
@@ -23,7 +24,6 @@ from .observables import (
 
 TOL_KRAUS = 1e-10         # completeness of an instrument's Kraus sets
 KRAUS_TRUNCATION = 1e-12  # spectral weight below which Kraus components drop
-MERGE_LABEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,6 @@ class Instrument:
         return Observable(self.outcomes, np.stack(effects))
 
 
-def _merge_labels(labels, pieces, tol=MERGE_LABEL_TOL):
-    """Group per-pointer-outcome pieces by (merged) real label, ascending."""
-    order = np.argsort(labels, kind="stable")
-    merged_labels: list[float] = []
-    merged_groups: list[list] = []
-    for idx in order:
-        lab = labels[idx]
-        if merged_labels and abs(lab - merged_labels[-1]) <= tol * max(
-            1.0, abs(lab), abs(merged_labels[-1])
-        ):
-            merged_groups[-1].append(pieces[idx])
-        else:
-            merged_labels.append(float(lab))
-            merged_groups.append([pieces[idx]])
-    return merged_labels, merged_groups
-
-
 def induced_observable(scheme: MeasurementScheme) -> Observable:
     """Observable measured by a scheme: F(y) = Tr_probe[(1 (x) sigma) U^dag (1 (x) Z(f^-1(y))) U].
 
@@ -178,9 +161,7 @@ def induced_observable(scheme: MeasurementScheme) -> Observable:
         s_flat = s.transpose(2, 0, 1, 3).reshape(do, -1)
         eff = s_flat @ t_flat.T
         raw_effects.append(0.5 * (eff + eff.conj().T))
-    labels, groups = _merge_labels(scheme.pointer_values, raw_effects)
-    effects = [sum(g) for g in groups]
-    return Observable(labels, np.stack(effects))
+    return Observable(*merge_outcomes(scheme.pointer_values, np.stack(raw_effects)))
 
 
 def _canonical_kraus(raw, truncation=KRAUS_TRUNCATION):
@@ -208,7 +189,7 @@ def _canonical_kraus(raw, truncation=KRAUS_TRUNCATION):
     return out
 
 
-def induced_instrument(scheme: MeasurementScheme, canonical: bool = True) -> Instrument:
+def induced_instrument(scheme: MeasurementScheme) -> Instrument:
     """Instrument of a scheme in operator-sum form.
 
     Raw Kraus operators come from eigenvector slices of the coupling; the
@@ -233,12 +214,13 @@ def induced_instrument(scheme: MeasurementScheme, canonical: bool = True) -> Ins
                 kr = np.sqrt(se) * np.einsum("l,albp,p->ab", phi.conj(), u4, w)
                 raw.append(kr)
         raw_per_pointer.append(raw)
-    labels, groups = _merge_labels(scheme.pointer_values, raw_per_pointer)
-    kraus_sets = []
-    for group in groups:
-        raw = [k for sub in group for k in sub]
-        kraus_sets.append(_canonical_kraus(raw) if canonical else raw)
-    return Instrument(labels, kraus_sets)
+    labels = scheme.pointer_values
+    order, starts = merge_groups(labels)
+    kraus_sets = [
+        _canonical_kraus([k for idx in group for k in raw_per_pointer[idx]])
+        for group in np.split(order, starts[1:])
+    ]
+    return Instrument(labels[order][starts], kraus_sets)
 
 
 def distorted_observable(instrument: Instrument, obs: Observable) -> Observable:

@@ -109,7 +109,7 @@ def report_to_json(rep: ErrorReport) -> dict:
     out = {
         "eps_no": encode_float(rep.eps_no),
         "w2_state": encode_float(rep.w2_state),
-        "w2_worst": "inf" if rep.w2_worst_unbounded else encode_float(rep.w2_worst),
+        "w2_worst": encode_float(rep.w2_worst),
         "w2_worst_method": "exact" if rep.w2_worst_exact else "search-lower-bound",
         "calibration": encode_float(rep.calibration),
         "bias": encode_float(rep.bias),

@@ -182,9 +182,19 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("--grid-n", "1000", "check", "phase-space"),
         ("--grid-n", "0", "scenario", "run", "husimi-saturation"),
         ("--grid-L", "0", "check", "phase-space"),
+        ("scenario", "run", "husimi-saturation", "--set", "n=1000"),
+        ("scenario", "run", "husimi-squeezed", "--set", "n=abc"),
+        ("scenario", "run", "husimi-displaced", "--set", "L=-1"),
+        ("scenario", "run", "position-flip", "--set", "n=1000"),
+        ("scenario", "run", "position-flip", "--set", "L=-1"),
+        ("scenario", "run", "oscillator-shift-zero-error", "--set", "n=abc"),
+        ("scenario", "run", "double-zero-approximators", "--set", "L=-1"),
+        ("scenario", "run", "von-neumann-position", "--set", "n_obj=1000"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
-         "grid-L-zero"],
+         "grid-L-zero", "set-n-husimi", "set-n-not-a-number", "set-L-husimi",
+         "set-n-position-flip", "set-L-position-flip", "set-n-oscillator", "set-L-oscillator",
+         "set-n_obj-von-neumann"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"

@@ -9,6 +9,8 @@ from qmu.distributions import (
     convolve,
     delta,
     make_distribution,
+    merge_groups,
+    merge_outcomes,
     w2_lp_oracle,
     w2_quantile,
 )
@@ -152,6 +154,28 @@ def test_make_distribution_merges():
     d = make_distribution([1.0, 1.0 + 1e-12, 2.0], [0.25, 0.25, 0.5])
     assert d.support.size == 2
     np.testing.assert_allclose(d.probs, [0.5, 0.5])
+
+
+def test_merge_splits_chains_at_the_first_value():
+    # Consecutive gaps of 0.6e-9 stay below the tolerance, but the third
+    # value lies 1.2e-9 from the group's first one: it starts a new group.
+    values = np.array([1.0 + 1.2e-9, 1.0, 5.0, 1.0 + 0.6e-9])
+    order, starts = merge_groups(values)
+    np.testing.assert_array_equal(order, [1, 3, 0, 2])
+    np.testing.assert_array_equal(starts, [0, 2, 3])
+    outcomes, sums = merge_outcomes(values, np.array([0.1, 0.2, 0.3, 0.4]))
+    np.testing.assert_array_equal(outcomes, [1.0, 1.0 + 1.2e-9, 5.0])
+    np.testing.assert_allclose(sums, [0.6, 0.1, 0.3], rtol=0, atol=1e-15)
+    # Matrix weights are summed per group along the leading axis.
+    mats = np.arange(4.0)[:, None, None] * np.eye(2)
+    _, summed = merge_outcomes(values, mats)
+    np.testing.assert_array_equal(summed, np.array([4.0, 0.0, 2.0])[:, None, None] * np.eye(2))
+
+
+def test_make_distribution_drops_zero_mass_atoms():
+    d = make_distribution([2.0, 0.0, 1.0, 1.0 + 1e-12], [0.5, 0.5, 0.0, 0.0])
+    np.testing.assert_array_equal(d.support, [0.0, 2.0])
+    np.testing.assert_array_equal(d.probs, [0.5, 0.5])
 
 
 def test_validation_errors():

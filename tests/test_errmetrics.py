@@ -561,6 +561,17 @@ def test_error_report_fields_and_invariant():
     assert abs(rep.bias - (-0.3 * 0.3)) < 1e-10
     assert abs(rep.w2_worst**2 - 2 * 0.3) < 1e-9
     assert rep.w2_state >= 0
-    assert not rep.w2_worst_unbounded
     assert rep.w2_worst_exact
     assert report_to_json(rep)["w2_worst_method"] == "exact"
+
+
+def test_large_finite_worst_case_is_reported_as_a_number():
+    # 10 + 10 outcomes have C(18, 9) = 48,620 staircase duals: the search path.
+    rng = np.random.default_rng(1)
+    c = spectral_measure(opalg.random_hermitian(10, rng) * 1e7)
+    a = opalg.random_hermitian(10, rng) * 1e7
+    rep = error_report(a, c, opalg.random_density(10, rng))
+    data = report_to_json(rep)
+    assert data["w2_worst_method"] == "search-lower-bound"
+    assert isinstance(data["w2_worst"], float)
+    assert data["w2_worst"] == rep.w2_worst > 1e6

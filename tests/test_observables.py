@@ -32,6 +32,19 @@ def random_povm(dim, n_out, rng):
     return Observable(np.arange(n_out, dtype=float), np.stack(effects))
 
 
+def test_merged_outcomes_sum_their_effects():
+    sm = spectral_measure(np.diag([1.0, 1.0 + 1e-12, 2.0]))
+    np.testing.assert_array_equal(sm.outcomes, [1.0, 2.0])
+    np.testing.assert_allclose(sm.effects[0], np.diag([1.0, 1.0, 0.0]), atol=1e-15)
+    # Shifts 0 and 2 map outcomes -1, +1 onto -1, +1, +1, +3; the zero-mass
+    # shift 1 adds outcomes 0 and 2 with zero effects, which smear keeps.
+    sz = spectral_measure(SIGMA_Z)
+    smeared = smear(sz, Distribution([0.0, 1.0, 2.0], [0.5, 0.0, 0.5]))
+    np.testing.assert_array_equal(smeared.outcomes, [-1.0, 0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(smeared.effects[[1, 3]], np.zeros((2, 2, 2)))
+    np.testing.assert_allclose(smeared.effects[2], 0.5 * np.eye(2), atol=1e-15)
+
+
 def test_spectral_measure_sigma_z():
     sm = spectral_measure(SIGMA_Z)
     np.testing.assert_allclose(sm.outcomes, [-1.0, 1.0])

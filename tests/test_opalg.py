@@ -11,6 +11,7 @@ from qmu.opalg import (
     check_unitary,
     eig_hermitian,
     partial_trace,
+    spread,
     tensor,
 )
 
@@ -158,3 +159,16 @@ def test_degenerate_eigenspace_rotation_invariance():
     proj = evecs[:, :2] @ evecs[:, :2].conj().T
     expected = u @ np.diag([1.0, 1.0, 0.0]).astype(complex) @ u.conj().T
     np.testing.assert_allclose(proj, expected, atol=1e-10)
+
+
+def test_spread_matches_the_spectral_distribution():
+    from qmu.observables import distribution_of, spectral_measure
+
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 4):
+        for _ in range(10):
+            a = opalg.random_hermitian(dim, rng)
+            for rho in (opalg.random_density(dim, rng),
+                        opalg.projector(opalg.haar_state(dim, rng))):
+                expected = distribution_of(spectral_measure(a), rho).std
+                assert abs(spread(a, rho) - expected) < 1e-12

@@ -1,11 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+
+from qmu import opalg
+from qmu.relations import check_branciard_scheme, check_ozawa
 
 from qmu.scenarios import (
     RunConfig,
     SCENARIOS,
     TRIPLE_W2_AT_NULL_STATE,
+    _random_scheme,
     eps_form_equivalence_suite,
     naive_falsification_cases,
     ozawa_branciard_suite,
@@ -90,3 +95,19 @@ def test_suites_deterministic():
     a = ozawa_branciard_suite(seed=7, draws=20)
     b = ozawa_branciard_suite(seed=7, draws=20)
     assert a == b
+
+
+def test_ozawa_branciard_suite_is_the_min_over_per_draw_checks():
+    rng = np.random.default_rng(3)
+    ozawa, branciard = [], []
+    for _ in range(40):
+        scheme = _random_scheme(rng)
+        a = opalg.random_hermitian(2, rng)
+        b = opalg.random_hermitian(2, rng)
+        rho = opalg.projector(opalg.haar_state(2, rng))
+        ozawa.append(check_ozawa(scheme, a, b, rho).slack)
+        branciard.append(check_branciard_scheme(scheme, a, b, rho).slack)
+    suite = ozawa_branciard_suite(seed=3, draws=40)
+    assert suite["min_ozawa_slack"] == min(ozawa)
+    assert suite["min_branciard_slack"] == min(branciard)
+    assert suite["violations"] == 0

@@ -107,6 +107,22 @@ def test_induced_observable_matches_instrument_effects():
     np.testing.assert_allclose(obs.effects, from_instr.effects, atol=1e-10)
 
 
+def test_equal_pointer_labels_merge_into_one_outcome():
+    rng = np.random.default_rng(6)
+    scheme = random_scheme(rng, d_obj=2, d_probe=3)
+    assert scheme.pointer.n_outcomes == 3
+    relabeled = MeasurementScheme(
+        scheme.probe_state, scheme.coupling, scheme.pointer, [1.0 + 1e-12, -2.0, 1.0]
+    )
+    fine = induced_observable(scheme).effects
+    obs = induced_observable(relabeled)
+    np.testing.assert_array_equal(obs.outcomes, [-2.0, 1.0])
+    np.testing.assert_allclose(obs.effects, [fine[1], fine[0] + fine[2]], atol=1e-12)
+    instr = induced_instrument(relabeled)
+    np.testing.assert_array_equal(instr.outcomes, obs.outcomes)
+    np.testing.assert_allclose(instr.observable().effects, obs.effects, atol=1e-10)
+
+
 def test_swap_total_channel_is_constant():
     rng = np.random.default_rng(6)
     sigma = opalg.random_density(2, rng)
