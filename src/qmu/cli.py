@@ -23,6 +23,7 @@ from .scenarios import (
     EX,
     EY,
     EZ,
+    GRID_OVERRIDE_CHECKS,
     RunConfig,
     SCENARIOS,
     ScenarioOutcome,
@@ -49,10 +50,6 @@ EXIT_UNKNOWN = 2
 EXIT_NUMERIC = 3
 EXIT_UNWRITABLE = 4
 
-GRID_OVERRIDE_CHECKS = {
-    "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
-    "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
-}
 SWEEP_RELATIONS = ("qubit-error-bound", "naive-product", "branciard")
 CHECK_RELATIONS = (
     "ozawa",

@@ -96,20 +96,17 @@ def merge_groups(values, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray
 
 
 def merge_outcomes(values, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome values grouped by ``merge_groups`` and their summed weights.
+    """Each group's first value (ascending) and its weights summed along axis 0.
 
-    Returns each group's first value, ascending, and the sum of its weights
-    along the leading axis (scalars or matrices).  Each group is summed left
-    to right in sorted order; ``np.add.reduceat`` would sum groups of nine or
-    more pairwise and move the last bits of analytically zero figures.
+    Groups come from ``merge_groups`` and are summed left to right in sorted
+    order; ``np.add.reduceat`` would sum groups of nine or more pairwise and
+    move the last bits of analytically zero figures.
     """
     order, starts = merge_groups(values, tol)
     values, weights = np.asarray(values, dtype=float)[order], np.asarray(weights)[order]
-    if starts.size == order.size:
-        return values, weights
     sums = weights[starts]
     sizes = np.diff(starts, append=order.size)
-    for k in range(1, sizes.max()):
+    for k in range(1, sizes.max(initial=1)):
         longer = sizes > k
         sums[longer] += weights[starts[longer] + k]
     return values[starts], sums
@@ -133,11 +130,11 @@ def make_distribution(values, probs, merge_tol: float = MERGE_TOL) -> Distributi
     return Distribution(v_arr, p_arr)
 
 
-def convolve(mu: Distribution, nu: Distribution, merge_tol: float = MERGE_TOL) -> Distribution:
+def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     """Convolution mu * nu on finite supports (law of the sum)."""
     sums = mu.support[:, None] + nu.support[None, :]
     weights = mu.probs[:, None] * nu.probs[None, :]
-    return make_distribution(sums.reshape(-1), weights.reshape(-1), merge_tol)
+    return make_distribution(sums.reshape(-1), weights.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .distributions import Distribution, MERGE_TOL, make_distribution, merge_outcomes
+from .distributions import Distribution, make_distribution, merge_outcomes
 
 TOL_EFFECT = 1e-12        # effect eigenvalue window [-tol, 1+tol]
 TOL_SUM = 1e-10           # effects must sum to identity within this
@@ -132,7 +132,7 @@ def qubit_triple() -> Observable:
     return obs
 
 
-def spectral_measure(op, merge_tol: float = MERGE_TOL) -> SharpObservable:
+def spectral_measure(op) -> SharpObservable:
     """Spectral measure of a Hermitian operator.
 
     Eigenvalues merged by ``merge_outcomes`` form one outcome, their
@@ -140,7 +140,7 @@ def spectral_measure(op, merge_tol: float = MERGE_TOL) -> SharpObservable:
     """
     evals, evecs = opalg.eig_hermitian(op)
     projections = evecs.T[:, :, None] * evecs.T.conj()[:, None, :]
-    return SharpObservable(*merge_outcomes(evals, projections, merge_tol))
+    return SharpObservable(*merge_outcomes(evals, projections))
 
 
 def moment_operator(obs: Observable, n: int) -> np.ndarray:
@@ -161,14 +161,14 @@ def is_sharp(obs: Observable, tol: float = TOL_PROJ) -> bool:
     return all(np.linalg.norm(e @ e - e) <= tol for e in obs.effects)
 
 
-def smear(obs: Observable, mu: Distribution, merge_tol: float = MERGE_TOL) -> Observable:
+def smear(obs: Observable, mu: Distribution) -> Observable:
     """Convolution observable: outcome sums x+y weighted by mu(y) F(x).
 
     Sums merged by ``merge_outcomes`` form one outcome, zero-weight ones kept.
     """
     sums = (mu.support[:, None] + obs.outcomes[None, :]).reshape(-1)
     mats = (mu.probs[:, None, None, None] * obs.effects[None]).reshape(-1, obs.dim, obs.dim)
-    return Observable(*merge_outcomes(sums, mats, merge_tol))
+    return Observable(*merge_outcomes(sums, mats))
 
 
 def distribution_of(obs: Observable, rho) -> Distribution:

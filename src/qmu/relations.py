@@ -95,10 +95,7 @@ def naive_product_verdict(eps: float, eta: float, comm: float) -> RelationVerdic
 
 def branciard_verdict(eps_a: float, eps_b: float, dev_a: float, dev_b: float,
                       comm: float, witnesses=None) -> RelationVerdict:
-    """Tight pure-state relation combining both errors and both spreads.
-
-    The witnesses default to the two errors.
-    """
+    """Tight pure-state relation on both errors and spreads; witnesses default to the errors."""
     cross = max(dev_a**2 * dev_b**2 - 0.25 * comm**2, 0.0)
     lhs = (
         eps_a**2 * dev_b**2

@@ -34,7 +34,9 @@ from .grid import (
     apply_oscillator,
     apply_position,
     gaussian_state,
+    grid_size_error,
     ground_state,
+    half_width_error,
     momentum_matrix,
     phase_space_marginals,
     position_distribution,
@@ -548,6 +550,12 @@ _RUNNERS = {
     "husimi-squeezed": lambda p, c: _run_husimi("husimi-squeezed", p, c),
     "husimi-displaced": lambda p, c: _run_husimi("husimi-displaced", p, c),
     "covariant-qubit-pair": _run_covariant_pair,
+}
+
+# Grid-size and half-width parameters of the runners, with GridSystem's checks.
+GRID_OVERRIDE_CHECKS = {
+    "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
+    "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
 }
 
 SCENARIOS: dict[str, Scenario] = {
