@@ -23,7 +23,6 @@ from .scenarios import (
     EX,
     EY,
     EZ,
-    GRID_OVERRIDE_CHECKS,
     RunConfig,
     SCENARIOS,
     ScenarioOutcome,
@@ -31,6 +30,7 @@ from .scenarios import (
     eps_form_equivalence_suite,
     feasible_models,
     naive_falsification_cases,
+    override_error,
     ozawa_branciard_suite,
     run_scenario,
     scenario_names,
@@ -134,22 +134,20 @@ def _print_outcome_table(outcome: ScenarioOutcome):
     print("\n".join(lines), file=sys.stderr)
 
 
-def _parse_overrides(pairs) -> dict:
+def _parse_overrides(pairs, names) -> dict:
     overrides = {}
     for pair in pairs or ():
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not of the form key=value")
         key, raw = pair.split("=", 1)
         try:
-            value = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        # None keeps the run configuration's grid where a scenario defaults to it.
-        check = GRID_OVERRIDE_CHECKS.get(key)
-        error = check(value) if check and value is not None else None
+            overrides[key] = raw
+    for name in names:
+        error = override_error(name, overrides)
         if error:
-            raise ValueError(f"--set {key}: {error}")
-        overrides[key] = value
+            raise ValueError(f"--set {error}")
     return overrides
 
 
@@ -181,7 +179,7 @@ def cmd_scenario(args) -> int:
         print("scenario run needs a NAME or --all", file=sys.stderr)
         return EXIT_UNKNOWN
     try:
-        overrides = _parse_overrides(args.set)
+        overrides = _parse_overrides(args.set, names)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNKNOWN
@@ -235,12 +233,11 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
             )
     elif relation == "branciard":
         from .opalg import bloch_state
-        from .relations import check_branciard_joint
+        from .relations import check_branciard_joint, qubit_joint_feasible
 
         rho = bloch_state(EY)
-        for model in feasible_models(np.random.default_rng(config.seed), points):
-            c, d = model.c, model.d
-            verdict = check_branciard_joint(model, rho)
+        for c, d in zip(*feasible_models(np.random.default_rng(config.seed), points)):
+            verdict = check_branciard_joint(qubit_joint_feasible(c, d, a=EZ, b=EX), rho)
             rows.append(
                 {
                     "c_x": c[0], "c_y": c[1], "c_z": c[2],
@@ -329,7 +326,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         summary = {"cases": [verdict_to_json(v) for v in verdicts]}
         return summary, all(not v.holds for v in verdicts)
     if relation == "unbiased":
-        summary = unbiased_model_suite(config.seed, min(config.budget, 2000))
+        summary = unbiased_model_suite(config.seed, config.budget)
         ok = all(v >= -1e-9 for k, v in summary.items() if k.startswith("min_slack"))
         return summary, ok
     if relation == "qubit-error-sum":
@@ -356,7 +353,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         summary = {"verdicts": [verdict_to_json(v) for v in verdicts]}
         return summary, all(v.holds for v in verdicts)
     if relation == "eps-forms":
-        summary = eps_form_equivalence_suite(config.seed, min(config.budget, 1000))
+        summary = eps_form_equivalence_suite(config.seed, config.budget)
         return summary, summary["max_form_gap"] < 1e-9
     raise KeyError(relation)
 
@@ -419,7 +416,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     )
     parser.add_argument(
         "--budget", type=int, default=default(10000),
-        help="randomized-suite evaluation budget",
+        help="draws of a randomized relation suite",
     )
     parser.add_argument(
         "--out", default=default(None), help="write the JSON report here instead of stdout"

@@ -53,11 +53,17 @@ def eps_no_from_moments(a, c: Observable, rho) -> float:
     a = opalg.check_hermitian(a)
     if c.dim != a.shape[0]:
         raise ValueError("target operator and approximator dimensions differ")
-    m1 = moment_operator(c, 1)
-    m2 = moment_operator(c, 2)
+    return moment_form_eps(a, moment_operator(c, 1), moment_operator(c, 2), rho)
+
+
+def moment_form_eps(a, m1, m2, rho):
+    """eps^2 = <M2 - M1^2> + <(M1 - A)^2> from the moment operators M1, M2.
+
+    Stacks (..., d, d) of operators and states give an array of errors.
+    """
     noise = expectation(m2 - m1 @ m1, rho)
     dev = m1 - a
-    return math.sqrt(max(noise + expectation(dev @ dev, rho), 0.0))
+    return opalg.sqrt_clamped(noise + expectation(dev @ dev, rho))
 
 
 def _product_eigpairs(rho, sigma):
@@ -108,11 +114,7 @@ def eta_no_from_instrument(instrument: Instrument, b, rho) -> float:
     """Disturbance from the distorted observable's moment operators."""
     b = opalg.check_hermitian(b)
     distorted = distorted_observable(instrument, spectral_measure(b))
-    m1 = moment_operator(distorted, 1)
-    m2 = moment_operator(distorted, 2)
-    noise = expectation(m2 - m1 @ m1, rho)
-    dev = m1 - b
-    return math.sqrt(max(noise + expectation(dev @ dev, rho), 0.0))
+    return moment_form_eps(b, moment_operator(distorted, 1), moment_operator(distorted, 2), rho)
 
 
 def eta_no(measurement, b, rho) -> float:
@@ -128,18 +130,24 @@ def three_state_eps(a, c: Observable, rho) -> float:
     """Noise-operator error from statistics on rho, A rho A and (A+1) rho (A+1)."""
     a = opalg.check_hermitian(a)
     rho = np.asarray(rho, dtype=complex)
-    m1 = moment_operator(c, 1)
-    m2 = moment_operator(c, 2)
-    rho1 = a @ rho @ a
-    rho2 = (a + np.eye(a.shape[0])) @ rho @ (a + np.eye(a.shape[0]))
+    return three_state_form_eps(a, moment_operator(c, 1), moment_operator(c, 2), rho)
+
+
+def three_state_form_eps(a, m1, m2, rho):
+    """The three-state combination from the moment operators M1, M2.
+
+    eps^2 = <A^2> + <M2> + <M1> + tr(A rho A M1) - tr((A+1) rho (A+1) M1);
+    stacks (..., d, d) give an array of errors.
+    """
+    shifted = a + np.eye(a.shape[-1])
     total = (
         expectation(a @ a, rho)
         + expectation(m2, rho)
         + expectation(m1, rho)
-        + float(np.trace(rho1 @ m1).real)
-        - float(np.trace(rho2 @ m1).real)
+        + expectation(m1, a @ rho @ a)
+        - expectation(m1, shifted @ rho @ shifted)
     )
-    return math.sqrt(max(total, 0.0))
+    return opalg.sqrt_clamped(total)
 
 
 @dataclass(frozen=True)

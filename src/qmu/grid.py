@@ -21,6 +21,8 @@ from .schemes import MeasurementScheme
 
 ALIASING_TOL = 1e-8
 NORM_TOL = 1e-8
+DENSE_POSITION_MAX_N = 128   # grid points of the dense position observable
+DENSE_SCHEME_MAX_DIM = 4096  # object (x) probe dimension of a dense von Neumann scheme
 
 
 class GridAliasingError(ValueError):
@@ -40,6 +42,20 @@ def half_width_error(half_width) -> str | None:
         0 < half_width < math.inf
     ):
         return f"half width must be positive and finite, got {half_width!r}"
+    return None
+
+
+def dense_position_error(n) -> str | None:
+    """Why an n-point grid is too large for the dense position observable, or None."""
+    if n > DENSE_POSITION_MAX_N:
+        return f"dense position observable limited to grids of at most {DENSE_POSITION_MAX_N} points"
+    return None
+
+
+def dense_scheme_error(n_obj, n_probe) -> str | None:
+    """Why object and probe grids are too large for a dense scheme, or None."""
+    if n_obj * n_probe > DENSE_SCHEME_MAX_DIM:
+        return f"dense scheme limited to total dimension {DENSE_SCHEME_MAX_DIM}"
     return None
 
 
@@ -263,8 +279,9 @@ def momentum_matrix(grid: GridSystem) -> np.ndarray:
 
 def position_observable(grid: GridSystem) -> SharpObservable:
     """Dense position POVM; guarded to small grids (effects are n x n each)."""
-    if grid.n > 128:
-        raise ValueError("dense position observable limited to grids of at most 128 points")
+    error = dense_position_error(grid.n)
+    if error:
+        raise ValueError(error)
     effects = np.zeros((grid.n, grid.n, grid.n), dtype=complex)
     for k in range(grid.n):
         effects[k, k, k] = 1.0
@@ -329,8 +346,9 @@ class VonNeumannModel:
         translates the probe by lam * x_j.
         """
         no, np_ = self.object_grid.n, self.probe_grid.n
-        if no * np_ > 4096:
-            raise ValueError("dense scheme limited to total dimension 4096")
+        error = dense_scheme_error(no, np_)
+        if error:
+            raise ValueError(error)
         f = dft_matrix(self.probe_grid)
         p = self.probe_grid.momenta
         u = np.zeros((no * np_, no * np_), dtype=complex)

@@ -41,18 +41,7 @@ class Observable:
         self._validate()
 
     def _validate(self):
-        d = self.dim
-        for k, eff in enumerate(self.effects):
-            opalg.check_hermitian(eff)
-            evals = np.linalg.eigvalsh(eff)
-            if evals.min() < -TOL_EFFECT or evals.max() > 1 + TOL_EFFECT:
-                raise ValueError(
-                    f"effect {k} has eigenvalues outside [0, 1]: "
-                    f"[{evals.min():.3e}, {evals.max():.3e}]"
-                )
-        dev = np.linalg.norm(self.effects.sum(axis=0) - np.eye(d))
-        if dev > TOL_SUM:
-            raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
+        check_effects(self.effects)
 
     @property
     def dim(self) -> int:
@@ -74,13 +63,42 @@ class SharpObservable(Observable):
 
     def _validate(self):
         super()._validate()
-        for k, eff in enumerate(self.effects):
-            if np.linalg.norm(eff @ eff - eff) > TOL_PROJ:
-                raise ValueError(f"effect {k} is not a projection")
-        for k in range(self.n_outcomes):
-            for l in range(k + 1, self.n_outcomes):
-                if np.linalg.norm(self.effects[k] @ self.effects[l]) > TOL_PROJ:
-                    raise ValueError(f"effects {k} and {l} are not orthogonal")
+        check_projections(self.effects)
+
+
+def check_effects(effects) -> None:
+    """Validate POVM effects (n, d, d), or a stack (..., n, d, d) of effect lists.
+
+    Each effect is Hermitian with spectrum in [0, 1], and the effects of a
+    list sum to the identity.
+    """
+    opalg.check_hermitian(effects)
+    evals = np.linalg.eigvalsh(effects)
+    low, high = evals.min(axis=-1), evals.max(axis=-1)
+    bad = (low < -TOL_EFFECT) | (high > 1 + TOL_EFFECT)
+    if bad.any():
+        *_, k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"effect {k} has eigenvalues outside [0, 1]: "
+            f"[{low[bad].min():.3e}, {high[bad].max():.3e}]"
+        )
+    total = effects.sum(axis=-3) - np.eye(effects.shape[-1])
+    dev = np.linalg.norm(total, axis=(-2, -1)).max()
+    if dev > TOL_SUM:
+        raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
+
+
+def check_projections(effects) -> None:
+    """Validate that effects (..., n, d, d) are mutually orthogonal projections."""
+    for k in range(effects.shape[-3]):
+        prods = effects[..., k:k + 1, :, :] @ effects[..., k:, :, :]
+        prods[..., 0, :, :] -= effects[..., k, :, :]
+        devs = np.linalg.norm(prods, axis=(-2, -1)).reshape(-1, prods.shape[-3]).max(axis=0)
+        if devs[0] > TOL_PROJ:
+            raise ValueError(f"effect {k} is not a projection")
+        if devs.size > 1 and devs[1:].max() > TOL_PROJ:
+            l = k + 1 + int(np.argmax(devs[1:] > TOL_PROJ))
+            raise ValueError(f"effects {k} and {l} are not orthogonal")
 
 
 @dataclass(frozen=True)
@@ -147,8 +165,13 @@ def moment_operator(obs: Observable, n: int) -> np.ndarray:
     """n-th moment operator: sum of x^n F(x)."""
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    mom = np.einsum("k,kij->ij", obs.outcomes**n, obs.effects)
-    return 0.5 * (mom + mom.conj().T)
+    return effect_moment(obs.outcomes, obs.effects, n)
+
+
+def effect_moment(values, effects, n: int) -> np.ndarray:
+    """Hermitian part of sum_k values_k^n effects_k; stacks (..., n_k) and (..., n_k, d, d)."""
+    mom = np.einsum("...k,...kij->...ij", values**n, effects)
+    return 0.5 * (mom + opalg.dagger(mom))
 
 
 def intrinsic_noise(obs: Observable) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Operators are plain square ``numpy`` arrays of ``complex128``; the validators
 below are the construction boundary for Hermitian operators, density
-operators and unitaries.  Tolerances are build-time constants, not knobs.
+operators and unitaries.  Validators, expectations, tensor products and the
+random draws also take stacks ``(..., d, d)`` of operators, so a batch of
+small models runs as one array computation.  Tolerances are build-time
+constants, not knobs.
 """
 
 from __future__ import annotations
@@ -25,29 +28,30 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+    """Coerce to a square complex matrix, or a stack of them, with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
     m = as_complex_matrix(a)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    dev = np.max(np.abs(m - dagger(m))) if m.size else 0.0
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate a density operator: Hermitian, trace one, positive."""
+    """Validate a density operator, or a stack of them: Hermitian, trace one, positive."""
     m = check_hermitian(rho)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise ValueError(f"density operator has trace {tr!r}, expected 1")
+    tr = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
+    worst = float(tr[np.argmax(np.abs(tr - 1.0))])
+    if abs(worst - 1.0) > TOL_TRACE:
+        raise ValueError(f"density operator has trace {worst!r}, expected 1")
     evals = np.linalg.eigvalsh(m)
     if evals.min() < -TOL_PSD:
         raise ValueError(f"density operator has negative eigenvalue {evals.min():.3e}")
@@ -56,25 +60,36 @@ def check_density(rho) -> np.ndarray:
 
 def check_unitary(u) -> np.ndarray:
     m = as_complex_matrix(u)
-    dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+    dev = np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1]), axis=(-2, -1)).max()
     if dev > TOL_UNITARY:
         raise ValueError(f"matrix is not unitary (||U^dag U - 1|| = {dev:.3e})")
     return m
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    """Real expectation value tr(rho op) for Hermitian op."""
-    return float(np.einsum("ij,ji->", rho, op).real)
+def expectation(op: np.ndarray, rho: np.ndarray):
+    """Real expectation value tr(rho op) for Hermitian op; stacks give an array."""
+    value = np.einsum("...ij,...ji->...", rho, op).real
+    return value if value.ndim else float(value)
 
 
-def spread(op: np.ndarray, rho: np.ndarray) -> float:
+def sqrt_clamped(square):
+    """sqrt(max(square, 0)): a float for a float, elementwise for an array.
+
+    Rounding can leave a mathematically nonnegative square just below zero.
+    """
+    square = np.maximum(square, 0.0)
+    return np.sqrt(square) if np.ndim(square) else math.sqrt(square)
+
+
+def spread(op: np.ndarray, rho: np.ndarray):
     """Standard deviation sqrt(tr[(A - <A>) rho (A - <A>)]) of Hermitian op in rho."""
-    centred = op - expectation(op, rho) * np.eye(op.shape[0])
-    return math.sqrt(max(expectation(centred @ centred, rho), 0.0))
+    mean = np.asarray(expectation(op, rho))
+    centred = op - mean[..., None, None] * np.eye(op.shape[-1])
+    return sqrt_clamped(expectation(centred @ centred, rho))
 
 
 def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +110,14 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product, object factor first: index (i_obj, i_probe)."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product, object factor first: index (i_obj, i_probe).
+
+    Stacks broadcast over their leading axes.
+    """
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    dim = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, dim, dim)
 
 
 def partial_trace(op, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -118,15 +139,19 @@ def partial_trace(op, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 
 def projector(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
+    """|v><v| / <v|v> of a vector, or of each row of a stack (n, d) of vectors."""
+    v = np.asarray(vec, dtype=complex)
+    if v.ndim < 2:  # one vector keeps the rounding of its plain norm
+        v = v.reshape(-1) / np.linalg.norm(v)
+    else:
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return v[..., :, None] * v[..., None, :].conj()
 
 
 def bloch_operator(v) -> np.ndarray:
-    """v . sigma for a real 3-vector v."""
-    v = np.asarray(v, dtype=float)
-    return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
+    """v . sigma for a real 3-vector v, or a stack (..., 3) of them."""
+    v = np.asarray(v, dtype=float)[..., None, None]
+    return v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
 
 
 def bloch_state(r) -> np.ndarray:
@@ -137,31 +162,47 @@ def bloch_state(r) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + bloch_operator(r))
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+# The random draws below return one draw, or a stack of n draws along a new
+# leading axis when n is given.  One draw (n = None) reads the stream and
+# rounds exactly as before stacks existed: a vector's norm rounds differently
+# from the norm along an axis, hence the separate branches.
+
+
+def _stack(n: int | None, *shape: int) -> tuple[int, ...]:
+    return shape if n is None else (n, *shape)
+
+
+def haar_state(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-random pure state vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    v = rng.standard_normal(_stack(n, dim)) + 1j * rng.standard_normal(_stack(n, dim))
+    if n is None:
+        return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-random unitary via QR with phase fixing."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = _stack(n, dim, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
+                   n: int | None = None) -> np.ndarray:
     """Random density operator as a mixture of Haar pure states."""
     rank = dim if rank is None else rank
-    weights = rng.dirichlet(np.ones(rank))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        rho += w * projector(haar_state(dim, rng))
-    return 0.5 * (rho + rho.conj().T)
+    weights = rng.dirichlet(np.ones(rank), size=n)
+    rho = np.zeros(_stack(n, dim, dim), dtype=complex)
+    for k in range(rank):
+        rho += weights[..., k, None, None] * projector(haar_state(dim, rng, n))
+    return 0.5 * (rho + dagger(rho))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (z + z.conj().T)
+def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
+                     n: int | None = None) -> np.ndarray:
+    shape = _stack(n, dim, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return scale * 0.5 * (z + dagger(z))

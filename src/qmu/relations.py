@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .errmetrics import (
-    eps_no_from_moments,
-    eps_no_from_scheme,
-    eta_no_from_scheme,
-)
+from .errmetrics import eps_no_from_moments
 from .grid import GridSystem, phase_space_marginals
 from .observables import (
     BlochObservable,
@@ -38,6 +34,8 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RelationVerdict:
+    """Both sides of a relation; floats, or (n,) arrays from stacked figures."""
+
     relation: str
     lhs: float
     rhs: float
@@ -60,11 +58,12 @@ class RelationVerdict:
         )
 
 
-def commutator_expectation(a, b, rho) -> float:
-    """|tr(rho [A, B])| for Hermitian a, b."""
+def commutator_expectation(a, b, rho):
+    """|tr(rho [A, B])| for Hermitian a, b; stacks (..., d, d) give an array."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return abs(complex(np.trace(np.asarray(rho, dtype=complex) @ (a @ b - b @ a))))
+    value = np.abs(np.einsum("...ij,...ji->...", np.asarray(rho, dtype=complex), a @ b - b @ a))
+    return value if value.ndim else float(value)
 
 
 def check_purity(rho, tol: float = 1e-8) -> np.ndarray:
@@ -76,35 +75,82 @@ def check_purity(rho, tol: float = 1e-8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar verdict cores
+# Verdict cores: one formula per relation, on floats or on (N,) arrays
 # ---------------------------------------------------------------------------
 
 
-def ozawa_verdict(eps: float, eta: float, dev_a: float, dev_b: float,
-                  comm: float) -> RelationVerdict:
+def ozawa_verdict(eps, eta, dev_a, dev_b, comm) -> RelationVerdict:
     """Error-disturbance relation: eps*eta + eps*Delta(B) + Delta(A)*eta >= comm/2."""
     lhs = eps * eta + eps * dev_b + dev_a * eta
     return RelationVerdict("ozawa", lhs, 0.5 * comm,
                            {"eps": eps, "eta": eta, "dev_a": dev_a, "dev_b": dev_b})
 
 
-def naive_product_verdict(eps: float, eta: float, comm: float) -> RelationVerdict:
+def naive_product_verdict(eps, eta, comm) -> RelationVerdict:
     """The plain product bound eps*eta >= comm/2 (fails in general)."""
     return RelationVerdict("naive-product", eps * eta, 0.5 * comm, {"eps": eps, "eta": eta})
 
 
-def branciard_verdict(eps_a: float, eps_b: float, dev_a: float, dev_b: float,
-                      comm: float, witnesses=None) -> RelationVerdict:
+def branciard_verdict(eps_a, eps_b, dev_a, dev_b, comm, witnesses=None) -> RelationVerdict:
     """Tight pure-state relation on both errors and spreads; witnesses default to the errors."""
-    cross = max(dev_a**2 * dev_b**2 - 0.25 * comm**2, 0.0)
+    cross = opalg.sqrt_clamped(dev_a**2 * dev_b**2 - 0.25 * comm**2)
     lhs = (
         eps_a**2 * dev_b**2
         + eps_b**2 * dev_a**2
-        + 2.0 * math.sqrt(cross) * eps_a * eps_b
+        + 2.0 * cross * eps_a * eps_b
     )
     if witnesses is None:
         witnesses = {"eps_a": eps_a, "eps_b": eps_b}
     return RelationVerdict("branciard", lhs, 0.25 * comm**2, witnesses)
+
+
+def unbiased_verdicts(comm, noise_c, noise_d, dev_c, dev_d, eps_a,
+                      eps_b) -> dict[str, RelationVerdict]:
+    """Trade-offs of an unbiased joint approximation, from its figures.
+
+    The intrinsic-noise product, the output-spread product (implemented
+    verbatim with bound |tr rho [A,B]|, no factor 1/2 — flagged in the
+    note), and the noise-error product.
+    """
+    return {
+        "unbiased-intrinsic-noise": RelationVerdict(
+            "unbiased-intrinsic-noise", noise_c * noise_d, 0.25 * comm**2,
+            {"noise_c": noise_c, "noise_d": noise_d},
+        ),
+        "unbiased-output-spread": RelationVerdict(
+            "unbiased-output-spread", dev_c * dev_d, comm,
+            {"dev_c": dev_c, "dev_d": dev_d},
+            note="bound implemented verbatim as |tr rho[A,B]| without the usual 1/2",
+        ),
+        "unbiased-error-product": RelationVerdict(
+            "unbiased-error-product", eps_a * eps_b, 0.5 * comm,
+            {"eps_a": eps_a, "eps_b": eps_b},
+        ),
+    }
+
+
+def qubit_epsno_sum_verdict(a, b, c, d) -> RelationVerdict:
+    """Summed covariant noise errors against half the incompatibility bound.
+
+    The covariant marginal with Bloch vector c approximating the target a
+    has the state-independent error sqrt(1 - |c|^2 + |a - c|^2).  Rows of
+    (N, 3) arrays give (N,) sides.
+    """
+    eps_a, eps_b = _covariant_eps(a, c), _covariant_eps(b, d)
+    return RelationVerdict(
+        "qubit-error-sum", eps_a + eps_b, qubit_incompatibility_bound(a, b) / 2.0,
+        {"eps_a": eps_a, "eps_b": eps_b},
+    )
+
+
+def _covariant_eps(target, marginal):
+    return opalg.sqrt_clamped(
+        1 - _dot(marginal, marginal) + _dot(target - marginal, target - marginal)
+    )
+
+
+def _dot(u, v):
+    return np.einsum("...k,...k->...", u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -112,35 +158,54 @@ def branciard_verdict(eps_a: float, eps_b: float, dev_a: float, dev_b: float,
 # ---------------------------------------------------------------------------
 
 
-def error_disturbance_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
-    """(eps, eta, dev_a, dev_b, comm): every input of the scheme relations.
+def error_disturbance_figures(u, sigma, zf, a, b, rho) -> tuple[np.ndarray, ...]:
+    """(eps, eta, dev_a, dev_b, comm) of n stacked schemes: every input of the scheme relations.
 
-    The noise-operator error of the scheme for target a, its disturbance of
-    b, the spreads of a and b, and |tr(rho [A, B])|, all in state rho.  The
-    order matches the arguments of the verdict cores.
+    ``u`` (n, D, D) couples object and probe, ``sigma`` (n, d, d) is the probe
+    state and ``zf`` (n, d, d) the relabeled pointer operator; ``a``, ``b``
+    and ``rho`` (n, D/d, D/d) are the targets and the object state.  With the
+    noise operator N(A) = U^dag (1 (x) Z_f) U - A (x) 1 and the disturbance
+    operator D(B) = U^dag (B (x) 1) U - B (x) 1, eps^2 = <N(A)^dag N(A)> and
+    eta^2 = <D(B)^dag D(B)> in rho (x) sigma.  The spreads of a and b and
+    |tr(rho [A, B])| complete the tuple: five (n,) arrays, in the order of
+    the verdict cores' arguments.
     """
-    a, b, rho = (np.asarray(m, dtype=complex) for m in (a, b, rho))
-    return (
-        eps_no_from_scheme(scheme, a, rho),
-        eta_no_from_scheme(scheme, b, rho),
-        spread(a, rho),
-        spread(b, rho),
-        commutator_expectation(a, b, rho),
+    a, b = opalg.check_hermitian(a), opalg.check_hermitian(b)
+    dim_o, dim_p = a.shape[-1], sigma.shape[-1]
+    if b.shape[-1] != dim_o or dim_o * dim_p != u.shape[-1]:
+        raise ValueError("target operators do not act on the object space of the coupling")
+    u_dag = opalg.dagger(u)
+    eye_o, eye_p = np.eye(dim_o), np.eye(dim_p)
+    state = opalg.tensor(rho, sigma)
+    b_total = opalg.tensor(b, eye_p)
+    noise = u_dag @ opalg.tensor(eye_o, zf) @ u - opalg.tensor(a, eye_p)
+    disturbance = u_dag @ b_total @ u - b_total
+    eps = opalg.sqrt_clamped(expectation(opalg.dagger(noise) @ noise, state))
+    eta = opalg.sqrt_clamped(expectation(opalg.dagger(disturbance) @ disturbance, state))
+    return eps, eta, spread(a, rho), spread(b, rho), commutator_expectation(a, b, rho)
+
+
+def scheme_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
+    """``error_disturbance_figures`` of one scheme, as floats."""
+    figures = error_disturbance_figures(
+        scheme.coupling[None], scheme.probe_state[None], scheme.pointer_operator()[None],
+        *(np.asarray(m, dtype=complex)[None] for m in (a, b, rho)),
     )
+    return tuple(float(f[0]) for f in figures)
 
 
 def check_ozawa(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
-    return ozawa_verdict(*error_disturbance_figures(scheme, a, b, rho))
+    return ozawa_verdict(*scheme_figures(scheme, a, b, rho))
 
 
 def check_naive_heisenberg(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
-    eps, eta, _, _, comm = error_disturbance_figures(scheme, a, b, rho)
+    eps, eta, _, _, comm = scheme_figures(scheme, a, b, rho)
     return naive_product_verdict(eps, eta, comm)
 
 
 def check_branciard_scheme(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
     """Error-disturbance form: the second error is the disturbance of b."""
-    return branciard_verdict(*error_disturbance_figures(scheme, a, b, check_purity(rho)))
+    return branciard_verdict(*scheme_figures(scheme, a, b, check_purity(rho)))
 
 
 def naive_violation_search(cases) -> list[RelationVerdict]:
@@ -156,6 +221,33 @@ def naive_violation_search(cases) -> list[RelationVerdict]:
 # ---------------------------------------------------------------------------
 # Qubit joint models
 # ---------------------------------------------------------------------------
+
+
+def joint_effects(c, d, gamma0) -> np.ndarray:
+    """G_jk = [(1 + j*k*gamma0) 1 + (j c + k d).sigma]/4 for (j, k) = (+,+), (+,-), (-,+), (-,-).
+
+    Bloch vectors c, d (..., 3) and gamma0 (...) give effects (..., 4, 2, 2).
+    """
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+    signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+    vecs = signs[:, 0, None] * c[..., None, :] + signs[:, 1, None] * d[..., None, :]
+    scale = 1 + signs[:, 0] * signs[:, 1] * np.asarray(gamma0)[..., None]
+    return 0.25 * (scale[..., None, None] * np.eye(2, dtype=complex) + opalg.bloch_operator(vecs))
+
+
+def check_joint_effects(c, d, gamma0) -> None:
+    """Raise unless every joint effect of every (c, d, gamma0) row is positive."""
+    worst = np.linalg.eigvalsh(joint_effects(c, d, gamma0)).min()
+    if worst < -PSD_TOL:
+        raise ValueError(f"joint effect not positive (min eigenvalue {worst:.3e})")
+
+
+def gamma0_interval(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of ||c + d|| - 1 <= gamma0 <= 1 - ||c - d|| for (..., 3) c and d.
+
+    The interval is nonempty exactly when ||c + d|| + ||c - d|| <= 2.
+    """
+    return np.linalg.norm(c + d, axis=-1) - 1.0, 1.0 - np.linalg.norm(c - d, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -180,18 +272,10 @@ class QubitJointModel:
         for name in ("a", "b"):
             if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-9:
                 raise ValueError(f"target vector {name} must be a unit vector")
-        worst = min(np.linalg.eigvalsh(g).min() for g in self.effects())
-        if worst < -PSD_TOL:
-            raise ValueError(f"joint effect not positive (min eigenvalue {worst:.3e})")
+        check_joint_effects(self.c, self.d, self.gamma0)
 
-    def effects(self) -> list[np.ndarray]:
-        eye = np.eye(2, dtype=complex)
-        out = []
-        for j in (1, -1):
-            for k in (1, -1):
-                vec = j * self.c + k * self.d
-                out.append(0.25 * ((1 + j * k * self.gamma0) * eye + opalg.bloch_operator(vec)))
-        return out
+    def effects(self) -> np.ndarray:
+        return joint_effects(self.c, self.d, self.gamma0)
 
     def marginal_first(self) -> Observable:
         return BlochObservable(1.0, self.c).to_observable()
@@ -215,15 +299,14 @@ class QubitJointModel:
 def qubit_joint_feasible(c, d, a=None, b=None) -> QubitJointModel | None:
     """Feasible covariant joint model for marginals (c, d), or None.
 
-    gamma0 must satisfy ||c + d|| - 1 <= gamma0 <= 1 - ||c - d||; the
-    midpoint is used.  Feasibility is exactly ||c+d|| + ||c-d|| <= 2.
+    gamma0 is the midpoint of ``gamma0_interval``.  Feasibility is exactly
+    ||c+d|| + ||c-d|| <= 2.
     """
     c = np.asarray(c, dtype=float).reshape(3)
     d = np.asarray(d, dtype=float).reshape(3)
     if np.linalg.norm(c) > 1 + 1e-12 or np.linalg.norm(d) > 1 + 1e-12:
         return None
-    lo = np.linalg.norm(c + d) - 1.0
-    hi = 1.0 - np.linalg.norm(c - d)
+    lo, hi = gamma0_interval(c, d)
     if lo > hi + 1e-12:
         return None
     gamma0 = 0.5 * (lo + hi)
@@ -249,14 +332,11 @@ def check_branciard_joint(model: QubitJointModel, rho) -> RelationVerdict:
 
 def check_unbiased_tradeoffs(model: QubitJointModel, rho, a_op=None,
                              b_op=None) -> dict[str, RelationVerdict]:
-    """Trade-offs for unbiased joint approximations.
+    """Trade-offs for unbiased joint approximations (see ``unbiased_verdicts``).
 
     The targets default to the marginals' first-moment operators, which is
     what unbiasedness means; explicitly supplied targets are validated and a
-    biased pair is rejected with the measured bias.  Returns verdicts for
-    the intrinsic-noise product, the output-spread product (implemented
-    verbatim with bound |tr rho [A,B]|, no factor 1/2 — flagged in the
-    note), and the noise-error product.
+    biased pair is rejected with the measured bias.
     """
     c_obs, d_obs = model.marginal_first(), model.marginal_second()
     if a_op is None:
@@ -270,31 +350,15 @@ def check_unbiased_tradeoffs(model: QubitJointModel, rho, a_op=None,
             f"unbiased marginals required (measured biases {bias_a:.3e}, {bias_b:.3e})"
         )
     rho = np.asarray(rho, dtype=complex)
-    comm = commutator_expectation(a_op, b_op, rho)
-    vc = expectation(intrinsic_noise(c_obs), rho)
-    vd = expectation(intrinsic_noise(d_obs), rho)
-    noise_product = RelationVerdict(
-        "unbiased-intrinsic-noise", vc * vd, 0.25 * comm**2,
-        {"noise_c": vc, "noise_d": vd},
+    return unbiased_verdicts(
+        commutator_expectation(a_op, b_op, rho),
+        expectation(intrinsic_noise(c_obs), rho),
+        expectation(intrinsic_noise(d_obs), rho),
+        distribution_of(c_obs, rho).std,
+        distribution_of(d_obs, rho).std,
+        eps_no_from_moments(a_op, c_obs, rho),
+        eps_no_from_moments(b_op, d_obs, rho),
     )
-    dev_c = distribution_of(c_obs, rho).std
-    dev_d = distribution_of(d_obs, rho).std
-    spread_product = RelationVerdict(
-        "unbiased-output-spread", dev_c * dev_d, comm,
-        {"dev_c": dev_c, "dev_d": dev_d},
-        note="bound implemented verbatim as |tr rho[A,B]| without the usual 1/2",
-    )
-    eps_a = eps_no_from_moments(a_op, c_obs, rho)
-    eps_b = eps_no_from_moments(b_op, d_obs, rho)
-    eps_product = RelationVerdict(
-        "unbiased-error-product", eps_a * eps_b, 0.5 * comm,
-        {"eps_a": eps_a, "eps_b": eps_b},
-    )
-    return {
-        "unbiased-intrinsic-noise": noise_product,
-        "unbiased-output-spread": spread_product,
-        "unbiased-error-product": eps_product,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +366,17 @@ def check_unbiased_tradeoffs(model: QubitJointModel, rho, a_op=None,
 # ---------------------------------------------------------------------------
 
 
-def qubit_incompatibility_bound(a, b) -> float:
+def qubit_incompatibility_bound(a, b):
     """sqrt(2) (||a - b|| + ||a + b|| - 2): the tight lower bound on the
-    summed squared worst-case deviations of any joint approximation."""
+    summed squared worst-case deviations of any joint approximation.
+
+    Rows of (..., 3) arrays give an array of bounds.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return math.sqrt(2.0) * (np.linalg.norm(a - b) + np.linalg.norm(a + b) - 2.0)
+    return math.sqrt(2.0) * (
+        np.linalg.norm(a - b, axis=-1) + np.linalg.norm(a + b, axis=-1) - 2.0
+    )
 
 
 def _joint_objective(a, b, c, d) -> float:
@@ -384,20 +453,13 @@ def qubit_epsno_sum_check(model: QubitJointModel, rho=None) -> RelationVerdict:
     The covariant closed forms are state-independent, so rho only feeds the
     generic route used for cross-checking.
     """
-    eps_a = math.sqrt(
-        max(1 - model.c @ model.c + (model.a - model.c) @ (model.a - model.c), 0.0)
-    )
-    eps_b = math.sqrt(
-        max(1 - model.d @ model.d + (model.b - model.d) @ (model.b - model.d), 0.0)
-    )
+    verdict = qubit_epsno_sum_verdict(model.a, model.b, model.c, model.d)
     if rho is not None:
         gen_a, gen_b = model.eps_pair(rho)
+        eps_a, eps_b = verdict.witnesses["eps_a"], verdict.witnesses["eps_b"]
         if abs(gen_a - eps_a) > 1e-9 or abs(gen_b - eps_b) > 1e-9:
             raise AssertionError("closed-form and generic noise errors disagree")
-    rhs = qubit_incompatibility_bound(model.a, model.b) / 2.0
-    return RelationVerdict(
-        "qubit-error-sum", eps_a + eps_b, rhs, {"eps_a": eps_a, "eps_b": eps_b}
-    )
+    return verdict
 
 
 # ---------------------------------------------------------------------------

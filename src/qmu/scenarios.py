@@ -16,14 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .distributions import w2_quantile
+from .distributions import merge_groups, w2_quantile
 from .errmetrics import (
     StateSearchPolicy,
     calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
+    moment_form_eps,
     three_state_eps,
+    three_state_form_eps,
     value_comparison_eps,
     w2_observables_worst,
     worst_case_deviation,
@@ -33,6 +35,8 @@ from .grid import (
     VonNeumannModel,
     apply_oscillator,
     apply_position,
+    dense_position_error,
+    dense_scheme_error,
     gaussian_state,
     grid_size_error,
     ground_state,
@@ -46,7 +50,9 @@ from .observables import (
     BlochObservable,
     Observable,
     SharpObservable,
+    check_effects,
     distribution_of,
+    effect_moment,
     intrinsic_noise,
     moment_operator,
     qubit_triple,
@@ -57,18 +63,30 @@ from .relations import (
     RelationVerdict,
     branciard_verdict,
     check_branciard_joint,
+    check_joint_effects,
     check_naive_heisenberg,
     check_unbiased_tradeoffs,
+    commutator_expectation,
     error_disturbance_figures,
+    gamma0_interval,
     naive_product_verdict,
     ozawa_verdict,
     phase_space_relation_check,
     qubit_epsno_sum_check,
+    qubit_epsno_sum_verdict,
     qubit_error_bound,
     qubit_incompatibility_bound,
-    qubit_joint_feasible,
+    scheme_figures,
+    unbiased_verdicts,
 )
-from .schemes import identity_scheme, induced_observable, swap_scheme
+from .schemes import (
+    check_scheme_stack,
+    identity_scheme,
+    induced_effects,
+    induced_observable,
+    pointer_operator,
+    swap_scheme,
+)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -303,7 +321,7 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
         scheme = identity_scheme(a_sharp, sigma)
     else:
         scheme = swap_scheme(a_sharp, sigma)
-    figures = error_disturbance_figures(scheme, a, b, rho)
+    figures = scheme_figures(scheme, a, b, rho)
     eps, eta, _, _, comm = figures
     da, ds = distribution_of(a_sharp, rho), distribution_of(a_sharp, sigma)
     b_sharp = spectral_measure(b)
@@ -557,6 +575,37 @@ GRID_OVERRIDE_CHECKS = {
     "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
     "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
 }
+# The only runners that read a null grid parameter: as the run configuration's grid.
+NULL_GRID_RUNNERS = frozenset({"husimi-saturation", "husimi-squeezed", "husimi-displaced"})
+# Dense-model limits of the runners, checked on the parameters after overrides.
+DENSE_LIMIT_CHECKS = {
+    "position-flip": lambda p: dense_position_error(p["n"]),
+    "von-neumann-position": lambda p: dense_scheme_error(p["n_obj"], p["n_probe"]),
+}
+
+
+def override_error(name: str, overrides: dict) -> str | None:
+    """Why grid overrides are malformed input for scenario ``name``, or None.
+
+    Checks the grid sizes and half widths the scenario takes, null only where
+    the runner reads it, and the runner's dense-model limit; cheap enough to
+    run before any work.  Unknown keys are left to ``run_scenario``.
+    """
+    params = SCENARIOS[name].parameters
+    for key, value in overrides.items():
+        check = GRID_OVERRIDE_CHECKS.get(key)
+        if check is None or key not in params:
+            continue
+        if value is None:
+            if name not in NULL_GRID_RUNNERS:
+                return f"{key}: {name} takes no null grid parameter"
+            continue
+        error = check(value)
+        if error:
+            return f"{key}: {error}"
+    limit = DENSE_LIMIT_CHECKS.get(name)
+    error = limit({**params, **overrides}) if limit else None
+    return f"{', '.join(sorted(overrides))}: {error}" if error else None
 
 SCENARIOS: dict[str, Scenario] = {
     "qubit-triple-unbiased-zero": Scenario(
@@ -681,37 +730,63 @@ def scenario_names() -> list[str]:
 # Randomized suites
 # ---------------------------------------------------------------------------
 
+# Draws per stacked block: the suites' memory stays bounded for any budget,
+# and the same seed and budget always give the same blocks.
+SUITE_BLOCK = 1024
+QUBIT = 2
 
-def _random_scheme(rng, d_obj=2, d_probe=2):
-    from .schemes import MeasurementScheme
 
-    pointer = spectral_measure(opalg.random_hermitian(d_probe, rng))
-    while pointer.n_outcomes < 2:
-        pointer = spectral_measure(opalg.random_hermitian(d_probe, rng))
-    return MeasurementScheme(
-        probe_state=opalg.random_density(d_probe, rng),
-        coupling=opalg.haar_unitary(d_obj * d_probe, rng),
-        pointer=pointer,
-    )
+def _block_sizes(draws: int):
+    for start in range(0, draws, SUITE_BLOCK):
+        yield min(SUITE_BLOCK, draws - start)
+
+
+def random_qubit_schemes(rng: np.random.Generator, n: int):
+    """n random schemes on a qubit object and a qubit probe, stacked and validated.
+
+    Returns the Haar couplings (n, 4, 4), the probe states (n, 2, 2), and
+    the sharp pointers' eigenvalues (n, 2) with their projections
+    (n, 2, 2, 2).  A pointer whose two eigenvalues ``merge_groups`` would
+    merge into one outcome is drawn again.
+    """
+    coupling = opalg.haar_unitary(QUBIT * QUBIT, rng, n)
+    sigma = opalg.random_density(QUBIT, rng, n=n)
+    values, vectors = np.linalg.eigh(opalg.random_hermitian(QUBIT, rng, n=n))
+    while True:
+        merged = [k for k, row in enumerate(values) if merge_groups(row)[1].size < QUBIT]
+        if not merged:
+            break
+        values[merged], vectors[merged] = np.linalg.eigh(
+            opalg.random_hermitian(QUBIT, rng, n=len(merged))
+        )
+    effects = opalg.projector(np.moveaxis(vectors, -1, -2))
+    check_scheme_stack(coupling, sigma, effects)
+    return coupling, sigma, values, effects
+
+
+def _ozawa_draws(rng: np.random.Generator, n: int):
+    """One block of the Ozawa/Branciard suite: schemes, targets a, b and pure states."""
+    u, sigma, values, effects = random_qubit_schemes(rng, n)
+    a = opalg.random_hermitian(QUBIT, rng, n=n)
+    b = opalg.random_hermitian(QUBIT, rng, n=n)
+    rho = opalg.projector(opalg.haar_state(QUBIT, rng, n))
+    return u, sigma, values, effects, a, b, rho
 
 
 def ozawa_branciard_suite(seed: int = 0, draws: int = 10000) -> dict:
     """Randomized qubit error-disturbance suite: both relations must hold."""
     rng = np.random.default_rng(seed)
-    min_ozawa = math.inf
-    min_branciard = math.inf
+    min_ozawa = min_branciard = math.inf
     violations = 0
-    for _ in range(draws):
-        scheme = _random_scheme(rng)
-        a = opalg.random_hermitian(2, rng)
-        b = opalg.random_hermitian(2, rng)
-        rho = opalg.projector(opalg.haar_state(2, rng))
-        figures = error_disturbance_figures(scheme, a, b, rho)
+    for n in _block_sizes(draws):
+        u, sigma, values, effects, a, b, rho = _ozawa_draws(rng, n)
+        figures = error_disturbance_figures(
+            u, sigma, pointer_operator(values, effects), a, b, rho
+        )
         oz, br = ozawa_verdict(*figures), branciard_verdict(*figures)
-        min_ozawa = min(min_ozawa, oz.slack)
-        min_branciard = min(min_branciard, br.slack)
-        if not oz.holds or not br.holds:
-            violations += 1
+        min_ozawa = min(min_ozawa, float(oz.slack.min()))
+        min_branciard = min(min_branciard, float(br.slack.min()))
+        violations += int(np.count_nonzero(~(oz.holds & br.holds)))
     return {
         "draws": draws,
         "min_ozawa_slack": min_ozawa,
@@ -720,19 +795,37 @@ def ozawa_branciard_suite(seed: int = 0, draws: int = 10000) -> dict:
     }
 
 
+def _eps_form_draws(rng: np.random.Generator, n: int):
+    """One block of the form-equivalence suite: schemes, a target a and mixed states."""
+    u, sigma, values, effects = random_qubit_schemes(rng, n)
+    a = opalg.random_hermitian(QUBIT, rng, n=n)
+    rho = opalg.random_density(QUBIT, rng, n=n)
+    return u, sigma, values, effects, a, rho
+
+
+def eps_form_routes(u, sigma, values, effects, a, rho) -> tuple[np.ndarray, ...]:
+    """Noise error of stacked schemes by the scheme, moment and three-state routes.
+
+    The last two read the induced observable's moment operators; its effects
+    are checked as ``Observable`` checks them.
+    """
+    induced = induced_effects(u, sigma, effects)
+    check_effects(induced)
+    m1, m2 = (effect_moment(values, induced, k) for k in (1, 2))
+    scheme_route = error_disturbance_figures(
+        u, sigma, pointer_operator(values, effects), a, a, rho
+    )[0]
+    return scheme_route, moment_form_eps(a, m1, m2, rho), three_state_form_eps(a, m1, m2, rho)
+
+
 def eps_form_equivalence_suite(seed: int = 0, draws: int = 1000) -> dict:
     """Scheme, moment and three-state error routes across random scenarios."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
-        scheme = _random_scheme(rng)
-        a = opalg.random_hermitian(2, rng)
-        rho = opalg.random_density(2, rng)
-        c = induced_observable(scheme)
-        e1 = eps_no_from_scheme(scheme, a, rho)
-        e2 = eps_no_from_moments(a, c, rho)
-        e3 = three_state_eps(a, c, rho)
-        worst = max(worst, abs(e1 - e2), abs(e2 - e3), abs(e1 - e3))
+    for n in _block_sizes(draws):
+        e1, e2, e3 = eps_form_routes(*_eps_form_draws(rng, n))
+        gaps = np.stack([np.abs(e1 - e2), np.abs(e2 - e3), np.abs(e1 - e3)])
+        worst = max(worst, float(gaps.max()))
     return {"draws": draws, "max_form_gap": worst}
 
 
@@ -747,19 +840,52 @@ def naive_falsification_cases(config: RunConfig = RunConfig()) -> list[RelationV
     return [check_naive_heisenberg(s, a, b, r) for s, a, b, r in cases]
 
 
-def feasible_models(rng: np.random.Generator, count: int):
-    """``count`` random feasible covariant joint models for the targets EZ and EX.
+def feasible_models(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal Bloch vectors c, d (count, 3) of random feasible covariant joint models.
 
-    Marginal Bloch vectors c and d are drawn from the cube [-1, 1]^3 until
-    ||c + d|| + ||c - d|| <= 2.  The generator reads ``rng`` only when asked
-    for its next model, so draws a caller makes in between keep their place
-    in the stream.
+    Candidate rows are drawn uniformly from the cube [-1, 1]^3 x [-1, 1]^3
+    and kept, in draw order, when ||c + d|| + ||c - d|| <= 2.  About one
+    candidate in nine is feasible, so each round draws nine per missing row.
     """
-    for _ in range(count):
-        c, d = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        while np.linalg.norm(c + d) + np.linalg.norm(c - d) > 2:
-            c, d = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        yield qubit_joint_feasible(c, d, a=EZ, b=EX)
+    c, d = np.empty((count, 3)), np.empty((count, 3))
+    filled = 0
+    while filled < count:
+        cand_c, cand_d = rng.uniform(-1, 1, (2, 9 * (count - filled), 3))
+        lo, hi = gamma0_interval(cand_c, cand_d)
+        keep = np.flatnonzero(lo <= hi)[:count - filled]
+        c[filled:filled + keep.size], d[filled:filled + keep.size] = cand_c[keep], cand_d[keep]
+        filled += keep.size
+    return c, d
+
+
+def _covariant_models(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``feasible_models`` with their four joint effects checked positive."""
+    c, d = feasible_models(rng, n)
+    lo, hi = gamma0_interval(c, d)
+    check_joint_effects(c, d, 0.5 * (lo + hi))
+    return c, d
+
+
+def unbiased_tradeoffs(c, d, rho) -> dict[str, RelationVerdict]:
+    """``check_unbiased_tradeoffs`` of stacked covariant models (c, d) in states rho.
+
+    The targets are the marginals' first-moment operators; each marginal has
+    outcomes -/+1 and effects (1 - C_plus, C_plus) with C_plus = (1 + c.sigma)/2.
+    """
+    outcomes = np.array([-1.0, 1.0])
+    figures = []
+    for vec in (c, d):
+        c_plus = 0.5 * (np.eye(QUBIT) + opalg.bloch_operator(vec))
+        effects = np.stack([np.eye(QUBIT) - c_plus, c_plus], axis=-3)
+        check_effects(effects)
+        m1, m2 = (effect_moment(outcomes, effects, k) for k in (1, 2))
+        probs = np.clip(np.einsum("nij,nkji->nk", rho, effects).real, 0.0, 1.0)
+        mean = probs @ outcomes
+        dev = opalg.sqrt_clamped(((outcomes - mean[:, None]) ** 2 * probs).sum(-1))
+        figures.append((m1, expectation(m2 - m1 @ m1, rho), dev, moment_form_eps(m1, m1, m2, rho)))
+    (a_op, noise_c, dev_c, eps_a), (b_op, noise_d, dev_d, eps_b) = figures
+    comm = commutator_expectation(a_op, b_op, rho)
+    return unbiased_verdicts(comm, noise_c, noise_d, dev_c, dev_d, eps_a, eps_b)
 
 
 def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
@@ -767,14 +893,20 @@ def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
     rng = np.random.default_rng(seed)
     mins = {"unbiased-intrinsic-noise": math.inf, "unbiased-output-spread": math.inf,
             "unbiased-error-product": math.inf}
-    for model in feasible_models(rng, draws):
-        rho = opalg.random_density(2, rng)
-        for name, verdict in check_unbiased_tradeoffs(model, rho).items():
-            mins[name] = min(mins[name], verdict.slack)
+    for n in _block_sizes(draws):
+        c, d = _covariant_models(rng, n)
+        rho = opalg.random_density(QUBIT, rng, n=n)
+        for name, verdict in unbiased_tradeoffs(c, d, rho).items():
+            mins[name] = min(mins[name], float(verdict.slack.min()))
     return {"draws": draws, **{f"min_slack:{k}": v for k, v in mins.items()}}
 
 
 def epsno_sum_suite(seed: int = 0, draws: int = 10000) -> dict:
-    models = feasible_models(np.random.default_rng(seed), draws)
-    worst = min((qubit_epsno_sum_check(model).slack for model in models), default=math.inf)
+    """Random feasible covariant models for EZ and EX: the error-sum bound must hold."""
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for n in _block_sizes(draws):
+        c, d = _covariant_models(rng, n)
+        verdict = qubit_epsno_sum_verdict(EZ, EX, c, d)
+        worst = min(worst, float(verdict.slack.min()))
     return {"draws": draws, "min_slack": worst}

@@ -20,6 +20,8 @@ from .observables import (
     Observable,
     SharpObservable,
     TOL_COMMUTE,
+    check_effects,
+    check_projections,
 )
 
 TOL_KRAUS = 1e-10         # completeness of an instrument's Kraus sets
@@ -63,7 +65,7 @@ class MeasurementScheme:
 
     def pointer_operator(self) -> np.ndarray:
         """Relabeled pointer operator sum_z f(z) Z(z) on the probe."""
-        return np.einsum("k,kij->ij", self.pointer_values, self.pointer.effects)
+        return pointer_operator(self.pointer_values, self.pointer.effects)
 
     def output_operator(self) -> np.ndarray:
         """Heisenberg-picture pointer U^dag (1 (x) Z_f) U on the total space."""
@@ -78,6 +80,29 @@ class MeasurementScheme:
         w = self.coupling @ vec
         w = (w.reshape(do, dp) @ zf.T).reshape(-1)
         return self.coupling.conj().T @ w
+
+
+def pointer_operator(values, effects) -> np.ndarray:
+    """sum_k values_k effects_k; stacks (..., n) and (..., n, d, d) give (..., d, d)."""
+    return np.einsum("...k,...kij->...ij", values, effects)
+
+
+def check_scheme_stack(coupling, probe_state, pointer_effects) -> None:
+    """Validate stacked schemes as MeasurementScheme validates one.
+
+    ``coupling`` (N, D, D) must be unitary, ``probe_state`` (N, d, d) a
+    density operator, and ``pointer_effects`` (N, n, d, d) the mutually
+    orthogonal projections of a sharp pointer on the probe, with D a
+    multiple of d.
+    """
+    if pointer_effects.shape[-1] != probe_state.shape[-1]:
+        raise ValueError("pointer observable does not act on the probe space")
+    if coupling.shape[-1] % probe_state.shape[-1] != 0:
+        raise ValueError("coupling dimension is not a multiple of the probe dimension")
+    opalg.check_unitary(coupling)
+    opalg.check_density(probe_state)
+    check_effects(pointer_effects)
+    check_projections(pointer_effects)
 
 
 @dataclass(frozen=True)
@@ -142,26 +167,36 @@ class Instrument:
 
 
 def induced_observable(scheme: MeasurementScheme) -> Observable:
-    """Observable measured by a scheme: F(y) = Tr_probe[(1 (x) sigma) U^dag (1 (x) Z(f^-1(y))) U].
+    """Observable measured by a scheme, its outcomes merged by ``merge_outcomes``."""
+    raw_effects = induced_effects(
+        scheme.coupling[None], scheme.probe_state[None], scheme.pointer.effects[None]
+    )[0]
+    return Observable(*merge_outcomes(scheme.pointer_values, raw_effects))
 
-    Element-wise: F(y)_ab = sum over m,k,e,l,p of
-    sigma[m,k] conj(U4[e,l,a,k]) Z(y)[l,p] U4[e,p,b,m], staged as matrix
-    products so large grids stay cheap.
+
+def induced_effects(coupling, probe_state, pointer_effects) -> np.ndarray:
+    """F(z) = Tr_probe[(1 (x) sigma) U^dag (1 (x) Z(z)) U] for stacked schemes.
+
+    ``coupling`` (N, D, D), ``probe_state`` (N, d, d) and ``pointer_effects``
+    (N, n, d, d) give the Hermitian parts of the effects, (N, n, D/d, D/d),
+    one per pointer outcome and unmerged.  Element-wise: F(z)_ab = sum over
+    m,k,e,l,p of sigma[m,k] conj(U4[e,l,a,k]) Z(z)[l,p] U4[e,p,b,m], staged
+    as matrix products so large grids stay cheap.
     """
-    do, dp = scheme.object_dim, scheme.probe_dim
-    u4 = scheme.coupling.reshape(do, dp, do, dp)
-    sigma = scheme.probe_state
+    n, dp = probe_state.shape[:2]
+    do = coupling.shape[-1] // dp
+    u4 = coupling.reshape(n, do, dp, do, dp)
     # T[e,p,b,k] = sum_m U4[e,p,b,m] sigma[m,k]
-    t = (u4.reshape(-1, dp) @ sigma).reshape(do, dp, do, dp)
-    t_flat = t.transpose(2, 0, 1, 3).reshape(do, -1)
-    u_conj_flat = u4.conj().transpose(0, 2, 3, 1).reshape(-1, dp)  # (e,a,k;l)
+    t = (u4.reshape(n, -1, dp) @ probe_state).reshape(n, do, dp, do, dp)
+    t_flat = t.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
+    u_conj_flat = u4.conj().transpose(0, 1, 3, 4, 2).reshape(n, -1, dp)  # (e,a,k;l)
     raw_effects = []
-    for p in scheme.pointer.effects:
-        s = (u_conj_flat @ p).reshape(do, do, dp, dp).transpose(0, 3, 1, 2)
-        s_flat = s.transpose(2, 0, 1, 3).reshape(do, -1)
-        eff = s_flat @ t_flat.T
-        raw_effects.append(0.5 * (eff + eff.conj().T))
-    return Observable(*merge_outcomes(scheme.pointer_values, np.stack(raw_effects)))
+    for p in np.moveaxis(pointer_effects, 1, 0):
+        s = (u_conj_flat @ p).reshape(n, do, do, dp, dp).transpose(0, 1, 4, 2, 3)
+        s_flat = s.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
+        eff = s_flat @ t_flat.swapaxes(-1, -2)
+        raw_effects.append(0.5 * (eff + opalg.dagger(eff)))
+    return np.stack(raw_effects, axis=1)
 
 
 def _canonical_kraus(raw, truncation=KRAUS_TRUNCATION):

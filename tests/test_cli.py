@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,11 +194,15 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "oscillator-shift-zero-error", "--set", "n=abc"),
         ("scenario", "run", "double-zero-approximators", "--set", "L=-1"),
         ("scenario", "run", "von-neumann-position", "--set", "n_obj=1000"),
+        ("scenario", "run", "position-flip", "--set", "n=null"),
+        ("scenario", "run", "position-flip", "--set", "n=256"),
+        ("scenario", "run", "von-neumann-position", "--set", "n_obj=64", "--set", "n_probe=128"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "set-n-husimi", "set-n-not-a-number", "set-L-husimi",
          "set-n-position-flip", "set-L-position-flip", "set-n-oscillator", "set-L-oscillator",
-         "set-n_obj-von-neumann"],
+         "set-n_obj-von-neumann", "set-n-null-position-flip", "set-n-dense-position-flip",
+         "set-dense-von-neumann"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"
@@ -203,6 +211,23 @@ def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("relation", ["unbiased", "eps-forms"])
+def test_check_budget_is_the_draw_count(capsys, relation):
+    code, out, _ = run_cli(capsys, "check", relation, "--budget", "2500")
+    assert code == 0
+    assert json.loads(out)["summary"]["draws"] == 2500
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-m", "qmu", "scenario", "list"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["schema"] == "qmu/1"
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -4,21 +4,49 @@ import numpy as np
 import pytest
 
 from qmu import opalg
-from qmu.relations import check_branciard_scheme, check_ozawa
-
+from qmu.errmetrics import eps_no_from_moments, eps_no_from_scheme, three_state_eps
+from qmu.observables import SharpObservable
+from qmu.relations import (
+    QubitJointModel,
+    branciard_verdict,
+    check_branciard_scheme,
+    check_joint_effects,
+    check_ozawa,
+    check_unbiased_tradeoffs,
+    error_disturbance_figures,
+    gamma0_interval,
+    ozawa_verdict,
+    qubit_epsno_sum_check,
+    qubit_epsno_sum_verdict,
+    qubit_joint_feasible,
+)
 from qmu.scenarios import (
+    EX,
+    EZ,
+    SUITE_BLOCK,
     RunConfig,
     SCENARIOS,
     TRIPLE_W2_AT_NULL_STATE,
-    _random_scheme,
+    _covariant_models,
+    _eps_form_draws,
+    _ozawa_draws,
     eps_form_equivalence_suite,
+    eps_form_routes,
+    epsno_sum_suite,
+    feasible_models,
     naive_falsification_cases,
     ozawa_branciard_suite,
+    random_qubit_schemes,
     run_scenario,
     scenario_names,
     triple_eps_highprec,
     unbiased_model_suite,
+    unbiased_tradeoffs,
 )
+from qmu.schemes import MeasurementScheme, check_scheme_stack, induced_observable, pointer_operator
+
+# Rows of a stacked block checked one by one against the scalar routes.
+SUBSAMPLE = slice(0, None, 7)
 
 
 def test_every_bundled_scenario_passes():
@@ -97,17 +125,96 @@ def test_suites_deterministic():
     assert a == b
 
 
+def _scheme(u, sigma, values, effects):
+    return MeasurementScheme(sigma, u, SharpObservable(values, effects))
+
+
 def test_ozawa_branciard_suite_is_the_min_over_per_draw_checks():
-    rng = np.random.default_rng(3)
-    ozawa, branciard = [], []
-    for _ in range(40):
-        scheme = _random_scheme(rng)
-        a = opalg.random_hermitian(2, rng)
-        b = opalg.random_hermitian(2, rng)
-        rho = opalg.projector(opalg.haar_state(2, rng))
-        ozawa.append(check_ozawa(scheme, a, b, rho).slack)
-        branciard.append(check_branciard_scheme(scheme, a, b, rho).slack)
+    # The suite draws in stacked blocks; the scalar checkers are the oracle
+    # on a subsample, and the suite reports the minimum of the stacked slacks.
+    u, sigma, values, effects, a, b, rho = _ozawa_draws(np.random.default_rng(3), 40)
+    figures = error_disturbance_figures(u, sigma, pointer_operator(values, effects), a, b, rho)
+    ozawa, branciard = ozawa_verdict(*figures).slack, branciard_verdict(*figures).slack
+    for k in range(40)[SUBSAMPLE]:
+        scheme = _scheme(u[k], sigma[k], values[k], effects[k])
+        assert abs(check_ozawa(scheme, a[k], b[k], rho[k]).slack - ozawa[k]) <= 1e-12
+        assert abs(check_branciard_scheme(scheme, a[k], b[k], rho[k]).slack
+                   - branciard[k]) <= 1e-12
     suite = ozawa_branciard_suite(seed=3, draws=40)
-    assert suite["min_ozawa_slack"] == min(ozawa)
-    assert suite["min_branciard_slack"] == min(branciard)
+    assert suite["min_ozawa_slack"] == ozawa.min()
+    assert suite["min_branciard_slack"] == branciard.min()
     assert suite["violations"] == 0
+
+
+def test_stacked_eps_routes_match_the_scalar_routes():
+    u, sigma, values, effects, a, rho = _eps_form_draws(np.random.default_rng(11), 60)
+    routes = eps_form_routes(u, sigma, values, effects, a, rho)
+    for k in range(60)[SUBSAMPLE]:
+        scheme = _scheme(u[k], sigma[k], values[k], effects[k])
+        c = induced_observable(scheme)
+        scalar = (eps_no_from_scheme(scheme, a[k], rho[k]),
+                  eps_no_from_moments(a[k], c, rho[k]),
+                  three_state_eps(a[k], c, rho[k]))
+        for stacked, oracle in zip(routes, scalar):
+            assert abs(stacked[k] - oracle) <= 1e-12
+
+
+def test_stacked_unbiased_tradeoffs_match_the_scalar_check():
+    rng = np.random.default_rng(12)
+    c, d = _covariant_models(rng, 60)
+    rho = opalg.random_density(2, rng, n=60)
+    stacked = unbiased_tradeoffs(c, d, rho)
+    for k in range(60)[SUBSAMPLE]:
+        scalar = check_unbiased_tradeoffs(qubit_joint_feasible(c[k], d[k], a=EZ, b=EX), rho[k])
+        for name, verdict in scalar.items():
+            assert abs(stacked[name].lhs[k] - verdict.lhs) <= 1e-12
+            assert abs(stacked[name].rhs[k] - verdict.rhs) <= 1e-12
+
+
+def test_stacked_eps_sum_matches_the_generic_route():
+    rng = np.random.default_rng(13)
+    c, d = _covariant_models(rng, 60)
+    stacked = qubit_epsno_sum_verdict(EZ, EX, c, d)
+    for k in range(60)[SUBSAMPLE]:
+        model = qubit_joint_feasible(c[k], d[k], a=EZ, b=EX)
+        scalar = qubit_epsno_sum_check(model, opalg.random_density(2, rng))
+        assert abs(stacked.slack[k] - scalar.slack) <= 1e-12
+
+
+def test_feasible_models_are_feasible_and_seeded():
+    c, d = feasible_models(np.random.default_rng(5), 300)
+    assert c.shape == d.shape == (300, 3)
+    lo, hi = gamma0_interval(c, d)
+    assert np.all(lo <= hi)
+    c2, d2 = feasible_models(np.random.default_rng(5), 300)
+    np.testing.assert_array_equal(c, c2)
+    np.testing.assert_array_equal(d, d2)
+
+
+def test_a_bad_row_fails_the_block_as_the_scalar_constructors_fail():
+    u, sigma, values, effects = random_qubit_schemes(np.random.default_rng(6), 8)
+    check_scheme_stack(u, sigma, effects)
+    bad_u = u.copy()
+    bad_u[5] *= 1.01
+    with pytest.raises(ValueError, match="not unitary"):
+        check_scheme_stack(bad_u, sigma, effects)
+    with pytest.raises(ValueError, match="not unitary"):
+        _scheme(bad_u[5], sigma[5], values[5], effects[5])
+    bad_sigma = sigma.copy()
+    bad_sigma[2] *= 1.1
+    with pytest.raises(ValueError, match="trace"):
+        check_scheme_stack(u, bad_sigma, effects)
+    c, d = feasible_models(np.random.default_rng(6), 8)
+    c[3], d[3] = EZ, EX  # ||c + d|| + ||c - d|| = 2 sqrt(2) > 2
+    lo, hi = gamma0_interval(c, d)
+    with pytest.raises(ValueError, match="not positive"):
+        check_joint_effects(c, d, 0.5 * (lo + hi))
+    with pytest.raises(ValueError, match="not positive"):
+        QubitJointModel(a=EZ, b=EX, c=c[3], d=d[3], gamma0=0.5 * (lo[3] + hi[3]))
+
+
+@pytest.mark.parametrize("draws", [1, SUITE_BLOCK, SUITE_BLOCK + 1])
+def test_suites_report_the_budget_as_draws(draws):
+    for suite in (ozawa_branciard_suite, eps_form_equivalence_suite,
+                  unbiased_model_suite, epsno_sum_suite):
+        assert suite(seed=2, draws=draws)["draws"] == draws
