@@ -31,7 +31,7 @@ from .errmetrics import (
     w2_observables_worst,
     worst_case_deviation,
 )
-from .grid import GridSystem, VonNeumannModel, phase_space_marginals, von_neumann_scheme
+from .grid import GridSystem, VonNeumannModel, phase_space_marginals
 from .observables import (
     BlochObservable,
     Observable,

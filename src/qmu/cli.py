@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import LP_MAX, w2_lp_oracle, w2_quantile
 from .grid import grid_size_error, half_width_error
-from .relations import qubit_error_bound
+from .relations import SLACK_TOL, qubit_error_bound
 from .scenarios import (
     EX,
     EY,
@@ -212,7 +212,7 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
     if relation == "qubit-error-bound":
         for theta in np.linspace(0.0, math.pi / 2, points):
             b = math.cos(theta) * EZ + math.sin(theta) * EX
-            bound, achieved, _ = qubit_error_bound(EZ, b, grid_points=21)
+            bound, achieved, _ = qubit_error_bound(EZ, b)
             rows.append(
                 {"theta": theta, "lhs": achieved, "rhs": bound, "slack": achieved - bound}
             )
@@ -340,7 +340,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
             "min_slack": min(r["slack"] for r in rows),
             "max_optimality_gap": worst_gap,
         }
-        return summary, summary["min_slack"] >= -1e-9 and worst_gap < 5e-4
+        return summary, summary["min_slack"] >= -1e-9 and worst_gap <= SLACK_TOL
     if relation == "phase-space":
         from .grid import GridSystem, gaussian_state
         from .relations import phase_space_relation_check
@@ -472,6 +472,10 @@ def _input_error(args) -> str | None:
                         ("--grid-L", half_width_error(args.grid_L))):
         if error:
             return f"{flag}: {error}"
+    if args.seed < 0:
+        return f"--seed must be at least 0, got {args.seed}"
+    if not (math.isfinite(args.hbar_scale) and args.hbar_scale > 0):
+        return f"--hbar-scale must be a finite number above 0, got {args.hbar_scale}"
     if args.command == "sweep" and args.points < 1:
         return f"--points must be at least 1, got {args.points}"
     if args.command == "check" and args.budget < 1:

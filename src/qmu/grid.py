@@ -364,9 +364,3 @@ class VonNeumannModel:
             pointer=pointer,
             pointer_values=self.probe_grid.positions / self.lam,
         )
-
-
-def von_neumann_scheme(object_grid: GridSystem, probe_grid: GridSystem, lam: float,
-                       probe_psi) -> MeasurementScheme:
-    """Dense scheme of the momentum-coupled approximate position model."""
-    return VonNeumannModel(object_grid, probe_grid, lam, probe_psi).to_scheme()

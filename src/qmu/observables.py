@@ -51,9 +51,6 @@ class Observable:
     def n_outcomes(self) -> int:
         return self.outcomes.size
 
-    def effect(self, k: int) -> np.ndarray:
-        return self.effects[k]
-
     def __repr__(self):
         return f"{type(self).__name__}(outcomes={self.outcomes.tolist()}, dim={self.dim})"
 

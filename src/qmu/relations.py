@@ -379,72 +379,39 @@ def qubit_incompatibility_bound(a, b):
     )
 
 
-def _joint_objective(a, b, c, d) -> float:
-    # covariant marginals: Delta(A, M1)^2 = 2 ||a - c||
-    return 2.0 * np.linalg.norm(a - c) + 2.0 * np.linalg.norm(b - d)
+def qubit_error_bound(a, b) -> tuple[float, float, QubitJointModel]:
+    """The optimal covariant joint model of the summed squared worst-case deviations.
 
-
-def _project_feasible(c, d):
-    total = np.linalg.norm(c + d) + np.linalg.norm(c - d)
-    if total <= 2.0:
-        return c, d
-    scale = 2.0 / total
-    return c * scale, d * scale
-
-
-def qubit_error_bound(a, b, grid_points: int = 41,
-                      refine: bool = True) -> tuple[float, float, QubitJointModel]:
-    """Minimize the summed squared worst-case deviations over feasible models.
-
-    Searches scalings c = s a, d = t b on a grid, then refines over the full
-    six-dimensional (c, d) space with the joint-measurability constraint.
-    Returns (bound, achieved minimum, optimizer model); the optimizer is
-    always PSD-verified and its objective never undercuts the bound.
+    With p = ||a + b||, q = ||a - b|| and e+- the unit vectors along a +- b,
+    the optimum is c = (alpha e+ + beta e-)/2, d = (alpha e+ - beta e-)/2 with
+    alpha = (p - q + 2)/2 and beta = (q - p + 2)/2: the nearest point of the
+    feasible boundary alpha + beta = 2 to (p, q), where a = (p e+ + q e-)/2
+    and b = (p e+ - q e-)/2 (Busch-Heinosaari, QIC 8 (2008) 797).  Where p or
+    q vanishes (a = -b or a = b), so does its coefficient.  Returns (bound,
+    achieved, model); the model is PSD-verified and its objective never
+    undercuts the bound.
     """
     a = np.asarray(a, dtype=float).reshape(3)
     b = np.asarray(b, dtype=float).reshape(3)
     a = a / np.linalg.norm(a)
     b = b / np.linalg.norm(b)
     bound = qubit_incompatibility_bound(a, b)
+    plus, minus = a + b, a - b
+    p, q = np.linalg.norm(plus), np.linalg.norm(minus)
+    along_plus = (p - q + 2.0) / (2.0 * p) * plus if p > 0 else np.zeros(3)
+    along_minus = (q - p + 2.0) / (2.0 * q) * minus if q > 0 else np.zeros(3)
+    c, d = 0.5 * (along_plus + along_minus), 0.5 * (along_plus - along_minus)
+    # covariant marginals: Delta(A, M1)^2 = 2 ||a - c||
+    achieved = 2.0 * np.linalg.norm(a - c) + 2.0 * np.linalg.norm(b - d)
 
-    best_val, best_cd = math.inf, None
-    for s in np.linspace(0.0, 1.0, grid_points):
-        for t in np.linspace(0.0, 1.0, grid_points):
-            c, d = _project_feasible(s * a, t * b)
-            val = _joint_objective(a, b, c, d)
-            if val < best_val:
-                best_val, best_cd = val, (c, d)
-
-    if refine:
-        from scipy.optimize import minimize
-
-        def objective(x):
-            return _joint_objective(a, b, x[:3], x[3:])
-
-        def constraint(x):
-            return 2.0 - np.linalg.norm(x[:3] + x[3:]) - np.linalg.norm(x[:3] - x[3:])
-
-        starts = [np.concatenate(best_cd)]
-        starts.append(np.concatenate([0.5 * a + 0.2 * b, 0.5 * b + 0.2 * a]))
-        for x0 in starts:
-            res = minimize(
-                objective, x0, method="SLSQP",
-                constraints=[{"type": "ineq", "fun": constraint}],
-                options={"maxiter": 500, "ftol": 1e-12},
-            )
-            c, d = _project_feasible(res.x[:3], res.x[3:])
-            val = _joint_objective(a, b, c, d)
-            if val < best_val:
-                best_val, best_cd = val, (c, d)
-
-    model = qubit_joint_feasible(best_cd[0], best_cd[1], a=a, b=b)
+    model = qubit_joint_feasible(c, d, a=a, b=b)
     if model is None:
-        raise RuntimeError("optimizer left the feasible set; projection failed")
-    if best_val < bound - SLACK_TOL:
+        raise RuntimeError("closed-form joint model is not jointly measurable")
+    if achieved < bound - SLACK_TOL:
         raise RuntimeError(
-            f"achieved objective {best_val!r} undercuts the proven bound {bound!r}"
+            f"achieved objective {achieved!r} undercuts the proven bound {bound!r}"
         )
-    return bound, best_val, model
+    return bound, achieved, model
 
 
 def qubit_epsno_sum_check(model: QubitJointModel, rho=None) -> RelationVerdict:

@@ -67,12 +67,6 @@ class MeasurementScheme:
         """Relabeled pointer operator sum_z f(z) Z(z) on the probe."""
         return pointer_operator(self.pointer_values, self.pointer.effects)
 
-    def output_operator(self) -> np.ndarray:
-        """Heisenberg-picture pointer U^dag (1 (x) Z_f) U on the total space."""
-        u = self.coupling
-        zf = opalg.tensor(np.eye(self.object_dim), self.pointer_operator())
-        return u.conj().T @ zf @ u
-
     def apply_output_operator(self, vec: np.ndarray) -> np.ndarray:
         """U^dag (1 (x) Z_f) U acting on a total-space vector (matvec path)."""
         do, dp = self.object_dim, self.probe_dim

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmu.cli import main
+from qmu.cli import CHECK_RELATIONS, main
 from qmu.distributions import Distribution
 from qmu.serialize import (
     decode_matrix,
@@ -162,12 +162,31 @@ def test_sweep_unknown_relation_and_unwritable(tmp_path, capsys):
 
 
 def test_check_commands(capsys):
-    code, out, _ = run_cli(capsys, "--budget", "120", "check", "ozawa")
-    assert code == 0 and json.loads(out)["passed"]
-    code, out, _ = run_cli(capsys, "check", "naive-product")
-    assert code == 0 and json.loads(out)["passed"]
     code, _, _ = run_cli(capsys, "check", "not-a-relation")
     assert code == 2
+
+
+@pytest.mark.parametrize("relation", CHECK_RELATIONS)
+def test_every_check_relation_passes(capsys, relation):
+    code, out, _ = run_cli(capsys, "--budget", "50", "check", relation)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_no_local_optimiser_is_imported(tmp_path):
+    script = f"""
+import sys
+from qmu.cli import main
+runs = [["scenario", "run", "--all"], ["check", "qubit-error-bound"]]
+runs += [["sweep", r, {str(tmp_path / "sweep.csv")!r}, "--points", "5"]
+         for r in ("qubit-error-bound", "naive-product", "branciard")]
+codes = [main([*argv, "--out", {str(tmp_path / "out.json")!r}]) for argv in runs]
+assert codes == [0] * len(runs), codes
+assert "scipy.optimize" not in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=_src_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("relation, budget", [("ozawa", "0"), ("unbiased", "-5")])
@@ -197,12 +216,26 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "position-flip", "--set", "n=null"),
         ("scenario", "run", "position-flip", "--set", "n=256"),
         ("scenario", "run", "von-neumann-position", "--set", "n_obj=64", "--set", "n_probe=128"),
+        ("--seed", "-1", "check", "ozawa"),
+        ("--seed", "-1", "sweep", "branciard", "{csv}"),
+        ("--seed", "-1", "scenario", "run", "qubit-approx-smearing"),
+        ("--hbar-scale", "nan", "scenario", "run", "husimi-saturation"),
+        ("--hbar-scale", "0", "check", "phase-space"),
+        ("scenario", "run", "covariant-qubit-pair", "--set", "angle=null"),
+        ("scenario", "run", "covariant-qubit-pair", "--set", "angle=nan"),
+        ("scenario", "run", "covariant-qubit-pair", "--set", "angle=abc"),
+        ("scenario", "run", "qubit-approx-smearing", "--set", "gamma=null"),
+        ("scenario", "run", "oscillator-shift-zero-error", "--set", "alpha=[1]"),
+        ("scenario", "run", "identity-scheme", "--set", "sigma_bloch=[1,2]"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "set-n-husimi", "set-n-not-a-number", "set-L-husimi",
          "set-n-position-flip", "set-L-position-flip", "set-n-oscillator", "set-L-oscillator",
          "set-n_obj-von-neumann", "set-n-null-position-flip", "set-n-dense-position-flip",
-         "set-dense-von-neumann"],
+         "set-dense-von-neumann", "seed-negative-check", "seed-negative-sweep",
+         "seed-negative-scenario", "hbar-scale-nan", "hbar-scale-zero", "set-angle-null",
+         "set-angle-nan", "set-angle-not-a-number", "set-gamma-null", "set-alpha-list",
+         "set-sigma_bloch-short"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"
@@ -220,12 +253,15 @@ def test_check_budget_is_the_draw_count(capsys, relation):
     assert json.loads(out)["summary"]["draws"] == 2500
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_runs_the_cli():
     result = subprocess.run([sys.executable, "-m", "qmu", "scenario", "list"],
-                            capture_output=True, text=True, env=env, timeout=60)
+                            capture_output=True, text=True, env=_src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["schema"] == "qmu/1"
 

@@ -8,6 +8,7 @@ from qmu.grid import GridSystem, gaussian_state, ground_state
 from qmu.observables import spectral_measure
 from qmu.opalg import SIGMA_X, SIGMA_Z, bloch_state, projector
 from qmu.relations import (
+    SLACK_TOL,
     QubitJointModel,
     branciard_verdict,
     check_branciard_joint,
@@ -19,6 +20,7 @@ from qmu.relations import (
     phase_space_relation_check,
     qubit_epsno_sum_check,
     qubit_error_bound,
+    qubit_incompatibility_bound,
     qubit_joint_feasible,
 )
 from qmu.schemes import identity_scheme, swap_scheme
@@ -178,10 +180,47 @@ def test_qubit_joint_model_psd_enforced():
         QubitJointModel(a=EZ, b=EX, c=EZ, d=EX, gamma0=0.0)
 
 
+def slsqp_joint_optimum(a, b, grid_points: int = 41):
+    """Oracle for ``qubit_error_bound``: a grid over c = s a, d = t b, then SLSQP.
+
+    Minimises the summed squared worst-case deviations 2 ||a - c|| + 2 ||b - d||
+    of covariant marginals over jointly measurable (c, d), i.e.
+    ||c + d|| + ||c - d|| <= 2, from the best grid point and one fixed start;
+    every candidate is scaled back into the feasible set.  Returns
+    (achieved, c, d) for unit vectors a and b.
+    """
+    from scipy.optimize import minimize
+
+    def objective(x):
+        return 2.0 * np.linalg.norm(a - x[:3]) + 2.0 * np.linalg.norm(b - x[3:])
+
+    def constraint(x):
+        return 2.0 - np.linalg.norm(x[:3] + x[3:]) - np.linalg.norm(x[:3] - x[3:])
+
+    def project(x):
+        total = 2.0 - constraint(x)
+        return x if total <= 2.0 else x * (2.0 / total)
+
+    best = min(
+        (project(np.concatenate([s * a, t * b]))
+         for s in np.linspace(0.0, 1.0, grid_points)
+         for t in np.linspace(0.0, 1.0, grid_points)),
+        key=objective,
+    )
+    for x0 in (best, np.concatenate([0.5 * a + 0.2 * b, 0.5 * b + 0.2 * a])):
+        res = minimize(
+            objective, x0, method="SLSQP",
+            constraints=[{"type": "ineq", "fun": constraint}],
+            options={"maxiter": 500, "ftol": 1e-12},
+        )
+        best = min(best, project(res.x), key=objective)
+    return objective(best), best[:3], best[3:]
+
+
 def test_qubit_error_bound_orthogonal():
     bound, achieved, model = qubit_error_bound(EZ, EX)
     assert abs(bound - (4 - 2 * math.sqrt(2))) < 1e-12
-    assert achieved - bound < 1e-4
+    assert achieved - bound < 1e-9
     assert achieved >= bound - 1e-9
     np.testing.assert_allclose(model.c, EZ / math.sqrt(2), atol=1e-3)
     np.testing.assert_allclose(model.d, EX / math.sqrt(2), atol=1e-3)
@@ -198,9 +237,31 @@ def test_qubit_error_bound_degenerate_directions():
 def test_qubit_error_bound_angle_sweep():
     for theta in np.linspace(0.05, math.pi / 2, 12):
         b = math.cos(theta) * EZ + math.sin(theta) * EX
-        bound, achieved, model = qubit_error_bound(EZ, b, grid_points=21)
+        bound, achieved, model = qubit_error_bound(EZ, b)
         assert achieved >= bound - 1e-9
-        assert achieved - bound < 5e-4
+        assert achieved - bound < 1e-9
+
+
+def test_qubit_error_bound_closed_form_matches_the_slsqp_oracle():
+    rng = np.random.default_rng(11)
+    pairs = [(EZ, EZ), (EZ, -EZ), (EZ, EX)]
+    pairs += [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(24)]
+    for a, b in pairs:
+        bound, achieved, model = qubit_error_bound(a, b)
+        assert np.linalg.eigvalsh(model.effects()).min() >= -1e-10
+        assert achieved >= bound - SLACK_TOL
+        oracle, _, _ = slsqp_joint_optimum(model.a, model.b)
+        assert abs(achieved - oracle) <= 1e-9
+
+
+def test_qubit_error_bound_attains_the_incompatibility_bound():
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        bound, achieved, _ = qubit_error_bound(a, b)
+        unit_a, unit_b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        assert abs(achieved - qubit_incompatibility_bound(unit_a, unit_b)) <= 1e-12
+        assert bound == qubit_incompatibility_bound(unit_a, unit_b)
 
 
 def test_qubit_epsno_sum_bound():
