@@ -13,6 +13,7 @@ from .distributions import (
     convolve,
     delta,
     make_distribution,
+    quantile_coupling,
     w2_lp_oracle,
     w2_quantile,
 )

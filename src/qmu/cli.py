@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .distributions import LP_MAX, w2_lp_oracle, w2_quantile
+from .distributions import LP_MAX, quantile_coupling, w2_lp_oracle, w2_quantile
 from .grid import grid_size_error, half_width_error
 from .relations import SLACK_TOL, qubit_error_bound
 from .scenarios import (
@@ -292,7 +292,7 @@ def cmd_wasserstein(args) -> int:
     if args.oracle and max(mu.support.size, nu.support.size) > LP_MAX:
         print(f"--oracle takes at most {LP_MAX} support points per side", file=sys.stderr)
         return EXIT_UNKNOWN
-    value, coupling = w2_quantile(mu, nu)
+    value = w2_quantile(mu, nu)
     print(f"{value:.12g}")
     if args.oracle:
         oracle = w2_lp_oracle(mu, nu)
@@ -303,6 +303,7 @@ def cmd_wasserstein(args) -> int:
             return EXIT_NUMERIC
         print(f"oracle agrees: {oracle:.12g}", file=sys.stderr)
     if args.coupling:
+        coupling = quantile_coupling(mu, nu)
         try:
             coupling.check_marginals(mu, nu)
         except ValueError as exc:
@@ -366,7 +367,11 @@ def cmd_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_UNKNOWN
-    summary, ok = _run_check(args.relation, config)
+    try:
+        summary, ok = _run_check(args.relation, config)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"numerical failure in {args.relation}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     ok = bool(ok)
     payload = {
         "schema": SCHEMA,

@@ -2,9 +2,10 @@
 
 Two independent routes to the 2-deviation are kept deliberately separate:
 ``w2_quantile`` evaluates the comonotone (quantile) closed form exactly by
-merging cumulative breakpoints, while ``w2_lp_oracle`` solves the coupling
-linear program — with exact rational arithmetic up to 16 support points, a
-floating-point LP above that.
+merging cumulative breakpoints (``quantile_coupling`` returns the coupling
+itself), while ``w2_lp_oracle`` solves the coupling linear program — with
+exact rational arithmetic up to 16 support points, a floating-point LP above
+that.
 """
 
 from __future__ import annotations
@@ -199,16 +200,14 @@ class Coupling:
         return float(np.dot(self.weights, diff * diff))
 
 
-def w2_quantile(mu: Distribution, nu: Distribution) -> tuple[float, Coupling]:
-    """Wasserstein 2-deviation via the quantile (comonotone) construction.
+def _quantile_cells(mu: Distribution, nu: Distribution):
+    """Cells (i, j, w) of the staircase coupling of mu and nu.
 
-    The squared value is the integral of the squared quantile difference.
     Both quantile functions are constant between the merged cumulative
     breakpoints ``t``, so each interval (t[k-1], t[k]] of positive length is
-    one cell of the staircase coupling, at the atoms whose cumulative sums
-    first reach t[k].  The returned coupling attains the value and has at
-    most m+n-1 cells.  The stable sort merges the two sorted runs of
-    breakpoints, so time and memory are linear in m+n.
+    one cell, at the atoms whose cumulative sums first reach t[k]: at most
+    m+n-1 cells.  The stable sort merges the two sorted runs of breakpoints,
+    so time and memory are linear in m+n.
     """
     # Clamped to at most 1, so that a partial sum rounding above 1 cannot
     # become a breakpoint past the other side's last one.
@@ -219,10 +218,23 @@ def w2_quantile(mu: Distribution, nu: Distribution) -> tuple[float, Coupling]:
     w = t[1:] - t[:-1]
     keep = w > 0
     t, w = t[1:][keep], w[keep]
-    i, j = a.searchsorted(t), b.searchsorted(t)
+    return a.searchsorted(t), b.searchsorted(t), w
+
+
+def w2_quantile(mu: Distribution, nu: Distribution) -> float:
+    """Wasserstein 2-deviation via the quantile (comonotone) construction.
+
+    The squared value is the integral of the squared quantile difference,
+    the cost of the staircase coupling that ``quantile_coupling`` returns.
+    """
+    i, j, w = _quantile_cells(mu, nu)
     diff = mu.support[i] - nu.support[j]
-    cost = float(np.dot(w, diff * diff))
-    return math.sqrt(max(cost, 0.0)), Coupling(mu.support, nu.support, i, j, w)
+    return math.sqrt(max(float(np.dot(w, diff * diff)), 0.0))
+
+
+def quantile_coupling(mu: Distribution, nu: Distribution) -> Coupling:
+    """The staircase coupling of mu and nu; it attains ``w2_quantile``."""
+    return Coupling(mu.support, nu.support, *_quantile_cells(mu, nu))
 
 
 def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:

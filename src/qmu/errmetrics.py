@@ -5,7 +5,7 @@ The noise-operator error of an approximation is computed along four routes
 value-comparison bimeasure); they agree identically, which the test suite
 enforces on randomized scenario batches.  Distribution errors are built on
 the Wasserstein machinery: state-wise deviation, worst case over states, and
-calibration over near-eigenstate preparations.
+calibration as the eps -> 0 limit over near-eigenstate preparations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .distributions import Distribution, w2_quantile
+from .distributions import w2_quantile
 from .observables import (
     TOL_COMMUTE,
     BiProbabilityTable,
@@ -35,7 +35,7 @@ from .schemes import Instrument, MeasurementScheme, distorted_observable
 
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
 PURITY_TOL = 1e-10
-DEFAULT_SCHEDULE = tuple(0.5**k for k in range(11))  # 1, 1/2, ..., 2^-10
+SHARED_BASIS_TRIES = 4  # weight vectors tried on effects that commute
 STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the search
 EIG_CHUNK_ENTRIES = 2**18  # matrix entries per stacked eigvalsh call (4 MB complex)
 
@@ -170,7 +170,7 @@ def value_comparison_eps(a: SharpObservable, c: Observable, rho) -> ValueCompari
     """
     table = product_biobservable(a, c, rho)
     value = math.sqrt(max(table.value_deviation_squared(), 0.0))
-    w2, _ = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
+    w2 = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
     return ValueComparison(value, table.commuting, table, w2)
 
 
@@ -240,7 +240,7 @@ def worst_case_deviation(dist_a, dist_b, dim: int, policy: StateSearchPolicy = S
     rng = np.random.default_rng(policy.seed)
 
     def objective(psi):
-        return w2_quantile(dist_a(psi), dist_b(psi))[0]
+        return w2_quantile(dist_a(psi), dist_b(psi))
 
     candidates = [np.asarray(s, dtype=complex).reshape(-1) for s in extra_states]
     candidates += [opalg.haar_state(dim, rng) for _ in range(policy.samples)]
@@ -288,18 +288,26 @@ def qubit_worst_case_closed_form(a: Observable, c: Observable) -> float | None:
 def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis (columns) diagonalising every effect, or None.
 
-    The candidate is the eigenbasis of one generic real combination of the
+    The candidate is the eigenbasis of a generic real combination of the
     effects; it is accepted only when every effect is diagonal in it to
     ``TOL_COMMUTE``.  Fixed pseudo-random weights keep the combination's
-    eigenvalues simple wherever the effects tell basis states apart.
+    eigenvalues simple wherever the effects tell basis states apart.  A
+    combination can still be nearly degenerate by accident, which leaves its
+    eigenbasis ill-conditioned; while every effect commutes with the
+    combination, the next of ``SHARED_BASIS_TRIES`` weight vectors is tried.
     """
-    weights = np.random.default_rng(0).uniform(1.0, 2.0, effects.shape[0])
-    _, basis = np.linalg.eigh(np.einsum("k,kij->ij", weights, effects))
-    rotated = np.einsum("ia,kij,jb->kab", basis.conj(), effects, basis)
-    off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
-    if np.linalg.norm(off_diagonal, axis=(1, 2)).max() > TOL_COMMUTE:
-        return None
-    return basis
+    rng = np.random.default_rng(0)
+    for _ in range(SHARED_BASIS_TRIES):
+        combination = np.einsum("k,kij->ij", rng.uniform(1.0, 2.0, effects.shape[0]), effects)
+        _, basis = np.linalg.eigh(combination)
+        rotated = np.einsum("ia,kij,jb->kab", basis.conj(), effects, basis)
+        off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
+        if np.linalg.norm(off_diagonal, axis=(1, 2)).max() <= TOL_COMMUTE:
+            return basis
+        commutators = effects @ combination - combination @ effects
+        if np.linalg.norm(commutators, axis=(1, 2)).max() > TOL_COMMUTE:
+            return None
+    return None
 
 
 def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +355,7 @@ def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> Wo
     """
     best_val, best_state = -1.0, None
     for psi in basis.T:
-        val = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))[0]
+        val = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
         if val > best_val:
             best_val, best_state = val, psi
     return WorstCaseResult(value=best_val, state=best_state, exact=True)
@@ -372,7 +380,7 @@ def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
         top[lo:lo + chunk] = np.linalg.eigvalsh(stack)[:, -1]
     best = (coeffs[int(np.argmax(top))] @ effects).reshape(d, d)
     psi = opalg.eig_hermitian(0.5 * (best + best.conj().T))[1][:, -1]
-    value = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))[0]
+    value = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
     return WorstCaseResult(value=value, state=psi, exact=True)
 
 
@@ -411,128 +419,31 @@ def w2_observables_worst(a: Observable, c: Observable,
 
 
 @dataclass(frozen=True)
-class CalibrationFamily:
-    """Candidate preparations attached to one target value y.
-
-    ``exact`` holds approximator distributions at states where the target is
-    point-valued at y; ``perturbed`` holds (target, approximator)
-    distribution pairs of admissible perturbing states.
-    """
-
-    y: float
-    exact: tuple
-    perturbed: tuple
-    span: float  # max |x - y| over target outcomes, for mixing weights
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     value: float
-    schedule: tuple  # ((eps, sup), ...) decreasing in eps
-
-    @property
-    def converged_within(self) -> float:
-        return abs(self.schedule[-1][1] - self.value)
+    state: np.ndarray  # unit vector in the target eigenspace attaining the value
 
 
-def _family_sups(fam: CalibrationFamily, eps: np.ndarray) -> np.ndarray:
-    """Near-eigenstate suprema of one family at every schedule step eps[k]."""
-    sups = np.zeros(eps.size)
-    for c_dist in fam.exact:
-        # max over reference points y' in [y - eps, y + eps] of Delta(c, delta_y')
-        for ref in (fam.y - eps, fam.y + eps):
-            dev2 = np.sum((c_dist.support - ref[:, None]) ** 2 * c_dist.probs, axis=1)
-            sups = np.maximum(sups, np.sqrt(dev2))
-    # Means and second moments of the exact states and of the perturbing pairs.
-    base = np.array([(c.mean, c.moment(2)) for c in fam.exact]).reshape(-1, 2)
-    pert = np.array(
-        [(e.mean, e.moment(2), c.mean, c.moment(2)) for e, c in fam.perturbed]
-    ).reshape(-1, 4)
-    if not (base.size and pert.size):
-        return sups
-    span2 = max(fam.span, 1e-12) ** 2
-    # Mixing weights from every schedule step not exceeding eps keep the
-    # candidate sets nested, so the schedule is monotone by construction
-    # (Delta(E_mix, delta_y)^2 <= w * span^2 <= eps^2).
-    w = np.minimum(1.0, eps**2 / span2)
-    allowed = eps[None, :] <= eps[:, None] + 1e-15
-    # Axes: (schedule step, perturber, exact base state, mixing weight).
-    eps2 = (eps**2)[:, None, None, None]
-    e_mean = w * pert[:, 0, None, None] + (1 - w) * fam.y
-    e_second = w * pert[:, 1, None, None] + (1 - w) * fam.y**2
-    e_var = np.maximum(e_second - e_mean**2, 0.0)
-    # admissible reference points y': var + (mean - y')^2 <= eps^2
-    s = np.sqrt(np.maximum(eps2 - e_var, 0.0))
-    lo, hi = e_mean - s, e_mean + s
-    c_mean = w * pert[:, 2, None, None] + (1 - w) * base[None, :, 0, None]
-    c_second = w * pert[:, 3, None, None] + (1 - w) * base[None, :, 1, None]
-    far = np.where(np.abs(c_mean - lo) > np.abs(c_mean - hi), lo, hi)
-    val2 = c_second - 2 * far * c_mean + far**2
-    admissible = (e_var <= eps2) & allowed[:, None, None, :]
-    val2 = np.where(admissible, val2, 0.0).max(axis=(1, 2, 3))
-    return np.maximum(sups, np.sqrt(np.maximum(val2, 0.0)))
+def calibration_error(a: SharpObservable, c: Observable) -> CalibrationResult:
+    """Calibration error of c against the sharp target a, in closed form.
 
-
-def calibration_from_families(families, schedule=DEFAULT_SCHEDULE) -> CalibrationResult:
-    """Calibration error: limit over the eps-schedule of near-eigenstate suprema.
-
-    The reported value is the exact eps -> 0 limit (point-valued target
-    preparations); the schedule values additionally mix in admissible
-    perturbations and exploit the allowed reference-point slack, so they
-    decrease monotonically onto the limit.
+    As eps -> 0 the states with Delta(A_rho, delta_y) <= eps shrink onto the
+    eigenspace P_y, so the limit is sqrt(max_y lambda_max(V^dag D_y V)) with
+    D_y = sum_x (x - y)^2 C(x) and V an orthonormal basis of P_y.  The top
+    eigenvector, mapped back by V, is the witness state.
     """
-    eps = np.asarray(schedule, dtype=float)
-    limit = 0.0
-    sups = np.zeros(eps.size)
-    for fam in families:
-        for c_dist in fam.exact:
-            limit = max(limit, c_dist.deviation_from_point(fam.y))
-        sups = np.maximum(sups, _family_sups(fam, eps))
-    sched = tuple(zip(schedule, sups.tolist()))
-    for (_, v1), (_, v2) in zip(sched, sched[1:]):
-        if v2 > v1 + 1e-9:
-            raise AssertionError("calibration schedule is not monotone decreasing")
-    return CalibrationResult(value=limit, schedule=sched)
-
-
-def dense_calibration_families(a: SharpObservable, c: Observable,
-                               policy: StateSearchPolicy = StateSearchPolicy(),
-                               perturbations: int = 8):
-    """Families for a dense sharp target: eigenspace states plus Haar perturbers.
-
-    On an eigenspace of dimension above one, the top eigenvector of the
-    compressed squared deviation V^dag (sum_x (x-y)^2 C(x)) V joins the basis
-    states; it attains the eps -> 0 limit over that eigenspace.
-    """
-    rng = np.random.default_rng(policy.seed)
-    span_all = float(np.max(np.abs(a.outcomes[:, None] - a.outcomes[None, :])))
-    families = []
-    for k, y in enumerate(a.outcomes):
-        evals, evecs = opalg.eig_hermitian(a.effects[k])
-        basis = evecs[:, evals > 0.5]
-        states = list(basis.T)
-        if basis.shape[1] > 1:
-            deviation = np.einsum("x,xij->ij", (c.outcomes - y) ** 2, c.effects)
-            compressed = basis.conj().T @ deviation @ basis
-            _, vecs = opalg.eig_hermitian(0.5 * (compressed + compressed.conj().T))
-            states.append(basis @ vecs[:, -1])
-        exact = tuple(distribution_of_pure(c, s) for s in states)
-        pert = []
-        for _ in range(perturbations):
-            psi = opalg.haar_state(a.dim, rng)
-            pert.append((distribution_of_pure(a, psi), distribution_of_pure(c, psi)))
-        span = max(abs(x - y) for x in a.outcomes) if a.n_outcomes > 1 else span_all
-        families.append(CalibrationFamily(float(y), exact, tuple(pert), float(span)))
-    return families
-
-
-def calibration_error(a: SharpObservable, c: Observable,
-                      policy: StateSearchPolicy = StateSearchPolicy(),
-                      schedule=DEFAULT_SCHEDULE) -> CalibrationResult:
-    """Calibration error of c against the sharp target a (dense case)."""
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
-    return calibration_from_families(dense_calibration_families(a, c, policy), schedule)
+    best, witness = -np.inf, None
+    for y, proj in zip(a.outcomes, a.effects):
+        evals, evecs = opalg.eig_hermitian(proj)
+        basis = evecs[:, evals > 0.5]
+        deviation = np.einsum("x,xij->ij", (c.outcomes - y) ** 2, c.effects)
+        compressed = basis.conj().T @ deviation @ basis
+        top, vecs = opalg.eig_hermitian(0.5 * (compressed + compressed.conj().T))
+        if top[-1] > best:
+            best, witness = top[-1], basis @ vecs[:, -1]
+    return CalibrationResult(value=opalg.sqrt_clamped(float(best)), state=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +463,7 @@ class ErrorReport:
     intrinsic_noise_expectation: float
     w2_worst_exact: bool = False
     witness_state: np.ndarray | None = field(default=None, compare=False)
+    calibration_witness: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.eps_no < 0 or self.w2_state < 0:
@@ -570,9 +482,9 @@ def error_report(a, c: Observable, rho,
     a_sharp = spectral_measure(a)
     rho = np.asarray(rho, dtype=complex)
     eps = eps_no_from_moments(a, c, rho)
-    w2_state, _ = w2_quantile(distribution_of(a_sharp, rho), distribution_of(c, rho))
+    w2_state = w2_quantile(distribution_of(a_sharp, rho), distribution_of(c, rho))
     worst = w2_observables_worst(a_sharp, c, policy)
-    calib = calibration_error(a_sharp, c, policy)
+    calib = calibration_error(a_sharp, c)
     m1 = moment_operator(c, 1)
     bias = expectation(m1 - a, rho)
     noise = expectation(intrinsic_noise(c), rho)
@@ -585,4 +497,5 @@ def error_report(a, c: Observable, rho,
         intrinsic_noise_expectation=noise,
         w2_worst_exact=worst.exact,
         witness_state=worst.state,
+        calibration_witness=calib.state,
     )

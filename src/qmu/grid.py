@@ -181,14 +181,6 @@ def apply_oscillator(grid: GridSystem, psi) -> np.ndarray:
     return kinetic + 0.5 * grid.positions**2 * psi - 0.5 * psi
 
 
-def operator_moment(grid: GridSystem, apply_op, psi, n: int = 1) -> float:
-    """<psi| O^n |psi> for a Hermitian grid operator given by its action."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    for _ in range(n):
-        vec = apply_op(grid, vec)
-    return float(grid.inner(psi, vec).real)
-
-
 def phase_space_marginals(grid: GridSystem, tau) -> tuple[Distribution, Distribution]:
     """Position/momentum marginals of the covariant measurement generated by tau.
 
@@ -228,36 +220,6 @@ def basis_states(grid: GridSystem, count: int = 16) -> list[np.ndarray]:
         vec[j] = 1.0 / math.sqrt(grid.dx)
         out.append(vec)
     return out
-
-
-def smeared_position_calibration_families(grid: GridSystem, mu: Distribution,
-                                          seed: int = 0, subsample: int = 64,
-                                          perturbations: int = 4):
-    """Calibration families for sharp position vs its mu-smearing.
-
-    Position eigenspaces are one-dimensional, so the exact candidates are the
-    basis states (approximator distribution: mu translated to the eigenvalue);
-    random grid states supply the admissible perturbations.
-    """
-    from .errmetrics import CalibrationFamily
-
-    rng = np.random.default_rng(seed)
-    pert_pairs = []
-    for _ in range(perturbations):
-        v = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        psi = grid.normalize(v)
-        pos = position_distribution(grid, psi)
-        pert_pairs.append((pos, convolve(mu, pos)))
-    xs = grid.positions
-    families = []
-    step = max(1, grid.n // subsample)
-    for j in range(0, grid.n, step):
-        y = float(xs[j])
-        span = max(abs(float(xs[0]) - y), abs(float(xs[-1]) - y))
-        families.append(
-            CalibrationFamily(y, (mu.translate(y),), tuple(pert_pairs), span)
-        )
-    return families
 
 
 # ---------------------------------------------------------------------------

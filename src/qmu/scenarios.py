@@ -216,7 +216,7 @@ def _run_qubit_triple(params: dict, config: RunConfig) -> ScenarioOutcome:
     g = 2 - math.sqrt(2)
     moment_target = 0.5 * g * (SIGMA_X - SIGMA_Y)
     noise_target = 2 * (1 - g) * 0.5 * (np.eye(2) + (SIGMA_X + SIGMA_Y) / np.sqrt(2))
-    w2, _ = w2_quantile(
+    w2 = w2_quantile(
         distribution_of(spectral_measure(a), rho0), distribution_of(triple, rho0)
     )
     rep = error_report(a, triple, rho0, StateSearchPolicy(seed=config.seed))
@@ -254,7 +254,7 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
     policy = StateSearchPolicy(seed=config.seed)
     eps = eps_no_from_moments(SIGMA_Z, c, rho)
     worst = w2_observables_worst(a_sharp, c, policy)
-    calib = calibration_error(a_sharp, c, policy)
+    calib = calibration_error(a_sharp, c)
     noise = expectation(intrinsic_noise(c), rho)
     decomposition_residual = abs(eps**2 - noise - 0.25 * worst.value**4)
     target = math.sqrt(2 * (1 - gamma))
@@ -262,7 +262,6 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
         "eps_no": eps,
         "w2_worst": worst.value,
         "calibration": calib.value,
-        "calibration_schedule_gap": calib.converged_within,
         "decomposition_residual": decomposition_residual,
         "smearing_equality_residual": abs(eps - worst.value),
     }
@@ -318,15 +317,15 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
     b_sharp = spectral_measure(b)
     db, dbs = distribution_of(b_sharp, rho), distribution_of(b_sharp, sigma)
     approx = induced_observable(scheme)
-    w2_approx, _ = w2_quantile(da, distribution_of(approx, rho))
+    w2_approx = w2_quantile(da, distribution_of(approx, rho))
     if kind == "identity-scheme":
         eps_target = math.sqrt(da.variance + ds.variance + (da.mean - ds.mean) ** 2)
         eta_target, w2_dist = 0.0, 0.0
-        w2_approx_target, _ = w2_quantile(da, ds)
+        w2_approx_target = w2_quantile(da, ds)
     else:
         eps_target, w2_approx_target = 0.0, 0.0
         eta_target = math.sqrt(db.variance + dbs.variance + (db.mean - dbs.mean) ** 2)
-        w2_dist, _ = w2_quantile(db, dbs)  # disturbed distribution is B_sigma
+        w2_dist = w2_quantile(db, dbs)  # disturbed distribution is B_sigma
     naive = naive_product_verdict(eps, eta, comm)
     ozawa = ozawa_verdict(*figures)
     branciard = branciard_verdict(*figures)
@@ -399,7 +398,7 @@ def _run_von_neumann(params: dict, config: RunConfig) -> ScenarioOutcome:
     from .distributions import convolve
 
     conv = convolve(mu, position_distribution(obj, psi))
-    w2_conv, _ = w2_quantile(measured, conv)
+    w2_conv = w2_quantile(measured, conv)
     values = {
         "eps_scheme": eps_scheme,
         "eps_moment": eps_moment,
@@ -439,7 +438,7 @@ def _run_oscillator_shift(params: dict, config: RunConfig) -> ScenarioOutcome:
     from .distributions import make_distribution
 
     dist_c = make_distribution(evals, weights)
-    w2, _ = w2_quantile(position_distribution(grid, psi), dist_c)
+    w2 = w2_quantile(position_distribution(grid, psi), dist_c)
     values = {"eps_no": eps, "w2_state": w2}
     expected = [
         ExpectedValue("eps_no", 0.0, 1e-8, "closed-form"),

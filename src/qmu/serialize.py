@@ -2,7 +2,8 @@
 
 Complex entries encode as two-element arrays [re, im]; matrices as row-major
 nested arrays.  Distributions travel as two-column CSV (value, probability).
-Infinite report fields encode as the string "inf".
+Non-finite report fields encode as the strings "inf", "-inf" and "nan", so
+every report is strict JSON.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ def decode_matrix(data) -> np.ndarray:
 
 
 def encode_float(x: float):
-    if math.isinf(x):
-        return "inf"
-    return float(x)
+    if math.isfinite(x):
+        return float(x)
+    return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
 
 
 def encode_vector(v) -> list:
@@ -117,11 +118,13 @@ def report_to_json(rep: ErrorReport) -> dict:
     }
     if rep.witness_state is not None:
         out["witness_state"] = encode_vector(rep.witness_state)
+    if rep.calibration_witness is not None:
+        out["calibration_witness_state"] = encode_vector(rep.calibration_witness)
     return out
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,16 @@ import numpy as np
 
 from qmu import opalg
 from qmu.cli import main as cli_main
-from qmu.distributions import Distribution, cauchy_schwarz_bounds, w2_lp_oracle, w2_quantile
+from qmu.distributions import (
+    Distribution,
+    cauchy_schwarz_bounds,
+    quantile_coupling,
+    w2_lp_oracle,
+    w2_quantile,
+)
 from qmu.errmetrics import (
     StateSearchPolicy,
     calibration_error,
-    calibration_from_families,
     eps_no_from_moments,
     eps_no_from_scheme,
     qubit_worst_case_closed_form,
@@ -31,7 +36,7 @@ from qmu.grid import (
     gaussian_state,
     ground_state,
     phase_space_marginals,
-    smeared_position_calibration_families,
+    position_observable,
     smeared_position_maps,
 )
 from qmu.observables import (
@@ -127,7 +132,8 @@ def test_criterion_4_wasserstein_engine():
 
         for _ in range(1000):
             mu, nu = random_dist(), random_dist()
-            val, coupling = w2_quantile(mu, nu)
+            val = w2_quantile(mu, nu)
+            coupling = quantile_coupling(mu, nu)
             assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
             coupling.check_marginals(mu, nu)
             lower, upper = cauchy_schwarz_bounds(mu, nu)
@@ -136,13 +142,13 @@ def test_criterion_4_wasserstein_engine():
         batch = [random_dist() for _ in range(30)]
         for i in range(0, 30, 3):
             a, b, c = batch[i], batch[i + 1], batch[i + 2]
-            dab, _ = w2_quantile(a, b)
-            dba, _ = w2_quantile(b, a)
-            dac, _ = w2_quantile(a, c)
-            dcb, _ = w2_quantile(c, b)
+            dab = w2_quantile(a, b)
+            dba = w2_quantile(b, a)
+            dac = w2_quantile(a, c)
+            dcb = w2_quantile(c, b)
             assert abs(dab - dba) < 1e-9
             assert dab <= dac + dcb + 1e-9
-            assert w2_quantile(a, a)[0] == 0.0
+            assert w2_quantile(a, a) == 0.0
         # smearing distance on qubit and grid instances
         mu = Distribution([-0.4, 0.1, 0.6], [0.25, 0.5, 0.25])
         a_sharp = spectral_measure(SIGMA_Z)
@@ -253,14 +259,12 @@ def test_criterion_8_calibration_limits():
             a = spectral_measure(SIGMA_Z)
             c = BlochObservable(1.0, np.array([0.0, 0.0, gamma])).to_observable()
             res = calibration_error(a, c)
-            assert abs(res.value - math.sqrt(2 * (1 - gamma))) < 1e-6
-            sups = [v for _, v in res.schedule]
-            assert all(x >= y - 1e-9 for x, y in zip(sups, sups[1:]))
-        grid = GridSystem(512, 12.0)
+            assert abs(res.value - math.sqrt(2 * (1 - gamma))) < 1e-12
+        grid = GridSystem(64, 8.0)
         mu = Distribution([-0.6, 0.0, 0.4], [0.3, 0.4, 0.3])
-        families = smeared_position_calibration_families(grid, mu, subsample=64)
-        res = calibration_from_families(families)
-        assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-3
+        q = position_observable(grid)
+        res = calibration_error(q, smear(q, mu))
+        assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-12
 
 
 def test_criterion_9_deterministic_reports(tmp_path, capsys):

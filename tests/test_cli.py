@@ -11,6 +11,8 @@ from qmu.cli import CHECK_RELATIONS, main
 from qmu.distributions import Distribution
 from qmu.serialize import (
     decode_matrix,
+    dumps_json,
+    encode_float,
     encode_matrix,
     observable_from_json,
     observable_to_json,
@@ -187,6 +189,41 @@ assert "scipy.optimize" not in sys.modules
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=_src_env(), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_check_numerical_failure_exits_3(capsys):
+    # A grid far narrower than the Gaussian states raises GridAliasingError.
+    code, out, err = run_cli(capsys, "--grid-L", "1e-300", "check", "phase-space")
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "phase-space" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--grid-L", "1e300", "check", "phase-space"),
+     ("--grid-L", "1e300", "scenario", "run", "husimi-saturation")],
+    ids=["check-phase-space", "scenario-husimi-saturation"],
+)
+def test_non_finite_values_are_strict_json(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert data["passed"] is False
+    assert '"nan"' in out
+
+
+def test_encode_float_non_finite():
+    assert encode_float(float("nan")) == "nan"
+    assert encode_float(float("inf")) == "inf"
+    assert encode_float(-float("inf")) == "-inf"
+    assert encode_float(-2.5) == -2.5
+    with pytest.raises(ValueError):
+        dumps_json({"x": float("nan")})
 
 
 @pytest.mark.parametrize("relation, budget", [("ozawa", "0"), ("unbiased", "-5")])

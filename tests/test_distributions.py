@@ -11,6 +11,7 @@ from qmu.distributions import (
     make_distribution,
     merge_groups,
     merge_outcomes,
+    quantile_coupling,
     w2_lp_oracle,
     w2_quantile,
 )
@@ -26,7 +27,8 @@ def random_distribution(rng, max_support=10, span=4.0):
 
 
 def test_point_measures():
-    val, coupling = w2_quantile(delta(1.5), delta(-2.0))
+    val = w2_quantile(delta(1.5), delta(-2.0))
+    coupling = quantile_coupling(delta(1.5), delta(-2.0))
     assert abs(val - 3.5) < 1e-15
     coupling.check_marginals(delta(1.5), delta(-2.0))
 
@@ -35,14 +37,15 @@ def test_translation_distance():
     rng = np.random.default_rng(1)
     mu = random_distribution(rng)
     nu = mu.translate(0.7)
-    val, _ = w2_quantile(mu, nu)
+    val = w2_quantile(mu, nu)
     assert abs(val - 0.7) < 1e-12
 
 
 def test_point_vs_two_point():
     # Unique product coupling with a point measure: cost = 0.5*(0-0)^2 + 0.5*(2-0)^2 = 2.
     nu = Distribution([0.0, 2.0], [0.5, 0.5])
-    val, coupling = w2_quantile(delta(0.0), nu)
+    val = w2_quantile(delta(0.0), nu)
+    coupling = quantile_coupling(delta(0.0), nu)
     assert abs(val**2 - 2.0) < 1e-14
     coupling.check_marginals(delta(0.0), nu)
 
@@ -51,7 +54,8 @@ def test_coupling_attains_value():
     rng = np.random.default_rng(2)
     for _ in range(50):
         mu, nu = random_distribution(rng), random_distribution(rng)
-        val, coupling = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
+        coupling = quantile_coupling(mu, nu)
         coupling.check_marginals(mu, nu)
         assert abs(coupling.cost() - val**2) < 1e-12
 
@@ -62,7 +66,7 @@ def test_quantile_matches_exact_lp():
     for _ in range(200):
         mu = random_distribution(rng, max_support=3)
         nu = random_distribution(rng, max_support=3)
-        val, _ = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
         assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
 
 
@@ -73,7 +77,7 @@ def test_lp_oracle_float_path():
         nu = random_distribution(rng, max_support=30)
         if mu.support.size <= 16 and nu.support.size <= 16:
             continue
-        val, _ = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
         assert abs(val - w2_lp_oracle(mu, nu)) < 1e-8
 
 
@@ -87,7 +91,7 @@ def test_lp_oracle_scale_guard():
 def test_identical_distributions_zero():
     rng = np.random.default_rng(5)
     mu = random_distribution(rng)
-    assert w2_quantile(mu, mu)[0] == 0.0
+    assert w2_quantile(mu, mu) == 0.0
     assert w2_lp_oracle(mu, mu) < 1e-12
 
 
@@ -95,26 +99,26 @@ def test_metric_axioms():
     rng = np.random.default_rng(6)
     for _ in range(100):
         mu, nu, rho = (random_distribution(rng) for _ in range(3))
-        dmn, _ = w2_quantile(mu, nu)
-        dnm, _ = w2_quantile(nu, mu)
+        dmn = w2_quantile(mu, nu)
+        dnm = w2_quantile(nu, mu)
         assert abs(dmn - dnm) < 1e-9
-        dmr, _ = w2_quantile(mu, rho)
-        drn, _ = w2_quantile(rho, nu)
+        dmr = w2_quantile(mu, rho)
+        drn = w2_quantile(rho, nu)
         assert dmn <= dmr + drn + 1e-9
     # identity of indiscernibles
     mu = random_distribution(rng)
     shifted = mu.translate(1e-3)
-    assert w2_quantile(mu, shifted)[0] > 0
+    assert w2_quantile(mu, shifted) > 0
 
 
 def test_scale_covariance_and_translation_invariance():
     rng = np.random.default_rng(7)
     mu, nu = random_distribution(rng), random_distribution(rng)
-    base, _ = w2_quantile(mu, nu)
+    base = w2_quantile(mu, nu)
     for lam in (0.5, 2.0, 3.7):
-        scaled, _ = w2_quantile(mu.scale(lam), nu.scale(lam))
+        scaled = w2_quantile(mu.scale(lam), nu.scale(lam))
         assert abs(scaled - lam * base) < 1e-9
-    shifted, _ = w2_quantile(mu.translate(2.2), nu.translate(2.2))
+    shifted = w2_quantile(mu.translate(2.2), nu.translate(2.2))
     assert abs(shifted - base) < 1e-12
 
 
@@ -123,7 +127,7 @@ def test_cauchy_schwarz_sandwich_random():
     attain_failures = 0
     for _ in range(300):
         mu, nu = random_distribution(rng), random_distribution(rng)
-        val, _ = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
         lower, upper = cauchy_schwarz_bounds(mu, nu)
         assert val**2 >= lower - 1e-9
         assert val**2 <= upper + 1e-9
@@ -226,7 +230,8 @@ def test_staircase_zero_probability_atoms():
         (Distribution([0.0, 1.0], [0.0, 1.0]), Distribution([5.0, 6.0], [1.0, 0.0])),
     ]
     for mu, nu in cases:
-        val, coupling = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
+        coupling = quantile_coupling(mu, nu)
         assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
         assert_staircase(mu, nu, val, coupling)
         assert np.all(mu.probs[coupling.rows] > 0) and np.all(nu.probs[coupling.cols] > 0)
@@ -240,7 +245,8 @@ def test_staircase_cumulative_overshoot():
     mu = Distribution(np.linspace(-3.0, 3.0, 257), probs)
     nu = Distribution([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])
     for a, b in ((mu, nu), (nu, mu)):
-        val, coupling = w2_quantile(a, b)
+        val = w2_quantile(a, b)
+        coupling = quantile_coupling(a, b)
         assert abs(val - quantile_integral(a, b)) < 1e-12
         assert_staircase(a, b, val, coupling)
 
@@ -252,7 +258,8 @@ def test_staircase_single_points_and_unequal_sizes():
             Distribution(np.sort(rng.uniform(-4, 4, k)), rng.dirichlet(np.ones(k)))
             for k in (m, n)
         )
-        val, coupling = w2_quantile(mu, nu)
+        val = w2_quantile(mu, nu)
+        coupling = quantile_coupling(mu, nu)
         assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
         assert_staircase(mu, nu, val, coupling)
         if min(m, n) == 1:
@@ -264,12 +271,13 @@ def test_staircase_large_supports():
     k = 16384
     mu = Distribution(np.sort(rng.normal(0.0, 1.0, k)), rng.dirichlet(np.ones(k)))
     nu = Distribution(np.sort(rng.normal(0.4, 1.3, k)), rng.dirichlet(np.ones(k)))
-    val, coupling = w2_quantile(mu, nu)
+    val = w2_quantile(mu, nu)
+    coupling = quantile_coupling(mu, nu)
     assert coupling.weights.size <= 2 * k - 1
     coupling.check_marginals(mu, nu, tol=1e-9)
     assert abs(coupling.cost() - val**2) <= 1e-12 * val**2
     assert abs(val - quantile_integral(mu, nu)) <= 1e-12 * val
-    shifted, _ = w2_quantile(mu, mu.translate(-0.7))
+    shifted = w2_quantile(mu, mu.translate(-0.7))
     assert abs(shifted - 0.7) < 1e-12
 
 
@@ -294,7 +302,8 @@ def finite_distributions(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(finite_distributions(), finite_distributions())
 def test_property_quantile_equals_lp_and_bounds(mu, nu):
-    val, coupling = w2_quantile(mu, nu)
+    val = w2_quantile(mu, nu)
+    coupling = quantile_coupling(mu, nu)
     assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
     coupling.check_marginals(mu, nu)
     lower, upper = cauchy_schwarz_bounds(mu, nu)
@@ -304,7 +313,7 @@ def test_property_quantile_equals_lp_and_bounds(mu, nu):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(finite_distributions())
 def test_property_self_distance_zero(mu):
-    assert w2_quantile(mu, mu)[0] == 0.0
+    assert w2_quantile(mu, mu) == 0.0
 
 
 def test_std_minimizes_point_deviation():

@@ -11,7 +11,6 @@ from qmu.errmetrics import (
     StateSearchPolicy,
     bloch_parameters,
     calibration_error,
-    calibration_from_families,
     constant_bias,
     eps_no_from_moments,
     eps_no_from_scheme,
@@ -34,7 +33,6 @@ from qmu.grid import (
     basis_states,
     ground_state,
     position_observable,
-    smeared_position_calibration_families,
     smeared_position_maps,
 )
 from qmu.observables import (
@@ -42,6 +40,7 @@ from qmu.observables import (
     Observable,
     SharpObservable,
     distribution_of,
+    distribution_of_pure,
     moment_operator,
     qubit_triple,
     smear,
@@ -450,7 +449,7 @@ def test_worst_case_exact_on_random_noncommuting_pairs():
         )
         assert res.value >= searched.value - 1e-12
         rho = opalg.projector(res.state)
-        at_witness, _ = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
+        at_witness = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
         assert abs(at_witness - res.value) < 1e-9
         assert abs(res.value - math.sqrt(staircase_sup_reference(a, c))) < 1e-9
 
@@ -468,6 +467,25 @@ def test_worst_case_common_basis_matches_enumeration():
     assert common.exact and enumerated.exact
     assert abs(common.value - enumerated.value) < 1e-12
     assert abs(common.value - math.sqrt(mu.moment(2))) < 1e-12
+
+
+def test_shared_eigenbasis_survives_a_nearly_degenerate_combination():
+    # Commuting effects whose first weighted combination has two eigenvalues
+    # 1e-9 apart: its eigenbasis mixes them beyond TOL_COMMUTE, so a later
+    # weight vector must find the shared basis.
+    rng = np.random.default_rng(25)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, 3)
+    diagonals = rng.uniform(0.0, 1.0, (3, 4))
+    diagonals[2, 1] += (weights @ diagonals[:, 0] + 1e-9 - weights @ diagonals[:, 1]) / weights[2]
+    effects = np.stack([(u * diag) @ u.conj().T for diag in diagonals])
+    _, first = np.linalg.eigh(np.einsum("k,kij->ij", weights, effects))
+    mixed = np.einsum("ia,kij,jb->kab", first.conj(), effects, first) * (1 - np.eye(4))
+    assert np.linalg.norm(mixed, axis=(1, 2)).max() > errmetrics.TOL_COMMUTE
+    basis = shared_eigenbasis(effects)
+    assert basis is not None
+    rotated = np.einsum("ia,kij,jb->kab", basis.conj(), effects, basis)
+    assert np.linalg.norm(rotated * (1 - np.eye(4)), axis=(1, 2)).max() <= errmetrics.TOL_COMMUTE
 
 
 def test_worst_case_falls_back_to_search_above_tree_limit(monkeypatch):
@@ -497,12 +515,7 @@ def test_calibration_qubit_smearing_closed_form():
         a = spectral_measure(SIGMA_Z)
         c = BlochObservable(1.0, np.array([0.0, 0.0, gamma])).to_observable()
         res = calibration_error(a, c)
-        assert abs(res.value - math.sqrt(2 * (1 - gamma))) < 1e-6
-        # schedule decreases onto the limit
-        sups = [v for _, v in res.schedule]
-        assert all(x >= y - 1e-9 for x, y in zip(sups, sups[1:]))
-        assert sups[-1] >= res.value - 1e-9
-        assert sups[-1] - res.value < 5e-3
+        assert abs(res.value - math.sqrt(2 * (1 - gamma))) < 1e-12
 
 
 def test_calibration_perfect_approximator_zero():
@@ -541,11 +554,70 @@ def test_calibration_degenerate_target_exact_limit():
 
 
 def test_calibration_grid_smearing():
-    grid = GridSystem(256, 10.0)
+    grid = GridSystem(64, 8.0)
     mu = Distribution([-0.5, 0.0, 0.5], [0.25, 0.5, 0.25])
-    families = smeared_position_calibration_families(grid, mu, subsample=32)
-    res = calibration_from_families(families)
-    assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-3
+    q = position_observable(grid)
+    res = calibration_error(q, smear(q, mu))
+    assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-12
+
+
+def random_sharp_target(rng, d, values):
+    """Sharp target with the given eigenvalue list and its eigenvector matrix."""
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    values = np.asarray(values, dtype=float)
+    return spectral_measure(u @ np.diag(values) @ u.conj().T), u, values
+
+
+def calibration_pairs():
+    """Seeded (target, approximator, eigenvectors, eigenvalues) pairs, many degenerate."""
+    rng = np.random.default_rng(31)
+    spectra = [
+        [-1.0, 1.0], [-0.5, 0.2, 1.1], [-1.0, -1.0, 1.0], [0.3, 0.3, 0.3, -0.7],
+        [-0.8, -0.8, -0.8, 1.3, 1.3, 1.3], [-1.2, -0.4, 0.1, 0.6, 0.9, 1.7],
+        [0.5, 0.5, -0.5, -0.5, 2.0, 2.0],
+    ]
+    for k in range(21):
+        values = spectra[k % len(spectra)]
+        a, u, vals = random_sharp_target(rng, len(values), values)
+        if k % 3 == 2:
+            c = smear(a, Distribution([-0.3, 0.0, 0.5], [0.2, 0.5, 0.3]))
+        else:
+            c = random_povm(len(values), int(rng.integers(2, 5)), rng)
+        yield a, c, u, vals
+
+
+def test_calibration_closed_form_on_random_pairs():
+    rng = np.random.default_rng(32)
+    for a, c, u, vals in calibration_pairs():
+        res = calibration_error(a, c)
+        top, sampled = 0.0, 0.0
+        for y in np.unique(vals):
+            basis = u[:, np.isclose(vals, y)]
+            dev = sum((x - y) ** 2 * eff for x, eff in zip(c.outcomes, c.effects))
+            top = max(top, np.linalg.eigvalsh(basis.conj().T @ dev @ basis)[-1])
+            for _ in range(200):
+                z = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+                psi = basis @ (z / np.linalg.norm(z))
+                sampled = max(sampled, distribution_of_pure(c, psi).deviation_from_point(y))
+        assert abs(res.value - math.sqrt(top)) < 1e-12
+        assert sampled <= res.value + 1e-12
+
+
+def test_calibration_witness_attains_the_value():
+    rng = np.random.default_rng(33)
+    for a, c, _, _ in calibration_pairs():
+        rep = error_report(moment_operator(a, 1), c, opalg.random_density(a.dim, rng))
+        psi = rep.calibration_witness
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        # the witness lies in exactly one eigenspace P_y of the target
+        weights = np.einsum("i,kij,j->k", psi.conj(), a.effects, psi).real
+        k = int(np.argmax(weights))
+        assert abs(weights[k] - 1.0) < 1e-12
+        rho = np.outer(psi, psi.conj())
+        deviation = distribution_of(c, rho).deviation_from_point(a.outcomes[k])
+        assert abs(deviation - rep.calibration) < 1e-12
+        encoded = report_to_json(rep)["calibration_witness_state"]
+        np.testing.assert_array_equal(np.array(encoded) @ [1, 1j], psi)
 
 
 # --- report --------------------------------------------------------------------
