@@ -19,7 +19,6 @@ from .distributions import (
 )
 from .errmetrics import (
     ErrorReport,
-    StateSearchPolicy,
     calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,

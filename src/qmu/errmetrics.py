@@ -36,7 +36,7 @@ from .schemes import Instrument, MeasurementScheme, distorted_observable
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
 PURITY_TOL = 1e-10
 SHARED_BASIS_TRIES = 4  # weight vectors tried on effects that commute
-STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the search
+STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the ascent
 EIG_CHUNK_ENTRIES = 2**18  # matrix entries per stacked eigvalsh call (4 MB complex)
 
 
@@ -190,70 +190,10 @@ def constant_bias(a, c: Observable, tol: float = 1e-10) -> float | None:
 
 
 @dataclass(frozen=True)
-class StateSearchPolicy:
-    """Deterministic sampling-plus-refinement policy for state suprema."""
-
-    seed: int = 0
-    samples: int = 200
-    refine_starts: int = 3
-    refine_maxiter: int = 600
-    refine_dim_limit: int = 8
-
-
-@dataclass(frozen=True)
 class WorstCaseResult:
     value: float
     state: np.ndarray
     exact: bool = False
-
-
-def _refine_pure_state(objective, psi0, maxiter):
-    from scipy.optimize import minimize
-
-    dim = psi0.size
-
-    def unpack(x):
-        v = x[:dim] + 1j * x[dim:]
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else psi0
-
-    def neg(x):
-        return -objective(unpack(x))
-
-    x0 = np.concatenate([psi0.real, psi0.imag])
-    res = minimize(
-        neg, x0, method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    return unpack(res.x)
-
-
-def worst_case_deviation(dist_a, dist_b, dim: int, policy: StateSearchPolicy = StateSearchPolicy(),
-                         extra_states=()) -> WorstCaseResult:
-    """Certified lower bound on sup over pure states of w2(dist_a, dist_b).
-
-    ``dist_a``/``dist_b`` map a pure state vector to a Distribution.  Joint
-    convexity of the squared deviation makes pure states sufficient.  Haar
-    samples plus supplied candidates are locally refined (small dimensions
-    only); the result is a lower bound with its certifying state.
-    """
-    rng = np.random.default_rng(policy.seed)
-
-    def objective(psi):
-        return w2_quantile(dist_a(psi), dist_b(psi))
-
-    candidates = [np.asarray(s, dtype=complex).reshape(-1) for s in extra_states]
-    candidates += [opalg.haar_state(dim, rng) for _ in range(policy.samples)]
-    scored = sorted(((objective(s), i) for i, s in enumerate(candidates)), reverse=True)
-    best_val, best_idx = scored[0]
-    best_state = candidates[best_idx]
-    if dim <= policy.refine_dim_limit:
-        for val, idx in scored[: policy.refine_starts]:
-            refined = _refine_pure_state(objective, candidates[idx], policy.refine_maxiter)
-            rv = objective(refined)
-            if rv > best_val:
-                best_val, best_state = rv, refined
-    return WorstCaseResult(value=best_val, state=best_state)
 
 
 def bloch_parameters(obs: Observable) -> tuple[float, np.ndarray] | None:
@@ -300,7 +240,7 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     for _ in range(SHARED_BASIS_TRIES):
         combination = np.einsum("k,kij->ij", rng.uniform(1.0, 2.0, effects.shape[0]), effects)
         _, basis = np.linalg.eigh(combination)
-        rotated = np.einsum("ia,kij,jb->kab", basis.conj(), effects, basis)
+        rotated = basis.conj().T @ effects @ basis
         off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
         if np.linalg.norm(off_diagonal, axis=(1, 2)).max() <= TOL_COMMUTE:
             return basis
@@ -323,13 +263,34 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     m, n = x.size, y.size
     steps = m + n - 2
     trees = math.comb(steps, m - 1)
-    cost = (x[:, None] - y[None, :]) ** 2
     down_at = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(steps), m - 1)),
         dtype=np.intp, count=trees * (m - 1),
     ).reshape(trees, m - 1)
     is_down = np.zeros((trees, steps), dtype=bool)
     is_down[np.arange(trees)[:, None], down_at] = True
+    return _tree_duals((x[:, None] - y[None, :]) ** 2, is_down)
+
+
+def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Duals of the monotone path that carries the quantile coupling of p and q.
+
+    The path goes down while cumsum(p)_i < cumsum(q)_j, so every cell of the
+    coupling lies on it, and by complementary slackness its duals attain
+    W2^2 = sum u_i p_i + sum v_j q_j.  Ties step right first: the stable
+    merge puts the breakpoints of q before equal ones of p.
+    """
+    n = cost.shape[1]
+    breakpoints = np.concatenate([np.cumsum(q)[:-1], np.cumsum(p)[:-1]])
+    is_down = np.argsort(breakpoints, kind="stable") >= n - 1
+    u, v = _tree_duals(cost, is_down[None])
+    return u[0], v[0]
+
+
+def _tree_duals(cost: np.ndarray, is_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Duals (u, v) of the monotone paths whose steps are ``is_down`` (T, m+n-2)."""
+    trees, steps = is_down.shape
+    m, n = cost.shape
     rows_before = np.cumsum(is_down, axis=1) - is_down
     cols_before = np.arange(steps) - rows_before
     # Row k is entered down column entry_col[:, k-1]; column j is entered
@@ -384,13 +345,42 @@ def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
     return WorstCaseResult(value=value, state=psi, exact=True)
 
 
-def w2_observables_worst(a: Observable, c: Observable,
-                         policy: StateSearchPolicy = StateSearchPolicy()) -> WorstCaseResult:
+def worst_case_deviation(a: Observable, c: Observable) -> WorstCaseResult:
+    """Lower bound on the worst case, with its witness, by alternating ascent.
+
+    The duals of the path that carries the quantile coupling in psi attain
+    W2^2(psi) = <psi|M|psi> with M = sum u_i A_i + sum v_j C_j, and the top
+    eigenvector of M does at least as well, so lambda_max(M) never falls.
+    Each eigenvector of the first moment operators of a and c starts an
+    ascent, which stops when lambda_max stops rising; a path never repeats,
+    so it ends.  The value is the deviation at the best final state.
+    """
+    cost = (a.outcomes[:, None] - c.outcomes[None, :]) ** 2
+    effects = np.concatenate([a.effects, c.effects])
+    m = a.n_outcomes
+    starts = [opalg.eig_hermitian(moment_operator(obs, 1))[1].T for obs in (a, c)]
+    best, witness = -np.inf, None
+    for psi in np.concatenate(starts):
+        top = -np.inf
+        while True:
+            born = np.einsum("i,kij,j->k", psi.conj(), effects, psi).real
+            u, v = path_duals(cost, born[:m], born[m:])
+            evals, evecs = np.linalg.eigh(np.tensordot(np.concatenate([u, v]), effects, 1))
+            if evals[-1] <= top:
+                break
+            top, psi = evals[-1], evecs[:, -1]
+        if top > best:
+            best, witness = top, psi
+    value = w2_quantile(distribution_of_pure(a, witness), distribution_of_pure(c, witness))
+    return WorstCaseResult(value=value, state=witness)
+
+
+def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
     """Worst-case Wasserstein deviation between two dense observables.
 
     Exact when the effects of a and c share an eigenbasis, or when there are
-    at most ``STAIRCASE_TREE_LIMIT`` staircase duals; otherwise the
-    sampled-and-refined search lower bound (``exact`` false).
+    at most ``STAIRCASE_TREE_LIMIT`` staircase duals; otherwise the ascent's
+    lower bound with its witness (``exact`` false).
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
@@ -399,18 +389,7 @@ def w2_observables_worst(a: Observable, c: Observable,
         return w2_worst_common_basis(a, c, basis)
     if math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) <= STAIRCASE_TREE_LIMIT:
         return w2_worst_staircase(a, c)
-
-    def da(psi):
-        return distribution_of_pure(a, psi)
-
-    def dc(psi):
-        return distribution_of_pure(c, psi)
-
-    extra = []
-    for op in (moment_operator(a, 1), moment_operator(c, 1)):
-        _, vecs = opalg.eig_hermitian(op)
-        extra.extend(vecs.T)
-    return worst_case_deviation(da, dc, a.dim, policy, extra_states=extra)
+    return worst_case_deviation(a, c)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +454,14 @@ class ErrorReport:
             )
 
 
-def error_report(a, c: Observable, rho,
-                 policy: StateSearchPolicy = StateSearchPolicy()) -> ErrorReport:
+def error_report(a, c: Observable, rho) -> ErrorReport:
     """Assemble the full error report for target operator a, approximator c."""
     a = opalg.check_hermitian(a)
     a_sharp = spectral_measure(a)
     rho = np.asarray(rho, dtype=complex)
     eps = eps_no_from_moments(a, c, rho)
     w2_state = w2_quantile(distribution_of(a_sharp, rho), distribution_of(c, rho))
-    worst = w2_observables_worst(a_sharp, c, policy)
+    worst = w2_observables_worst(a_sharp, c)
     calib = calibration_error(a_sharp, c)
     m1 = moment_operator(c, 1)
     bias = expectation(m1 - a, rho)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, convolve, make_distribution
+from .distributions import Distribution, make_distribution
 from .observables import SharpObservable
 from .schemes import MeasurementScheme
 
@@ -192,34 +192,6 @@ def phase_space_marginals(grid: GridSystem, tau) -> tuple[Distribution, Distribu
     check_aliasing(grid, tau)
     flipped = parity_flip(tau)
     return position_distribution(grid, flipped), momentum_distribution(grid, flipped)
-
-
-# ---------------------------------------------------------------------------
-# Smeared-position error searches (distribution-level; no dense effects)
-# ---------------------------------------------------------------------------
-
-
-def smeared_position_maps(grid: GridSystem, mu: Distribution):
-    """State -> distribution maps for sharp position and its mu-smearing."""
-
-    def dist_q(psi):
-        return position_distribution(grid, grid.normalize(psi))
-
-    def dist_smeared(psi):
-        return convolve(mu, position_distribution(grid, grid.normalize(psi)))
-
-    return dist_q, dist_smeared
-
-
-def basis_states(grid: GridSystem, count: int = 16) -> list[np.ndarray]:
-    """Evenly spaced position eigenstates (grid-normalized basis vectors)."""
-    step = max(1, grid.n // count)
-    out = []
-    for j in range(0, grid.n, step):
-        vec = np.zeros(grid.n, dtype=complex)
-        vec[j] = 1.0 / math.sqrt(grid.dx)
-        out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from . import opalg
 from .distributions import merge_groups, w2_quantile
 from .errmetrics import (
-    StateSearchPolicy,
     calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,
@@ -219,7 +218,7 @@ def _run_qubit_triple(params: dict, config: RunConfig) -> ScenarioOutcome:
     w2 = w2_quantile(
         distribution_of(spectral_measure(a), rho0), distribution_of(triple, rho0)
     )
-    rep = error_report(a, triple, rho0, StateSearchPolicy(seed=config.seed))
+    rep = error_report(a, triple, rho0)
     values = {
         "eps_no_highprec": triple_eps_highprec(),
         "eps_no_float": eps_no_from_moments(a, triple, rho0),
@@ -251,9 +250,8 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
     a_sharp = spectral_measure(SIGMA_Z)
     c = BlochObservable(1.0, gamma * EZ).to_observable()
     rho = _pure_bloch(params.get("rho_bloch", EY))
-    policy = StateSearchPolicy(seed=config.seed)
     eps = eps_no_from_moments(SIGMA_Z, c, rho)
-    worst = w2_observables_worst(a_sharp, c, policy)
+    worst = w2_observables_worst(a_sharp, c)
     calib = calibration_error(a_sharp, c)
     noise = expectation(intrinsic_noise(c), rho)
     decomposition_residual = abs(eps**2 - noise - 0.25 * worst.value**4)
@@ -267,13 +265,13 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
     }
     expected = [
         ExpectedValue("w2_worst", target, 1e-9, "closed-form"),
-        ExpectedValue("calibration", target, 1e-6, "closed-form"),
+        ExpectedValue("calibration", target, 1e-12, "closed-form"),
         ExpectedValue("decomposition_residual", 0.0, 1e-9, "closed-form"),
         ExpectedValue("smearing_equality_residual", 0.0, 1e-9, "closed-form"),
     ]
     from .serialize import report_to_json
 
-    rep = error_report(SIGMA_Z, c, rho, policy)
+    rep = error_report(SIGMA_Z, c, rho)
     return ScenarioOutcome(
         "qubit-approx-smearing", params, values, [], expected, report_to_json(rep)
     )

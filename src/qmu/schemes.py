@@ -113,7 +113,10 @@ class Instrument:
         sets = tuple(tuple(np.asarray(k, dtype=complex) for k in ks) for ks in self.kraus_sets)
         if len(sets) != outcomes.size:
             raise ValueError("one Kraus set per outcome required")
-        d = sets[0][0].shape[0]
+        nonempty = [ks for ks in sets if ks]
+        if not nonempty:
+            raise ValueError("instrument has no Kraus operators")
+        d = nonempty[0][0].shape[0]
         total = np.zeros((d, d), dtype=complex)
         for ks in sets:
             for k in ks:
@@ -127,7 +130,7 @@ class Instrument:
 
     @property
     def dim(self) -> int:
-        return self.kraus_sets[0][0].shape[0]
+        return next(ks for ks in self.kraus_sets if ks)[0].shape[0]
 
     def apply(self, k: int, rho: np.ndarray) -> np.ndarray:
         """Unnormalized conditional output state for outcome index k."""

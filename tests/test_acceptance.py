@@ -20,7 +20,6 @@ from qmu.distributions import (
     w2_quantile,
 )
 from qmu.errmetrics import (
-    StateSearchPolicy,
     calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,
@@ -32,16 +31,13 @@ from qmu.errmetrics import (
 from qmu.grid import (
     GridSystem,
     VonNeumannModel,
-    basis_states,
     gaussian_state,
     ground_state,
     phase_space_marginals,
     position_observable,
-    smeared_position_maps,
 )
 from qmu.observables import (
     BlochObservable,
-    distribution_of,
     intrinsic_noise,
     smear,
     spectral_measure,
@@ -154,18 +150,15 @@ def test_criterion_4_wasserstein_engine():
         a_sharp = spectral_measure(SIGMA_Z)
         res = w2_observables_worst(a_sharp, smear(a_sharp, mu))
         assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-6
-        grid = GridSystem(256, 10.0)
-        da, db = smeared_position_maps(grid, mu)
-        res = worst_case_deviation(
-            da, db, grid.n, StateSearchPolicy(samples=20), extra_states=basis_states(grid)
-        )
-        assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-6
+        q = position_observable(GridSystem(64, 8.0))
+        res = w2_observables_worst(q, smear(q, mu))
+        assert res.exact
+        assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-12
 
 
 def test_criterion_5_qubit_worst_case_closed_form():
     with criterion(5, "qubit worst-case closed form and noise-error identity", 60.0):
         rng = np.random.default_rng(0)
-        policy = StateSearchPolicy(seed=1, samples=40, refine_starts=2)
         for _ in range(100):
             c0 = rng.uniform(0.5, 1.5)
             cvec = rng.uniform(-1, 1, 3)
@@ -176,14 +169,9 @@ def test_criterion_5_qubit_worst_case_closed_form():
             c = BlochObservable(c0, cvec).to_observable()
             closed = qubit_worst_case_closed_form(a, c)
             assert abs(closed**2 - (2 * abs(1 - c0) + 2 * np.linalg.norm(avec - cvec))) < 1e-12
-            searched = worst_case_deviation(
-                lambda p: distribution_of(a, opalg.projector(p)),
-                lambda p: distribution_of(c, opalg.projector(p)),
-                2,
-                policy,
-            )
-            assert abs(searched.value - closed) < 1e-6
-            assert abs(searched.value**2 - closed**2) < 1e-6
+            for res in (w2_observables_worst(a, c), worst_case_deviation(a, c)):
+                assert abs(res.value - closed) < 1e-9
+                assert abs(res.value**2 - closed**2) < 1e-9
         # equality and decomposition identities for covariant smearings;
         # gamma = 1 (perfect approximator) is checked on squared values,
         # where double precision is exact: both sides are sqrt of ~1e-16

@@ -184,6 +184,20 @@ runs += [["sweep", r, {str(tmp_path / "sweep.csv")!r}, "--points", "5"]
          for r in ("qubit-error-bound", "naive-product", "branciard")]
 codes = [main([*argv, "--out", {str(tmp_path / "out.json")!r}]) for argv in runs]
 assert codes == [0] * len(runs), codes
+# A d=6 sharp target against a 20-outcome POVM has C(24, 5) = 42,504
+# staircase duals, above the enumeration limit, and d <= 8.
+import numpy as np
+from qmu import opalg
+from qmu.errmetrics import error_report
+from qmu.observables import Observable
+rng = np.random.default_rng(3)
+a = opalg.random_hermitian(6, rng)
+grams = [g @ g.conj().T for g in rng.standard_normal((20, 6, 6)) + 1j * rng.standard_normal((20, 6, 6))]
+w, v = np.linalg.eigh(sum(grams))
+inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+effects = np.stack([inv_sqrt @ g @ inv_sqrt for g in grams])
+c = Observable(np.sort(rng.uniform(-2.0, 2.0, 20)), 0.5 * (effects + effects.conj().transpose(0, 2, 1)))
+assert not error_report(a, c, np.eye(6) / 6).w2_worst_exact
 assert "scipy.optimize" not in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,

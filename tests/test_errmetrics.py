@@ -8,7 +8,6 @@ from qmu import opalg
 from qmu.distributions import Distribution, w2_quantile
 from qmu import errmetrics
 from qmu.errmetrics import (
-    StateSearchPolicy,
     bloch_parameters,
     calibration_error,
     constant_bias,
@@ -28,13 +27,7 @@ from qmu.errmetrics import (
     w2_worst_staircase,
     worst_case_deviation,
 )
-from qmu.grid import (
-    GridSystem,
-    basis_states,
-    ground_state,
-    position_observable,
-    smeared_position_maps,
-)
+from qmu.grid import GridSystem, ground_state, position_observable
 from qmu.observables import (
     BlochObservable,
     Observable,
@@ -340,7 +333,6 @@ def test_worst_case_identical_observables_zero():
 
 def test_worst_case_search_matches_closed_form():
     rng = np.random.default_rng(15)
-    policy = StateSearchPolicy(seed=42, samples=60)
     for _ in range(10):
         c0 = rng.uniform(0.6, 1.4)
         cvec = rng.uniform(-1, 1, 3)
@@ -351,13 +343,8 @@ def test_worst_case_search_matches_closed_form():
         c = BlochObservable(c0, cvec).to_observable()
         closed = qubit_worst_case_closed_form(a, c)
         assert closed is not None
-        searched = worst_case_deviation(
-            lambda p: distribution_of(a, opalg.projector(p)),
-            lambda p: distribution_of(c, opalg.projector(p)),
-            2,
-            policy,
-        )
-        assert abs(searched.value - closed) < 1e-6
+        assert abs(w2_observables_worst(a, c).value - closed) < 1e-9
+        assert abs(worst_case_deviation(a, c).value - closed) < 1e-9
 
 
 def test_worst_case_smearing_qubit():
@@ -368,13 +355,11 @@ def test_worst_case_smearing_qubit():
 
 
 def test_worst_case_smearing_grid():
-    grid = GridSystem(256, 10.0)
+    q = position_observable(GridSystem(64, 8.0))
     mu = Distribution([-0.5, 0.0, 0.5], [0.25, 0.5, 0.25])
-    da, db = smeared_position_maps(grid, mu)
-    res = worst_case_deviation(
-        da, db, grid.n, StateSearchPolicy(samples=20), extra_states=basis_states(grid)
-    )
-    assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-6
+    res = w2_observables_worst(q, smear(q, mu))
+    assert res.exact
+    assert abs(res.value - math.sqrt(mu.moment(2))) < 1e-12
 
 
 def random_povm(d, n, rng):
@@ -433,7 +418,6 @@ def test_staircase_duals_match_path_walk():
 
 def test_worst_case_exact_on_random_noncommuting_pairs():
     rng = np.random.default_rng(22)
-    policy = StateSearchPolicy(seed=5, samples=60, refine_starts=2)
     for _ in range(12):
         d = int(rng.integers(2, 5))
         a = spectral_measure(opalg.random_hermitian(d, rng))
@@ -441,17 +425,39 @@ def test_worst_case_exact_on_random_noncommuting_pairs():
         assert shared_eigenbasis(np.concatenate([a.effects, c.effects])) is None
         res = w2_observables_worst(a, c)
         assert res.exact
-        searched = worst_case_deviation(
-            lambda p: distribution_of(a, opalg.projector(p)),
-            lambda p: distribution_of(c, opalg.projector(p)),
-            d,
-            policy,
-        )
-        assert res.value >= searched.value - 1e-12
+        assert res.value >= worst_case_deviation(a, c).value - 1e-12
         rho = opalg.projector(res.state)
         at_witness = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
         assert abs(at_witness - res.value) < 1e-9
         assert abs(res.value - math.sqrt(staircase_sup_reference(a, c))) < 1e-9
+
+
+def test_worst_case_ascent_matches_enumeration_above_tree_limit():
+    # Sharp d=9 targets against 10-outcome POVMs: C(17, 8) = 24,310
+    # staircase duals, above the limit, so the ascent answers; the full
+    # enumeration is the reference.
+    rng = np.random.default_rng(26)
+    for _ in range(8):
+        a = spectral_measure(opalg.random_hermitian(9, rng))
+        c = random_povm(9, 10, rng)
+        assert math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) > errmetrics.STAIRCASE_TREE_LIMIT
+        res = w2_observables_worst(a, c)
+        assert not res.exact
+        assert abs(res.value - w2_worst_staircase(a, c).value) < 1e-9
+        at_witness = w2_quantile(distribution_of_pure(a, res.state), distribution_of_pure(c, res.state))
+        assert abs(at_witness - res.value) < 1e-12
+
+
+def test_path_duals_attain_the_quantile_cost():
+    rng = np.random.default_rng(27)
+    for m, n in ((1, 3), (3, 1), (4, 5), (6, 6)):
+        x = np.sort(rng.uniform(-2, 2, m))
+        y = np.sort(rng.uniform(-2, 2, n))
+        p, q = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        cost = (x[:, None] - y[None, :]) ** 2
+        u, v = errmetrics.path_duals(cost, p, q)
+        assert np.all(u[:, None] + v[None, :] <= cost + 1e-12)
+        assert abs(u @ p + v @ q - w2_quantile(Distribution(x, p), Distribution(y, q)) ** 2) < 1e-12
 
 
 def test_worst_case_common_basis_matches_enumeration():
@@ -492,10 +498,10 @@ def test_worst_case_falls_back_to_search_above_tree_limit(monkeypatch):
     monkeypatch.setattr(errmetrics, "STAIRCASE_TREE_LIMIT", 1)
     a = spectral_measure(SIGMA_Z)
     c = BlochObservable(1.0, np.array([0.4, 0.0, 0.3])).to_observable()
-    res = w2_observables_worst(a, c, StateSearchPolicy(samples=20))
+    res = w2_observables_worst(a, c)
     assert not res.exact
-    assert res.value <= qubit_worst_case_closed_form(a, c) + 1e-12
-    rep = error_report(SIGMA_Z, c, bloch_state([0.0, 0.0, 1.0]), StateSearchPolicy(samples=20))
+    assert abs(res.value - qubit_worst_case_closed_form(a, c)) < 1e-9
+    rep = error_report(SIGMA_Z, c, bloch_state([0.0, 0.0, 1.0]))
     assert not rep.w2_worst_exact
     assert report_to_json(rep)["w2_worst_method"] == "search-lower-bound"
 

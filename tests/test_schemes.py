@@ -4,6 +4,7 @@ import pytest
 from qmu import opalg
 from qmu.observables import (
     BlochObservable,
+    Observable,
     distribution_of,
     moment_operator,
     smear,
@@ -283,6 +284,23 @@ def test_scheme_validation():
         )
     with pytest.raises(ValueError):
         Instrument([0.0], ((0.5 * np.eye(2, dtype=complex),),))
+
+
+def test_outcomes_without_kraus_operators():
+    # The identity scheme with a pure probe never shows the pointer value -1,
+    # and a zero first effect gives the constant channel no Kraus operator.
+    instr = induced_instrument(identity_scheme(spectral_measure(SIGMA_Z), np.diag([1.0, 0.0])))
+    assert instr.dim == 2
+    assert [len(ks) for ks in instr.kraus_sets] == [0, 1]
+    rho = opalg.random_density(2, np.random.default_rng(28))
+    np.testing.assert_allclose(instr.apply(0, rho), np.zeros((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(instr.total_channel(rho), rho, atol=1e-12)
+    f = Observable([0.0, 1.0], np.stack([np.zeros((2, 2)), np.eye(2)]))
+    instr = constant_channel_instrument(f, np.diag([0.25, 0.75]))
+    assert instr.dim == 2 and len(instr.kraus_sets[0]) == 0
+    np.testing.assert_allclose(instr.apply(1, rho), np.diag([0.25, 0.75]), atol=1e-12)
+    with pytest.raises(ValueError, match="no Kraus operators"):
+        Instrument([0.0, 1.0], ((), ()))
 
 
 def test_kraus_canonical_form_deterministic_and_truncated():
