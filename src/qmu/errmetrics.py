@@ -366,7 +366,7 @@ def worst_case_deviation(a: Observable, c: Observable) -> WorstCaseResult:
             born = np.einsum("i,kij,j->k", psi.conj(), effects, psi).real
             u, v = path_duals(cost, born[:m], born[m:])
             evals, evecs = np.linalg.eigh(np.tensordot(np.concatenate([u, v]), effects, 1))
-            if evals[-1] <= top:
+            if not evals[-1] > top:
                 break
             top, psi = evals[-1], evecs[:, -1]
         if top > best:

@@ -34,6 +34,8 @@ class Observable:
             raise ValueError("effects must be square")
         if outcomes.size == 0:
             raise ValueError("observable needs at least one outcome")
+        if not np.isfinite(outcomes).all():
+            raise ValueError("outcomes must be finite")
         if np.any(np.diff(outcomes) <= 0):
             raise ValueError("outcomes must be strictly increasing")
         self.outcomes = outcomes

@@ -252,6 +252,9 @@ def test_observable_validation():
         SharpObservable(
             [0.0, 1.0], np.stack([0.5 * np.eye(2), 0.5 * np.eye(2)]).astype(complex)
         )
+    for bad in ([0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            Observable(bad, np.stack([np.diag([1, 0]), np.diag([0, 1])]).astype(complex))
     with pytest.raises(ValueError):
         BlochObservable(1.0, np.array([1.2, 0, 0]))
     with pytest.raises(ValueError):
