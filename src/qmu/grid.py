@@ -23,6 +23,7 @@ ALIASING_TOL = 1e-8
 NORM_TOL = 1e-8
 DENSE_POSITION_MAX_N = 128   # grid points of the dense position observable
 DENSE_SCHEME_MAX_DIM = 4096  # object (x) probe dimension of a dense von Neumann scheme
+MAX_HALF_WIDTH = 0.5 * math.sqrt(np.finfo(float).max)  # largest L with (2L)^2 finite
 
 
 class GridAliasingError(ValueError):
@@ -37,11 +38,15 @@ def grid_size_error(n) -> str | None:
 
 
 def half_width_error(half_width) -> str | None:
-    """Why half_width is no grid half width (a positive finite number), or None."""
+    """Why half_width is no grid half width (positive, with (2L)^2 finite), or None.
+
+    Squared positions and moments of a wider grid overflow float64.
+    """
     if isinstance(half_width, bool) or not isinstance(half_width, numbers.Real) or not (
-        0 < half_width < math.inf
+        0 < half_width <= MAX_HALF_WIDTH
     ):
-        return f"half width must be positive and finite, got {half_width!r}"
+        return (f"half width must be positive and at most {MAX_HALF_WIDTH:.4g}, "
+                f"got {half_width!r}")
     return None
 
 

@@ -758,9 +758,9 @@ def random_qubit_schemes(rng: np.random.Generator, n: int):
     """n random schemes on a qubit object and a qubit probe, stacked and validated.
 
     Returns the Haar couplings (n, 4, 4), the probe states (n, 2, 2), and
-    the sharp pointers' eigenvalues (n, 2) with their projections
-    (n, 2, 2, 2).  A pointer whose two eigenvalues ``merge_groups`` would
-    merge into one outcome is drawn again.
+    the sharp pointers' eigenvalues (n, 2), eigenvector columns (n, 2, 2)
+    and projections (n, 2, 2, 2).  A pointer whose two eigenvalues
+    ``merge_groups`` would merge into one outcome is drawn again.
     """
     coupling = opalg.haar_unitary(QUBIT * QUBIT, rng, n)
     sigma = opalg.random_density(QUBIT, rng, n=n)
@@ -774,12 +774,12 @@ def random_qubit_schemes(rng: np.random.Generator, n: int):
         )
     effects = opalg.projector(np.moveaxis(vectors, -1, -2))
     check_scheme_stack(coupling, sigma, effects)
-    return coupling, sigma, values, effects
+    return coupling, sigma, values, vectors, effects
 
 
 def _ozawa_draws(rng: np.random.Generator, n: int):
     """One block of the Ozawa/Branciard suite: schemes, targets a, b and pure states."""
-    u, sigma, values, effects = random_qubit_schemes(rng, n)
+    u, sigma, values, _, effects = random_qubit_schemes(rng, n)
     a = opalg.random_hermitian(QUBIT, rng, n=n)
     b = opalg.random_hermitian(QUBIT, rng, n=n)
     rho = opalg.projector(opalg.haar_state(QUBIT, rng, n))
@@ -810,19 +810,20 @@ def ozawa_branciard_suite(seed: int = 0, draws: int = 10000) -> dict:
 
 def _eps_form_draws(rng: np.random.Generator, n: int):
     """One block of the form-equivalence suite: schemes, a target a and mixed states."""
-    u, sigma, values, effects = random_qubit_schemes(rng, n)
+    u, sigma, values, vectors, effects = random_qubit_schemes(rng, n)
     a = opalg.random_hermitian(QUBIT, rng, n=n)
     rho = opalg.random_density(QUBIT, rng, n=n)
-    return u, sigma, values, effects, a, rho
+    return u, sigma, values, vectors, effects, a, rho
 
 
-def eps_form_routes(u, sigma, values, effects, a, rho) -> tuple[np.ndarray, ...]:
+def eps_form_routes(u, sigma, values, vectors, effects, a, rho) -> tuple[np.ndarray, ...]:
     """Noise error of stacked schemes by the scheme, moment and three-state routes.
 
-    The last two read the induced observable's moment operators; its effects
-    are checked as ``Observable`` checks them.
+    The last two read the induced observable's moment operators; its effects,
+    one per pointer eigenvector column of ``vectors``, are checked as
+    ``Observable`` checks them.
     """
-    induced = induced_effects(u, sigma, effects)
+    induced = induced_effects(u, sigma, vectors)
     check_effects(induced)
     m1, m2 = (effect_moment(values, induced, k) for k in (1, 2))
     scheme_route = error_disturbance_figures(

@@ -164,36 +164,43 @@ class Instrument:
 
 
 def induced_observable(scheme: MeasurementScheme) -> Observable:
-    """Observable measured by a scheme, its outcomes merged by ``merge_outcomes``."""
-    raw_effects = induced_effects(
-        scheme.coupling[None], scheme.probe_state[None], scheme.pointer.effects[None]
+    """Observable measured by a scheme, its outcomes merged by ``merge_outcomes``.
+
+    The pointer eigenvectors w_l come from one ``eigh`` of sum_k k Z(k), whose
+    integer eigenvalues keep the eigenspaces of distinct outcomes apart.  Each
+    outcome's effect is sum_l <w_l|Z(k)|w_l> F_l, so an outcome with a zero
+    projection keeps a zero effect.
+    """
+    effects = scheme.pointer.effects
+    _, basis = np.linalg.eigh(pointer_operator(np.arange(scheme.pointer.n_outcomes), effects))
+    per_vector = induced_effects(
+        scheme.coupling[None], scheme.probe_state[None], basis[None]
     )[0]
+    weights = ((effects @ basis) * basis.conj()).sum(axis=-2).real
+    raw_effects = np.tensordot(weights, per_vector, axes=1)
     return Observable(*merge_outcomes(scheme.pointer_values, raw_effects))
 
 
-def induced_effects(coupling, probe_state, pointer_effects) -> np.ndarray:
-    """F(z) = Tr_probe[(1 (x) sigma) U^dag (1 (x) Z(z)) U] for stacked schemes.
+def induced_effects(coupling, probe_state, pointer_basis) -> np.ndarray:
+    """F_l = Tr_probe[(1 (x) sigma) U^dag (1 (x) |w_l><w_l|) U] for stacked schemes.
 
-    ``coupling`` (N, D, D), ``probe_state`` (N, d, d) and ``pointer_effects``
-    (N, n, d, d) give the Hermitian parts of the effects, (N, n, D/d, D/d),
-    one per pointer outcome and unmerged.  Element-wise: F(z)_ab = sum over
-    m,k,e,l,p of sigma[m,k] conj(U4[e,l,a,k]) Z(z)[l,p] U4[e,p,b,m], staged
-    as matrix products so large grids stay cheap.
+    ``coupling`` (N, D, D), ``probe_state`` (N, d, d) and ``pointer_basis``
+    (N, d, d), whose columns w_l are orthonormal pointer eigenvectors, give
+    the Hermitian parts of the effects, (N, d, D/d, D/d), one per eigenvector.
+    With V = (1 (x) W^dag) U, element-wise F_l[a,b] = sum over e,k,m of
+    conj(V[(e,l),(a,k)]) V[(e,l),(b,m)] sigma[m,k]: the probe output is
+    rotated and sigma applied once, then one (D/d x D) (D x D/d) product per
+    eigenvector.
     """
     n, dp = probe_state.shape[:2]
     do = coupling.shape[-1] // dp
-    u4 = coupling.reshape(n, do, dp, do, dp)
-    # T[e,p,b,k] = sum_m U4[e,p,b,m] sigma[m,k]
-    t = (u4.reshape(n, -1, dp) @ probe_state).reshape(n, do, dp, do, dp)
-    t_flat = t.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
-    u_conj_flat = u4.conj().transpose(0, 1, 3, 4, 2).reshape(n, -1, dp)  # (e,a,k;l)
-    raw_effects = []
-    for p in np.moveaxis(pointer_effects, 1, 0):
-        s = (u_conj_flat @ p).reshape(n, do, do, dp, dp).transpose(0, 1, 4, 2, 3)
-        s_flat = s.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
-        eff = s_flat @ t_flat.swapaxes(-1, -2)
-        raw_effects.append(0.5 * (eff + opalg.dagger(eff)))
-    return np.stack(raw_effects, axis=1)
+    v = opalg.dagger(pointer_basis)[:, None] @ coupling.reshape(n, do, dp, -1)
+    # (e, l, b, m) -> (l, b, (e, m)); T = V (1 (x) sigma) then comes out in that order
+    v_rows = v.reshape(n, do, dp, do, dp).transpose(0, 2, 3, 1, 4).reshape(n, dp, do, -1)
+    t_rows = (v_rows.reshape(n, -1, dp) @ probe_state).reshape(n, dp, do, -1)
+    # v is not read again, so its reordered rows are conjugated in place
+    eff = np.conjugate(v_rows, out=v_rows) @ t_rows.swapaxes(-1, -2)
+    return 0.5 * (eff + opalg.dagger(eff))
 
 
 def _canonical_kraus(raw, truncation=KRAUS_TRUNCATION):

@@ -219,11 +219,12 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--grid-L", "1e300", "check", "phase-space"),
-     ("--grid-L", "1e300", "scenario", "run", "husimi-saturation")],
+    [("check", "phase-space"), ("scenario", "run", "husimi-saturation")],
     ids=["check-phase-space", "scenario-husimi-saturation"],
 )
-def test_non_finite_values_are_strict_json(capsys, argv):
+def test_non_finite_values_are_strict_json(capsys, monkeypatch, argv):
+    # No valid input is known to give a non-finite figure, so one is forced.
+    monkeypatch.setattr(Distribution, "variance", property(lambda self: float("nan")))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 3
     data = json.loads(out, parse_constant=_reject_constant)
@@ -256,6 +257,8 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("--grid-n", "1000", "check", "phase-space"),
         ("--grid-n", "0", "scenario", "run", "husimi-saturation"),
         ("--grid-L", "0", "check", "phase-space"),
+        ("--grid-L", "1e300", "check", "phase-space"),
+        ("scenario", "run", "husimi-saturation", "--set", "L=1e300"),
         ("scenario", "run", "husimi-saturation", "--set", "n=1000"),
         ("scenario", "run", "husimi-squeezed", "--set", "n=abc"),
         ("scenario", "run", "husimi-displaced", "--set", "L=-1"),
@@ -280,7 +283,8 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "identity-scheme", "--set", "sigma_bloch=[1,2]"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
-         "grid-L-zero", "set-n-husimi", "set-n-not-a-number", "set-L-husimi",
+         "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
+         "set-n-not-a-number", "set-L-husimi",
          "set-n-position-flip", "set-L-position-flip", "set-n-oscillator", "set-L-oscillator",
          "set-n_obj-von-neumann", "set-n-null-position-flip", "set-n-dense-position-flip",
          "set-dense-von-neumann", "seed-negative-check", "seed-negative-sweep",

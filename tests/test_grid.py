@@ -5,6 +5,7 @@ import pytest
 
 from qmu.distributions import convolve, w2_quantile
 from qmu.grid import (
+    MAX_HALF_WIDTH,
     GridAliasingError,
     GridSystem,
     VonNeumannModel,
@@ -15,6 +16,7 @@ from qmu.grid import (
     dft_matrix,
     gaussian_state,
     ground_state,
+    half_width_error,
     momentum_distribution,
     momentum_wavefunction,
     parity_flip,
@@ -192,3 +194,11 @@ def test_grid_convergence_doubling():
 def test_position_observable_guard():
     with pytest.raises(ValueError):
         position_observable(GridSystem(256, 8.0))
+
+
+def test_half_width_keeps_the_squared_extent_finite():
+    assert half_width_error(MAX_HALF_WIDTH) is None
+    assert math.isfinite((2.0 * MAX_HALF_WIDTH) ** 2)
+    for bad in (math.nextafter(MAX_HALF_WIDTH, math.inf), 1e300, 10**400, math.inf,
+                math.nan, 0.0, -1.0, True):
+        assert half_width_error(bad) is not None, bad

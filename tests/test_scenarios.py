@@ -147,8 +147,8 @@ def test_ozawa_branciard_suite_is_the_min_over_per_draw_checks():
 
 
 def test_stacked_eps_routes_match_the_scalar_routes():
-    u, sigma, values, effects, a, rho = _eps_form_draws(np.random.default_rng(11), 60)
-    routes = eps_form_routes(u, sigma, values, effects, a, rho)
+    u, sigma, values, vectors, effects, a, rho = _eps_form_draws(np.random.default_rng(11), 60)
+    routes = eps_form_routes(u, sigma, values, vectors, effects, a, rho)
     for k in range(60)[SUBSAMPLE]:
         scheme = _scheme(u[k], sigma[k], values[k], effects[k])
         c = induced_observable(scheme)
@@ -192,7 +192,7 @@ def test_feasible_models_are_feasible_and_seeded():
 
 
 def test_a_bad_row_fails_the_block_as_the_scalar_constructors_fail():
-    u, sigma, values, effects = random_qubit_schemes(np.random.default_rng(6), 8)
+    u, sigma, values, _, effects = random_qubit_schemes(np.random.default_rng(6), 8)
     check_scheme_stack(u, sigma, effects)
     bad_u = u.copy()
     bad_u[5] *= 1.01

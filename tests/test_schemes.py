@@ -10,7 +10,9 @@ from qmu.observables import (
     smear,
     spectral_measure,
 )
-from qmu.distributions import Distribution
+from qmu.distributions import Distribution, merge_outcomes
+from qmu.grid import GridSystem, VonNeumannModel, gaussian_state
+from qmu.observables import SharpObservable
 from qmu.opalg import SIGMA_X, SIGMA_Z, bloch_state, expectation, tensor
 from qmu.schemes import (
     Instrument,
@@ -18,6 +20,7 @@ from qmu.schemes import (
     constant_channel_instrument,
     distorted_observable,
     identity_scheme,
+    induced_effects,
     induced_instrument,
     induced_observable,
     luders_instrument,
@@ -122,6 +125,82 @@ def test_equal_pointer_labels_merge_into_one_outcome():
     instr = induced_instrument(relabeled)
     np.testing.assert_array_equal(instr.outcomes, obs.outcomes)
     np.testing.assert_allclose(instr.observable().effects, obs.effects, atol=1e-10)
+
+
+def per_outcome_effects(coupling, probe_state, pointer_effects):
+    """Reference F(z) = Tr_probe[(1 (x) sigma) U^dag (1 (x) Z(z)) U], one contraction per outcome.
+
+    Stacks (N, D, D), (N, d, d) and (N, n, d, d) give (N, n, D/d, D/d):
+    F(z)_ab = sum over m,k,e,l,p of sigma[m,k] conj(U4[e,l,a,k]) Z(z)[l,p] U4[e,p,b,m].
+    """
+    n, dp = probe_state.shape[:2]
+    do = coupling.shape[-1] // dp
+    u4 = coupling.reshape(n, do, dp, do, dp)
+    t = (u4.reshape(n, -1, dp) @ probe_state).reshape(n, do, dp, do, dp)
+    t_flat = t.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
+    u_conj_flat = u4.conj().transpose(0, 1, 3, 4, 2).reshape(n, -1, dp)  # (e,a,k;l)
+    raw_effects = []
+    for p in np.moveaxis(pointer_effects, 1, 0):
+        s = (u_conj_flat @ p).reshape(n, do, do, dp, dp).transpose(0, 1, 4, 2, 3)
+        s_flat = s.transpose(0, 3, 1, 2, 4).reshape(n, do, -1)
+        eff = s_flat @ t_flat.swapaxes(-1, -2)
+        raw_effects.append(0.5 * (eff + opalg.dagger(eff)))
+    return np.stack(raw_effects, axis=1)
+
+
+def random_sharp_pointer(rng, d_probe):
+    """Sharp pointer whose projections have random ranks, some above one."""
+    n_outcomes = int(rng.integers(1, d_probe + 1))
+    cuts = np.sort(rng.choice(np.arange(1, d_probe), n_outcomes - 1, replace=False))
+    basis = opalg.haar_unitary(d_probe, rng)
+    groups = np.split(np.arange(d_probe), cuts)
+    effects = np.stack([basis[:, g] @ basis[:, g].conj().T for g in groups])
+    return SharpObservable(np.sort(rng.uniform(-2.0, 2.0, n_outcomes)), effects)
+
+
+@pytest.mark.parametrize("d_obj", [1, 2, 3, 4])
+def test_per_eigenvector_effects_match_the_per_outcome_contraction(d_obj):
+    rng = np.random.default_rng(40 + d_obj)
+    for d_probe in (2, 3, 4, 5):
+        # pure, rank-deficient and full-rank probe states
+        for rank in sorted({1, d_probe - 1, d_probe}):
+            u = opalg.haar_unitary(d_obj * d_probe, rng, 3)
+            sigma = opalg.random_density(d_probe, rng, rank=rank, n=3)
+            basis = opalg.haar_unitary(d_probe, rng, 3)
+            np.testing.assert_allclose(
+                induced_effects(u, sigma, basis),
+                per_outcome_effects(u, sigma, opalg.projector(basis.swapaxes(-1, -2))),
+                rtol=0, atol=1e-12,
+            )
+            pointer = random_sharp_pointer(rng, d_probe)
+            reference = per_outcome_effects(u[:1], sigma[:1], pointer.effects[None])[0]
+            repeated = rng.choice([-1.0, 0.5, 2.0], pointer.n_outcomes)
+            for labels in (None, repeated):
+                scheme = MeasurementScheme(sigma[0], u[0], pointer, labels)
+                expected = Observable(*merge_outcomes(scheme.pointer_values, reference))
+                obs = induced_observable(scheme)
+                np.testing.assert_array_equal(obs.outcomes, expected.outcomes)
+                np.testing.assert_allclose(obs.effects, expected.effects, rtol=0, atol=1e-12)
+
+
+def test_a_zero_pointer_projection_keeps_its_outcome():
+    rng = np.random.default_rng(45)
+    p0, p1 = opalg.projector(opalg.haar_unitary(2, rng).T)
+    pointer = SharpObservable([0.0, 1.0, 2.0], np.stack([p0, np.zeros((2, 2)), p1]))
+    u, sigma = opalg.haar_unitary(4, rng), opalg.random_density(2, rng)
+    obs = induced_observable(MeasurementScheme(sigma, u, pointer))
+    np.testing.assert_array_equal(obs.outcomes, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(obs.effects[1], np.zeros((2, 2)))
+    reference = per_outcome_effects(u[None], sigma[None], pointer.effects[None])[0]
+    np.testing.assert_allclose(obs.effects, reference, rtol=0, atol=1e-12)
+
+
+def test_von_neumann_observable_matches_the_instrument():
+    probe = GridSystem(32, 8.0)
+    scheme = VonNeumannModel(GridSystem(32, 8.0), probe, 1.0, gaussian_state(probe)).to_scheme()
+    obs, from_instr = induced_observable(scheme), induced_instrument(scheme).observable()
+    np.testing.assert_array_equal(obs.outcomes, from_instr.outcomes)
+    np.testing.assert_allclose(obs.effects, from_instr.effects, rtol=0, atol=1e-10)
 
 
 def test_swap_total_channel_is_constant():
