@@ -23,8 +23,6 @@ from .errmetrics import (
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
-    eta_no,
-    eta_no_from_instrument,
     eta_no_from_scheme,
     three_state_eps,
     value_comparison_eps,
@@ -59,18 +57,6 @@ from .relations import (
     qubit_joint_feasible,
 )
 from .scenarios import RunConfig, run_scenario, scenario_names
-from .schemes import (
-    Instrument,
-    MeasurementScheme,
-    constant_channel_instrument,
-    distorted_observable,
-    identity_scheme,
-    induced_instrument,
-    induced_observable,
-    luders_instrument,
-    luders_scheme,
-    sequential_biobservable,
-    swap_scheme,
-)
+from .schemes import MeasurementScheme, identity_scheme, induced_observable, swap_scheme
 
 __version__ = "0.1.0"

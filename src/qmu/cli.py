@@ -17,8 +17,17 @@ import sys
 import numpy as np
 
 from .distributions import LP_MAX, quantile_coupling, w2_lp_oracle, w2_quantile
-from .grid import grid_size_error, half_width_error
-from .relations import SLACK_TOL, qubit_error_bound
+from .grid import GridSystem, gaussian_state, grid_size_error, half_width_error
+from .observables import spectral_measure
+from .opalg import SIGMA_X, SIGMA_Z, bloch_state
+from .relations import (
+    SLACK_TOL,
+    check_branciard_joint,
+    check_naive_heisenberg,
+    phase_space_relation_check,
+    qubit_error_bound,
+    qubit_joint_feasible,
+)
 from .scenarios import (
     EX,
     EY,
@@ -36,6 +45,7 @@ from .scenarios import (
     scenario_names,
     unbiased_model_suite,
 )
+from .schemes import swap_scheme
 from .serialize import (
     SCHEMA,
     dumps_json,
@@ -217,11 +227,6 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
                 {"theta": theta, "lhs": achieved, "rhs": bound, "slack": achieved - bound}
             )
     elif relation == "naive-product":
-        from .observables import spectral_measure
-        from .opalg import SIGMA_X, SIGMA_Z, bloch_state
-        from .relations import check_naive_heisenberg
-        from .schemes import swap_scheme
-
         for theta in np.linspace(0.0, math.pi, points):
             r = np.array([0.0, math.sin(theta), math.cos(theta)])
             rho = bloch_state(r)
@@ -232,9 +237,6 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
                  "slack": verdict.slack}
             )
     elif relation == "branciard":
-        from .opalg import bloch_state
-        from .relations import check_branciard_joint, qubit_joint_feasible
-
         rho = bloch_state(EY)
         for c, d in zip(*feasible_models(np.random.default_rng(config.seed), points)):
             verdict = check_branciard_joint(qubit_joint_feasible(c, d, a=EZ, b=EX), rho)
@@ -343,9 +345,6 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         }
         return summary, summary["min_slack"] >= -1e-9 and worst_gap <= SLACK_TOL
     if relation == "phase-space":
-        from .grid import GridSystem, gaussian_state
-        from .relations import phase_space_relation_check
-
         grid = GridSystem(config.grid_n, config.grid_l)
         verdicts = []
         for kwargs in ({}, {"width": 2.0}, {"center": 1.5}):

@@ -41,6 +41,7 @@ class Distribution:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+        _check_finite(support, probs)  # NaN passes the comparisons above
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
 
@@ -71,6 +72,11 @@ class Distribution:
         if lam <= 0:
             raise ValueError("scale factor must be positive")
         return Distribution(self.support * lam, self.probs)
+
+
+def _check_finite(values, probs) -> None:
+    if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+        raise ValueError("support and probabilities must be finite")
 
 
 def delta(y: float) -> Distribution:
@@ -118,10 +124,12 @@ def make_distribution(values, probs, merge_tol: float = MERGE_TOL) -> Distributi
 
     Support points are merged by ``merge_outcomes``, their probabilities
     summed; zero-probability atoms are kept only if needed to leave at least
-    one point.
+    one point.  Non-finite input is rejected before the merge, which would
+    fold a NaN or an infinity into a neighbouring group.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     probs = np.asarray(probs, dtype=float).reshape(-1)
+    _check_finite(values, probs)
     v_arr, p_arr = merge_outcomes(values, probs, merge_tol)
     keep = p_arr > 0
     if keep.any():

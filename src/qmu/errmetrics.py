@@ -31,7 +31,7 @@ from .observables import (
     spectral_measure,
 )
 from .opalg import expectation
-from .schemes import Instrument, MeasurementScheme, distorted_observable
+from .schemes import MeasurementScheme
 
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
 PURITY_TOL = 1e-10
@@ -108,22 +108,6 @@ def eta_no_from_scheme(scheme: MeasurementScheme, b, rho) -> float:
         out -= (b @ psi.reshape(do, dp)).reshape(-1)
         total += w * float(np.vdot(out, out).real)
     return math.sqrt(max(total, 0.0))
-
-
-def eta_no_from_instrument(instrument: Instrument, b, rho) -> float:
-    """Disturbance from the distorted observable's moment operators."""
-    b = opalg.check_hermitian(b)
-    distorted = distorted_observable(instrument, spectral_measure(b))
-    return moment_form_eps(b, moment_operator(distorted, 1), moment_operator(distorted, 2), rho)
-
-
-def eta_no(measurement, b, rho) -> float:
-    """Noise-operator disturbance of b; accepts a scheme or an instrument."""
-    if isinstance(measurement, MeasurementScheme):
-        return eta_no_from_scheme(measurement, b, rho)
-    if isinstance(measurement, Instrument):
-        return eta_no_from_instrument(measurement, b, rho)
-    raise TypeError("expected a MeasurementScheme or an Instrument")
 
 
 def three_state_eps(a, c: Observable, rho) -> float:

@@ -96,6 +96,8 @@ class GridSystem:
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         if psi.size != self.n:
             raise ValueError("wavefunction size does not match the grid")
+        if not np.isfinite(psi).all():
+            raise ValueError("wavefunction has non-finite entries")
         norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * self.dx)
         if norm == 0:
             raise ValueError("cannot normalize the zero wavefunction")
@@ -104,7 +106,7 @@ class GridSystem:
     def check_normalized(self, psi) -> np.ndarray:
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         total = float(np.sum(np.abs(psi) ** 2)) * self.dx
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # NaN fails this test too
             raise ValueError(f"wavefunction norm^2 = {total!r}, expected 1")
         return psi
 
@@ -224,7 +226,7 @@ def position_observable(grid: GridSystem) -> SharpObservable:
     effects = np.zeros((grid.n, grid.n, grid.n), dtype=complex)
     for k in range(grid.n):
         effects[k, k, k] = 1.0
-    return SharpObservable(grid.positions, effects)
+    return SharpObservable._trusted(grid.positions, effects)
 
 
 @dataclass(frozen=True)
@@ -297,9 +299,4 @@ class VonNeumannModel:
         sigma = np.outer(self.probe_psi, self.probe_psi.conj()) * self.probe_grid.dx
         sigma /= np.trace(sigma).real
         pointer = position_observable(self.probe_grid)
-        return MeasurementScheme(
-            probe_state=sigma,
-            coupling=u,
-            pointer=pointer,
-            pointer_values=self.probe_grid.positions / self.lam,
-        )
+        return MeasurementScheme._trusted(sigma, u, pointer, self.probe_grid.positions / self.lam)

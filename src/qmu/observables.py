@@ -42,6 +42,18 @@ class Observable:
         self.effects = effects
         self._validate()
 
+    @classmethod
+    def _trusted(cls, outcomes, effects):
+        """An observable built from fields already known to be valid.
+
+        Coerces like the public constructor and runs no check: only for
+        results derived from validated objects.
+        """
+        obs = cls.__new__(cls)
+        obs.outcomes = np.asarray(outcomes, dtype=float).reshape(-1)
+        obs.effects = np.asarray(effects, dtype=complex)
+        return obs
+
     def _validate(self):
         check_effects(self.effects)
 
@@ -120,11 +132,13 @@ class BlochObservable:
                 f"positivity violated: ||c|| = {np.linalg.norm(c):.6f} > "
                 f"min(c0, 2 - c0) = {bound:.6f}"
             )
+        if not (np.isfinite(self.c0) and np.isfinite(c).all()):  # NaN passes the test above
+            raise ValueError("c0 and c must be finite")
 
     def to_observable(self) -> Observable:
         c_plus = 0.5 * (self.c0 * np.eye(2, dtype=complex) + opalg.bloch_operator(self.c))
         c_minus = np.eye(2, dtype=complex) - c_plus
-        return Observable([-1.0, 1.0], np.stack([c_minus, c_plus]))
+        return Observable._trusted([-1.0, 1.0], np.stack([c_minus, c_plus]))
 
 
 QUBIT_TRIPLE_GAMMA = 2.0 - np.sqrt(2.0)
@@ -157,7 +171,7 @@ def spectral_measure(op) -> SharpObservable:
     """
     evals, evecs = opalg.eig_hermitian(op)
     projections = evecs.T[:, :, None] * evecs.T.conj()[:, None, :]
-    return SharpObservable(*merge_outcomes(evals, projections))
+    return SharpObservable._trusted(*merge_outcomes(evals, projections))
 
 
 def moment_operator(obs: Observable, n: int) -> np.ndarray:
@@ -179,10 +193,6 @@ def intrinsic_noise(obs: Observable) -> np.ndarray:
     return moment_operator(obs, 2) - m1 @ m1
 
 
-def is_sharp(obs: Observable, tol: float = TOL_PROJ) -> bool:
-    return all(np.linalg.norm(e @ e - e) <= tol for e in obs.effects)
-
-
 def smear(obs: Observable, mu: Distribution) -> Observable:
     """Convolution observable: outcome sums x+y weighted by mu(y) F(x).
 
@@ -190,7 +200,7 @@ def smear(obs: Observable, mu: Distribution) -> Observable:
     """
     sums = (mu.support[:, None] + obs.outcomes[None, :]).reshape(-1)
     mats = (mu.probs[:, None, None, None] * obs.effects[None]).reshape(-1, obs.dim, obs.dim)
-    return Observable(*merge_outcomes(sums, mats))
+    return Observable._trusted(*merge_outcomes(sums, mats))
 
 
 def distribution_of(obs: Observable, rho) -> Distribution:
@@ -253,15 +263,18 @@ def product_biobservable(a: SharpObservable, c: Observable, rho) -> BiProbabilit
     Row sums give the C distribution, column sums the A distribution.  When
     all effect pairs commute the entries are genuine joint probabilities;
     otherwise negative entries may occur and are reported, not rejected.
+
+    The commutators are read off C's effects in the eigenbasis of A, taken
+    from one ``eigh`` of sum_k k A(k): with S_x the basis vectors of A(x),
+    ||[A(x), C(y)]||_F^2 = 2 sum over i in S_x, j not in S_x of |C(y)_ij|^2.
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
     rho = np.asarray(rho, dtype=complex)
-    values = np.zeros((a.n_outcomes, c.n_outcomes))
-    commuting = True
-    for j, aj in enumerate(a.effects):
-        for k, ck in enumerate(c.effects):
-            if np.linalg.norm(aj @ ck - ck @ aj) > TOL_COMMUTE:
-                commuting = False
-            values[j, k] = float(np.trace(rho @ aj @ ck).real)
+    values = np.einsum("ij,xjk,yki->xy", rho, a.effects, c.effects, optimize=True).real
+    labels, basis = np.linalg.eigh(effect_moment(np.arange(a.n_outcomes), a.effects, 1))
+    inside = (np.rint(labels) == np.arange(a.n_outcomes)[:, None]).astype(float)  # i in S_x
+    weights = np.abs(opalg.dagger(basis) @ c.effects @ basis) ** 2  # (n_y, d, d)
+    across = np.einsum("xi,yix->xy", inside, weights @ (1.0 - inside.T))
+    commuting = bool(np.sqrt(2.0 * across.max()) <= TOL_COMMUTE)
     return BiProbabilityTable(a.outcomes.copy(), c.outcomes.copy(), values, commuting)

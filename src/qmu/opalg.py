@@ -120,24 +120,6 @@ def tensor(a, b) -> np.ndarray:
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, dim, dim)
 
 
-def partial_trace(op, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    ``dims = (d_obj, d_probe)`` with object-major flattening; ``keep`` is the
-    index (0 or 1) of the factor to retain.
-    """
-    m = as_complex_matrix(op)
-    d0, d1 = dims
-    if d0 * d1 != m.shape[0]:
-        raise ValueError(f"dims {dims} inconsistent with matrix dimension {m.shape[0]}")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 (object) or 1 (probe)")
-    four = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ikjk->ij", four)
-    return np.einsum("kikj->ij", four)
-
-
 def projector(vec) -> np.ndarray:
     """|v><v| / <v|v> of a vector, or of each row of a stack (n, d) of vectors."""
     v = np.asarray(vec, dtype=complex)

@@ -2,9 +2,9 @@
 
 Every checker returns a RelationVerdict with both sides, the slack and the
 witnesses that produced them.  The falsifiable relation (plain product of
-noise-operator error and disturbance) comes with a violation search that
-must succeed on the bundled uninformative and swap models; the proven
-relations must never report a violation.
+noise-operator error and disturbance) must be violated on the bundled
+uninformative and swap models; the proven relations must never report a
+violation.
 """
 
 from __future__ import annotations
@@ -206,16 +206,6 @@ def check_naive_heisenberg(scheme: MeasurementScheme, a, b, rho) -> RelationVerd
 def check_branciard_scheme(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
     """Error-disturbance form: the second error is the disturbance of b."""
     return branciard_verdict(*scheme_figures(scheme, a, b, check_purity(rho)))
-
-
-def naive_violation_search(cases) -> list[RelationVerdict]:
-    """Collect the violated verdicts among (scheme, a, b, rho) cases."""
-    violations = []
-    for scheme, a, b, rho in cases:
-        verdict = check_naive_heisenberg(scheme, a, b, rho)
-        if not verdict.holds:
-            violations.append(verdict)
-    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .distributions import merge_groups, w2_quantile
+from .distributions import convolve, make_distribution, merge_groups, w2_quantile
 from .errmetrics import (
     calibration_error,
     eps_no_from_moments,
@@ -48,7 +48,6 @@ from .observables import (
     BlochObservable,
     Observable,
     SharpObservable,
-    check_effects,
     distribution_of,
     effect_moment,
     intrinsic_noise,
@@ -78,13 +77,13 @@ from .relations import (
     unbiased_verdicts,
 )
 from .schemes import (
-    check_scheme_stack,
     identity_scheme,
     induced_effects,
     induced_observable,
     pointer_operator,
     swap_scheme,
 )
+from .serialize import report_to_json
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -238,8 +237,6 @@ def _run_qubit_triple(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("moment_identity_residual", 0.0, 1e-12, "closed-form"),
         ExpectedValue("noise_identity_residual", 0.0, 1e-12, "closed-form"),
     ]
-    from .serialize import report_to_json
-
     return ScenarioOutcome(
         "qubit-triple-unbiased-zero", params, values, [], expected, report_to_json(rep)
     )
@@ -269,8 +266,6 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("decomposition_residual", 0.0, 1e-9, "closed-form"),
         ExpectedValue("smearing_equality_residual", 0.0, 1e-9, "closed-form"),
     ]
-    from .serialize import report_to_json
-
     rep = error_report(SIGMA_Z, c, rho)
     return ScenarioOutcome(
         "qubit-approx-smearing", params, values, [], expected, report_to_json(rep)
@@ -281,7 +276,7 @@ def _run_trivial_approximator(params: dict, config: RunConfig) -> ScenarioOutcom
     rho = _pure_bloch(params.get("rho_bloch", EY))
     a_sharp = spectral_measure(SIGMA_Z)
     probs = distribution_of(a_sharp, rho)
-    trivial = Observable(
+    trivial = Observable._trusted(
         a_sharp.outcomes, np.stack([p * np.eye(2, dtype=complex) for p in probs.probs])
     )
     eps = eps_no_from_moments(SIGMA_Z, trivial, rho)
@@ -358,7 +353,7 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
 def _run_position_flip(params: dict, config: RunConfig) -> ScenarioOutcome:
     grid = GridSystem(int(params.get("n", 32)), float(params.get("L", 8.0)))
     q = position_observable(grid)
-    minus_q = SharpObservable(-q.outcomes[::-1], q.effects[::-1].copy())
+    minus_q = SharpObservable._trusted(-q.outcomes[::-1], q.effects[::-1].copy())
     psi = ground_state(grid)
     rho = np.outer(psi, psi.conj()) * grid.dx
     vc = value_comparison_eps(q, minus_q, rho)
@@ -393,8 +388,6 @@ def _run_von_neumann(params: dict, config: RunConfig) -> ScenarioOutcome:
     eps_moment = eps_no_from_moments(q_op, approx, rho)
     mu = model.noise_distribution()
     measured = model.measured_distribution(psi)
-    from .distributions import convolve
-
     conv = convolve(mu, position_distribution(obj, psi))
     w2_conv = w2_quantile(measured, conv)
     values = {
@@ -433,8 +426,6 @@ def _run_oscillator_shift(params: dict, config: RunConfig) -> ScenarioOutcome:
     qprime = qmat + alpha * hmat
     evals, evecs = np.linalg.eigh(qprime)
     weights = np.abs(evecs.conj().T @ (psi * math.sqrt(grid.dx))) ** 2
-    from .distributions import make_distribution
-
     dist_c = make_distribution(evals, weights)
     w2 = w2_quantile(position_distribution(grid, psi), dist_c)
     values = {"eps_no": eps, "w2_state": w2}
@@ -755,12 +746,13 @@ def _block_sizes(draws: int):
 
 
 def random_qubit_schemes(rng: np.random.Generator, n: int):
-    """n random schemes on a qubit object and a qubit probe, stacked and validated.
+    """n random schemes on a qubit object and a qubit probe, stacked.
 
     Returns the Haar couplings (n, 4, 4), the probe states (n, 2, 2), and
     the sharp pointers' eigenvalues (n, 2), eigenvector columns (n, 2, 2)
     and projections (n, 2, 2, 2).  A pointer whose two eigenvalues
-    ``merge_groups`` would merge into one outcome is drawn again.
+    ``merge_groups`` would merge into one outcome is drawn again.  Every
+    draw is valid by construction, so none is checked.
     """
     coupling = opalg.haar_unitary(QUBIT * QUBIT, rng, n)
     sigma = opalg.random_density(QUBIT, rng, n=n)
@@ -773,7 +765,6 @@ def random_qubit_schemes(rng: np.random.Generator, n: int):
             opalg.random_hermitian(QUBIT, rng, n=len(merged))
         )
     effects = opalg.projector(np.moveaxis(vectors, -1, -2))
-    check_scheme_stack(coupling, sigma, effects)
     return coupling, sigma, values, vectors, effects
 
 
@@ -819,12 +810,10 @@ def _eps_form_draws(rng: np.random.Generator, n: int):
 def eps_form_routes(u, sigma, values, vectors, effects, a, rho) -> tuple[np.ndarray, ...]:
     """Noise error of stacked schemes by the scheme, moment and three-state routes.
 
-    The last two read the induced observable's moment operators; its effects,
-    one per pointer eigenvector column of ``vectors``, are checked as
-    ``Observable`` checks them.
+    The last two read the moment operators of the induced observable, whose
+    effects come one per pointer eigenvector column of ``vectors``.
     """
     induced = induced_effects(u, sigma, vectors)
-    check_effects(induced)
     m1, m2 = (effect_moment(values, induced, k) for k in (1, 2))
     scheme_route = error_disturbance_figures(
         u, sigma, pointer_operator(values, effects), a, a, rho
@@ -891,7 +880,6 @@ def unbiased_tradeoffs(c, d, rho) -> dict[str, RelationVerdict]:
     for vec in (c, d):
         c_plus = 0.5 * (np.eye(QUBIT) + opalg.bloch_operator(vec))
         effects = np.stack([np.eye(QUBIT) - c_plus, c_plus], axis=-3)
-        check_effects(effects)
         m1, m2 = (effect_moment(outcomes, effects, k) for k in (1, 2))
         probs = np.clip(np.einsum("nij,nkji->nk", rho, effects).real, 0.0, 1.0)
         mean = probs @ outcomes

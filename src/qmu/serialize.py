@@ -16,6 +16,7 @@ import numpy as np
 
 from .distributions import Coupling, Distribution
 from .errmetrics import ErrorReport
+from .grid import GridSystem
 from .observables import BlochObservable, Observable, SharpObservable
 from .relations import RelationVerdict
 from .schemes import MeasurementScheme
@@ -176,6 +177,4 @@ def grid_config_to_json(grid) -> dict:
 
 
 def grid_config_from_json(data: dict):
-    from .grid import GridSystem
-
     return GridSystem(int(data["n"]), float(data["L"]))

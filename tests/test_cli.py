@@ -105,6 +105,18 @@ def test_wasserstein_malformed_input(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("rows", ["0.0,0.5\nnan,0.5\n", "0.0,1.0\n1.0,nan\n"])
+def test_wasserstein_rejects_non_finite_csv_entries(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("value,probability\n" + rows)
+    good = tmp_path / "good.csv"
+    write_distribution_csv(Distribution([0.0, 1.0], [0.5, 0.5]), good)
+    code, out, err = run_cli(capsys, "wasserstein", str(bad), str(good))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "finite" in err
+
+
 def test_wasserstein_random_pair_oracle(tmp_path, capsys):
     rng = np.random.default_rng(3)
     support = np.sort(rng.uniform(-2, 2, 6))
@@ -338,7 +350,7 @@ def test_serialization_roundtrips():
     from qmu import opalg
     from qmu.grid import GridSystem
     from qmu.observables import BlochObservable, spectral_measure
-    from qmu.schemes import luders_scheme
+    from qmu.schemes import MeasurementScheme
     from qmu.serialize import (
         bloch_observable_from_json,
         bloch_observable_to_json,
@@ -353,16 +365,46 @@ def test_serialization_roundtrips():
     back = observable_from_json(observable_to_json(obs), sharp=True)
     np.testing.assert_allclose(back.outcomes, obs.outcomes)
     np.testing.assert_allclose(back.effects, obs.effects, atol=1e-15)
-    scheme = luders_scheme(spectral_measure(opalg.SIGMA_Z))
+    scheme = MeasurementScheme(
+        opalg.random_density(2, rng), opalg.haar_unitary(6, rng),
+        spectral_measure(opalg.random_hermitian(2, rng)), [0.5, -1.5],
+    )
     back = scheme_from_json(json.loads(json.dumps(scheme_to_json(scheme))))
-    np.testing.assert_allclose(back.coupling, scheme.coupling, atol=1e-15)
-    np.testing.assert_allclose(back.pointer_values, scheme.pointer_values)
+    np.testing.assert_array_equal(back.probe_state, scheme.probe_state)
+    np.testing.assert_array_equal(back.coupling, scheme.coupling)
+    np.testing.assert_array_equal(back.pointer.effects, scheme.pointer.effects)
+    np.testing.assert_array_equal(back.pointer_values, scheme.pointer_values)
     bloch = BlochObservable(0.9, np.array([0.2, -0.1, 0.3]))
     back = bloch_observable_from_json(bloch_observable_to_json(bloch))
     assert back.c0 == bloch.c0
     np.testing.assert_array_equal(back.c, bloch.c)
     grid = grid_config_from_json(grid_config_to_json(GridSystem(64, 9.0)))
     assert grid.n == 64 and grid.half_width == 9.0
+
+
+def test_decoders_reject_malformed_models():
+    from qmu import opalg
+    from qmu.observables import spectral_measure
+    from qmu.schemes import swap_scheme
+
+    sigma = opalg.random_density(2, np.random.default_rng(1))
+    good = scheme_to_json(swap_scheme(spectral_measure(opalg.SIGMA_Z), sigma))
+    with pytest.raises(ValueError, match="not unitary"):
+        scheme_from_json({**good, "U": encode_matrix(1.01 * decode_matrix(good["U"]))})
+    with pytest.raises(ValueError, match="trace"):
+        scheme_from_json({**good, "sigma": encode_matrix(1.1 * decode_matrix(good["sigma"]))})
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]
+    with pytest.raises(ValueError, match="sum to identity"):
+        observable_from_json({"outcomes": [0.0, 1.0],
+                              "effects": [encode_matrix(e) for e in effects]}, sharp=True)
+    # halved projections onto two bases: effects that sum to 1 and do not commute
+    plus, minus = opalg.projector([1.0, 1.0]), opalg.projector([1.0, -1.0])
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), plus, minus]
+    data = {"outcomes": [0.0, 1.0, 2.0, 3.0],
+            "effects": [encode_matrix(0.5 * e) for e in effects]}
+    observable_from_json(data)  # a valid POVM, but not a sharp one
+    with pytest.raises(ValueError, match="not a projection"):
+        observable_from_json(data, sharp=True)
 
 
 def test_distribution_csv_roundtrip(tmp_path):

@@ -322,3 +322,25 @@ def test_std_minimizes_point_deviation():
     assert abs(mu.deviation_from_point(mu.mean) - mu.std) < 1e-12
     for y in np.linspace(-5, 5, 11):
         assert mu.deviation_from_point(y) >= mu.std - 1e-12
+
+
+@pytest.mark.parametrize("support", [[np.nan], [np.inf], [-np.inf], [0.0, np.nan],
+                                     [0.0, np.inf], [-np.inf, 0.0]])
+def test_distribution_rejects_non_finite_support(support):
+    with pytest.raises(ValueError, match="finite"):
+        Distribution(support, np.full(len(support), 1.0 / len(support)))
+
+
+def test_distribution_rejects_a_nan_probability():
+    # ±inf probabilities already fail the sign and total checks
+    with pytest.raises(ValueError, match="finite"):
+        Distribution([0.0, 1.0], [1.0, np.nan])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_distribution_rejects_non_finite_entries_before_merging(bad):
+    # merged first, the bad point would fold into its neighbour's group
+    with pytest.raises(ValueError, match="finite"):
+        make_distribution([1.0, bad], [0.5, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        make_distribution([1.0, 2.0], [bad, 0.5])

@@ -2,7 +2,6 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 
 from qmu import opalg
 from qmu.distributions import Distribution, w2_quantile
@@ -14,8 +13,6 @@ from qmu.errmetrics import (
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
-    eta_no,
-    eta_no_from_instrument,
     eta_no_from_scheme,
     qubit_worst_case_closed_form,
     shared_eigenbasis,
@@ -39,15 +36,10 @@ from qmu.observables import (
     smear,
     spectral_measure,
 )
-from qmu.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, expectation
+from qmu.opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state
 from qmu.serialize import report_to_json
-from qmu.schemes import (
-    constant_channel_instrument,
-    identity_scheme,
-    induced_instrument,
-    induced_observable,
-    swap_scheme,
-)
+from qmu.relations import scheme_figures
+from qmu.schemes import identity_scheme, induced_observable, swap_scheme
 
 RHO0 = 0.5 * (np.eye(2) - (SIGMA_X + SIGMA_Y) / np.sqrt(2))
 
@@ -205,37 +197,15 @@ def test_eta_swap_scheme_display():
     assert abs(eta - math.sqrt(2) * ds.std) < 1e-10
 
 
-def test_eta_scheme_and_instrument_forms_agree():
+def test_eta_scheme_and_stacked_forms_agree():
+    # The product-eigenpair route against the stacked error-disturbance kernel.
     rng = np.random.default_rng(10)
     for _ in range(10):
         scheme = random_qubit_scheme(rng)
-        instr = induced_instrument(scheme)
         b = opalg.random_hermitian(2, rng)
         rho = opalg.random_density(2, rng)
-        assert abs(
-            eta_no_from_scheme(scheme, b, rho) - eta_no_from_instrument(instr, b, rho)
-        ) < 1e-9
-        # the dispatcher routes both input kinds
-        assert eta_no(scheme, b, rho) == eta_no_from_scheme(scheme, b, rho)
-        assert eta_no(instr, b, rho) == eta_no_from_instrument(instr, b, rho)
-    with pytest.raises(TypeError):
-        eta_no(object(), SIGMA_X, 0.5 * np.eye(2))
-
-
-def test_eta_constant_channel_vs_moment_form():
-    rng = np.random.default_rng(11)
-    f = spectral_measure(SIGMA_Z)
-    rho0 = opalg.random_density(2, rng)
-    instr = constant_channel_instrument(f, rho0)
-    b = opalg.random_hermitian(2, rng)
-    rho = opalg.random_density(2, rng)
-    # Kraus-composition route
-    eta = eta_no_from_instrument(instr, b, rho)
-    # independent oracle: distorted observable is trivial with weights B_rho0
-    db = distribution_of(spectral_measure(b), rho0)
-    dev = db.mean * np.eye(2) - b
-    expected = db.variance + expectation(dev @ dev, rho)
-    assert abs(eta**2 - expected) < 1e-10
+        _, stacked_eta, *_ = scheme_figures(scheme, b, b, rho)
+        assert abs(eta_no_from_scheme(scheme, b, rho) - stacked_eta) < 1e-9
 
 
 # --- value comparison ---------------------------------------------------------

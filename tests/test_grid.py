@@ -202,3 +202,14 @@ def test_half_width_keeps_the_squared_extent_finite():
     for bad in (math.nextafter(MAX_HALF_WIDTH, math.inf), 1e300, 10**400, math.inf,
                 math.nan, 0.0, -1.0, True):
         assert half_width_error(bad) is not None, bad
+
+
+def test_wavefunction_checks_reject_non_finite_entries():
+    grid = GridSystem(16, 4.0)
+    for bad in (np.full(16, np.nan), np.r_[np.ones(15), np.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.normalize(bad)
+        with pytest.raises(ValueError, match="norm"):
+            grid.check_normalized(bad)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
+        gaussian_state(grid, width=0.0)

@@ -7,10 +7,11 @@ from qmu.observables import (
     BlochObservable,
     Observable,
     QUBIT_TRIPLE_GAMMA,
+    TOL_COMMUTE,
     SharpObservable,
+    check_projections,
     distribution_of,
     intrinsic_noise,
-    is_sharp,
     moment_operator,
     product_biobservable,
     qubit_triple,
@@ -102,7 +103,7 @@ def test_intrinsic_noise_sharp_is_zero():
     rng = np.random.default_rng(1)
     sm = spectral_measure(opalg.random_hermitian(4, rng))
     assert np.linalg.norm(intrinsic_noise(sm)) < 1e-10
-    assert is_sharp(sm)
+    check_projections(sm.effects)
 
 
 def test_intrinsic_noise_smeared_sigma_z():
@@ -243,6 +244,58 @@ def test_product_biobservable_negative_entry_search():
     assert found
 
 
+def pair_loop_biobservable(a, c, rho):
+    """Reference bimeasure: one trace and one commutator norm per effect pair."""
+    values = np.zeros((a.n_outcomes, c.n_outcomes))
+    commuting = True
+    for j, aj in enumerate(a.effects):
+        for k, ck in enumerate(c.effects):
+            if np.linalg.norm(aj @ ck - ck @ aj) > TOL_COMMUTE:
+                commuting = False
+            values[j, k] = float(np.trace(rho @ aj @ ck).real)
+    return values, commuting
+
+
+def block_commuting_pair(rng):
+    """Degenerate sharp A = (P, 1 - P) with rank-2 P, and a three-outcome C that
+    is block diagonal along P although C's own effects do not commute."""
+    basis = opalg.haar_unitary(4, rng)
+    p = basis[:, :2] @ basis[:, :2].conj().T
+    a = SharpObservable([-1.0, 1.0], np.stack([p, np.eye(4) - p]))
+    blocks = [random_povm(2, 3, rng).effects for _ in range(2)]
+    stacked = np.zeros((3, 4, 4), dtype=complex)
+    stacked[:, :2, :2], stacked[:, 2:, 2:] = blocks
+    c = Observable([0.0, 1.0, 2.0], basis @ stacked @ basis.conj().T)
+    return a, c
+
+
+def test_product_biobservable_matches_the_pair_loop():
+    rng = np.random.default_rng(30)
+    cases = []
+    for d in (2, 3, 5):
+        a = spectral_measure(opalg.random_hermitian(d, rng))
+        mu = Distribution(np.sort(rng.uniform(-1, 1, 3)), rng.dirichlet(np.ones(3)))
+        cases.append((a, smear(a, mu), True))
+    degenerate = spectral_measure(np.diag([0.0, 0.0, 1.0, 1.0, 2.0]).astype(complex))
+    cases.append((degenerate, smear(degenerate, Distribution([0.0, 0.5], [0.3, 0.7])), True))
+    for _ in range(4):
+        a = spectral_measure(opalg.random_hermitian(2, rng))
+        c_vec = rng.uniform(-1, 1, 3)
+        c_vec /= 1.01 * max(np.linalg.norm(c_vec), 1.0)
+        cases.append((a, BlochObservable(1.0, c_vec).to_observable(), False))
+    for _ in range(3):
+        a, c = block_commuting_pair(rng)
+        e0, e1 = c.effects[:2]
+        assert np.linalg.norm(e0 @ e1 - e1 @ e0) > 1e-3  # C's own effects do not commute
+        cases.append((a, c, True))
+    for a, c, commuting in cases:
+        rho = opalg.random_density(a.dim, rng)
+        values, reference = pair_loop_biobservable(a, c, rho)
+        table = product_biobservable(a, c, rho)
+        assert table.commuting == reference == commuting
+        np.testing.assert_allclose(table.values, values, rtol=0, atol=1e-12)
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         Observable([0.0, 1.0], np.stack([np.eye(2), np.eye(2)]).astype(complex))
@@ -259,3 +312,12 @@ def test_observable_validation():
         BlochObservable(1.0, np.array([1.2, 0, 0]))
     with pytest.raises(ValueError):
         distribution_of(spectral_measure(SIGMA_Z), np.eye(3) / 3)
+
+
+def test_bloch_observable_rejects_non_finite_parameters():
+    for c0, c in ((np.nan, [0.0, 0.0, 0.0]), (1.0, [np.nan, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            BlochObservable(c0, c)
+    for c0, c in ((np.inf, [0.0, 0.0, 0.0]), (1.0, [0.0, -np.inf, 0.0])):
+        with pytest.raises(ValueError, match="positivity"):
+            BlochObservable(c0, c)

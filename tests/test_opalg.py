@@ -10,7 +10,6 @@ from qmu.opalg import (
     check_hermitian,
     check_unitary,
     eig_hermitian,
-    partial_trace,
     spread,
     tensor,
 )
@@ -87,46 +86,6 @@ def test_tensor_trace_multiplicativity_random():
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def _partial_trace_indexsum(op, dims, keep):
-    # Independent oracle: explicit index loops.
-    d0, d1 = dims
-    four = op.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        out = np.zeros((d0, d0), dtype=complex)
-        for i in range(d0):
-            for j in range(d0):
-                out[i, j] = sum(four[i, k, j, k] for k in range(d1))
-        return out
-    out = np.zeros((d1, d1), dtype=complex)
-    for i in range(d1):
-        for j in range(d1):
-            out[i, j] = sum(four[k, i, k, j] for k in range(d0))
-    return out
-
-
-def test_partial_trace_of_product_states():
-    rng = np.random.default_rng(5)
-    rho = opalg.random_density(2, rng)
-    sig = opalg.random_density(3, rng)
-    prod = tensor(rho, sig)
-    np.testing.assert_allclose(partial_trace(prod, (2, 3), keep=0), rho, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(prod, (2, 3), keep=1), sig, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace_and_matches_indexsum():
-    rng = np.random.default_rng(9)
-    rho = opalg.random_density(4, rng)
-    for keep in (0, 1):
-        pt = partial_trace(rho, (2, 2), keep=keep)
-        assert abs(np.trace(pt) - 1.0) < 1e-12
-        np.testing.assert_allclose(pt, _partial_trace_indexsum(rho, (2, 2), keep), atol=1e-12)
-
-
-def test_partial_trace_dimension_mismatch():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), (2, 2), keep=0)
 
 
 def test_validators():

@@ -13,10 +13,10 @@ from qmu.relations import (
     branciard_verdict,
     check_branciard_joint,
     check_branciard_scheme,
+    check_naive_heisenberg,
     check_ozawa,
     check_unbiased_tradeoffs,
     commutator_expectation,
-    naive_violation_search,
     phase_space_relation_check,
     qubit_epsno_sum_check,
     qubit_error_bound,
@@ -83,9 +83,8 @@ def test_naive_heisenberg_violated_on_bundled_schemes():
         (identity_scheme(spectral_measure(SIGMA_Z), sigma), SIGMA_Z, SIGMA_X, rho),
         (swap_scheme(spectral_measure(SIGMA_Z), bloch_state(EY)), SIGMA_Z, SIGMA_X, rho),
     ]
-    violations = naive_violation_search(cases)
-    assert len(violations) == 2
-    for v in violations:
+    for scheme, a, b, r in cases:
+        v = check_naive_heisenberg(scheme, a, b, r)
         assert v.lhs < v.rhs - 0.5  # decisively violated, not marginal
 
 
