@@ -17,16 +17,16 @@ import sys
 import numpy as np
 
 from .distributions import LP_MAX, quantile_coupling, w2_lp_oracle, w2_quantile
+from .errmetrics import FORM_TOL
 from .grid import GridSystem, gaussian_state, grid_size_error, half_width_error
 from .observables import spectral_measure
 from .opalg import SIGMA_X, SIGMA_Z, bloch_state
 from .relations import (
     SLACK_TOL,
-    check_branciard_joint,
+    branciard_joint,
     check_naive_heisenberg,
     phase_space_relation_check,
     qubit_error_bound,
-    qubit_joint_feasible,
 )
 from .scenarios import (
     EX,
@@ -35,9 +35,9 @@ from .scenarios import (
     RunConfig,
     SCENARIOS,
     ScenarioOutcome,
+    covariant_models,
     epsno_sum_suite,
     eps_form_equivalence_suite,
-    feasible_models,
     naive_falsification_cases,
     override_error,
     ozawa_branciard_suite,
@@ -237,16 +237,15 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
                  "slack": verdict.slack}
             )
     elif relation == "branciard":
-        rho = bloch_state(EY)
-        for c, d in zip(*feasible_models(np.random.default_rng(config.seed), points)):
-            verdict = check_branciard_joint(qubit_joint_feasible(c, d, a=EZ, b=EX), rho)
-            rows.append(
-                {
-                    "c_x": c[0], "c_y": c[1], "c_z": c[2],
-                    "d_x": d[0], "d_y": d[1], "d_z": d[2],
-                    "lhs": verdict.lhs, "rhs": verdict.rhs, "slack": verdict.slack,
-                }
-            )
+        c, d = covariant_models(np.random.default_rng(config.seed), points)
+        rho = np.broadcast_to(bloch_state(EY), (points, 2, 2))
+        verdict = branciard_joint(EZ, EX, c, d, rho)
+        columns = {
+            "c_x": c[:, 0], "c_y": c[:, 1], "c_z": c[:, 2],
+            "d_x": d[:, 0], "d_y": d[:, 1], "d_z": d[:, 2],
+            "lhs": verdict.lhs, "rhs": verdict.rhs, "slack": verdict.slack,
+        }
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     else:
         raise KeyError(relation)
     return rows
@@ -279,7 +278,7 @@ def cmd_sweep(args) -> int:
         "csv": args.csv_out,
         "min_slack": min(slacks),
         "max_slack": max(slacks),
-        "negative_slack_rows": sum(1 for s in slacks if s < -1e-9),
+        "negative_slack_rows": sum(1 for s in slacks if s < -SLACK_TOL),
     }
     return _emit(payload, args)
 
@@ -323,18 +322,18 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
     if relation == "ozawa" or relation == "branciard":
         summary = ozawa_branciard_suite(config.seed, config.budget)
         key = "min_ozawa_slack" if relation == "ozawa" else "min_branciard_slack"
-        return summary, summary[key] >= -1e-9
+        return summary, summary[key] >= -SLACK_TOL
     if relation == "naive-product":
         verdicts = naive_falsification_cases(config)
         summary = {"cases": [verdict_to_json(v) for v in verdicts]}
         return summary, all(not v.holds for v in verdicts)
     if relation == "unbiased":
         summary = unbiased_model_suite(config.seed, config.budget)
-        ok = all(v >= -1e-9 for k, v in summary.items() if k.startswith("min_slack"))
+        ok = all(v >= -SLACK_TOL for k, v in summary.items() if k.startswith("min_slack"))
         return summary, ok
     if relation == "qubit-error-sum":
         summary = epsno_sum_suite(config.seed, config.budget)
-        return summary, summary["min_slack"] >= -1e-9
+        return summary, summary["min_slack"] >= -SLACK_TOL
     if relation == "qubit-error-bound":
         rows = _sweep_rows("qubit-error-bound", 25, config)
         worst_gap = max(r["slack"] for r in rows)
@@ -343,7 +342,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
             "min_slack": min(r["slack"] for r in rows),
             "max_optimality_gap": worst_gap,
         }
-        return summary, summary["min_slack"] >= -1e-9 and worst_gap <= SLACK_TOL
+        return summary, summary["min_slack"] >= -SLACK_TOL and worst_gap <= SLACK_TOL
     if relation == "phase-space":
         grid = GridSystem(config.grid_n, config.grid_l)
         verdicts = []
@@ -354,7 +353,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         return summary, all(v.holds for v in verdicts)
     if relation == "eps-forms":
         summary = eps_form_equivalence_suite(config.seed, config.budget)
-        return summary, summary["max_form_gap"] < 1e-9
+        return summary, summary["max_form_gap"] < FORM_TOL
     raise KeyError(relation)
 
 

@@ -34,7 +34,6 @@ from .opalg import expectation
 from .schemes import MeasurementScheme
 
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
-PURITY_TOL = 1e-10
 SHARED_BASIS_TRIES = 4  # weight vectors tried on effects that commute
 STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the ascent
 EIG_CHUNK_ENTRIES = 2**18  # matrix entries per stacked eigvalsh call (4 MB complex)
@@ -156,16 +155,6 @@ def value_comparison_eps(a: SharpObservable, c: Observable, rho) -> ValueCompari
     value = math.sqrt(max(table.value_deviation_squared(), 0.0))
     w2 = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
     return ValueComparison(value, table.commuting, table, w2)
-
-
-def constant_bias(a, c: Observable, tol: float = 1e-10) -> float | None:
-    """The constant c with C[x] - A = c 1, or None if the bias is not constant."""
-    a = opalg.check_hermitian(a)
-    dev = moment_operator(c, 1) - a
-    shift = float(np.trace(dev).real) / a.shape[0]
-    if np.linalg.norm(dev - shift * np.eye(a.shape[0])) <= tol:
-        return shift
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,20 @@ def half_width_error(half_width) -> str | None:
     return None
 
 
+def coupling_error(lam, dx_object, dx_probe) -> str | None:
+    """Why lam is no von Neumann coupling strength for these grid spacings, or None.
+
+    lam must be positive, with lam dx_object an integer multiple (at least 1)
+    of dx_probe to 1e-9, so that pointer labels land on the convolution lattice.
+    """
+    ratio = lam * dx_object / dx_probe
+    if not (lam > 0 and math.isfinite(ratio) and round(ratio) >= 1
+            and abs(ratio - round(ratio)) <= 1e-9):
+        return ("coupling strength must be positive, with lam * dx_object an integer "
+                f"multiple (at least 1) of dx_probe, got lam={lam!r} (ratio {ratio!r})")
+    return None
+
+
 def dense_position_error(n) -> str | None:
     """Why an n-point grid is too large for the dense position observable, or None."""
     if n > DENSE_POSITION_MAX_N:
@@ -98,9 +112,14 @@ class GridSystem:
             raise ValueError("wavefunction size does not match the grid")
         if not np.isfinite(psi).all():
             raise ValueError("wavefunction has non-finite entries")
-        norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * self.dx)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero wavefunction")
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * self.dx)
+        if norm == 0 or norm == math.inf:  # squares under- or overflowed: rescale first
+            peak = float(np.abs(psi).max())
+            if peak == 0:
+                raise ValueError("cannot normalize the zero wavefunction")
+            psi = psi / peak
+            norm = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * self.dx)
         return psi / norm
 
     def check_normalized(self, psi) -> np.ndarray:
@@ -235,9 +254,8 @@ class VonNeumannModel:
 
     The pointer is the probe position relabeled by f(y) = y/lam, so the
     outcome estimates the object position as x + y0/lam; an even probe
-    wavefunction makes the model unbiased.  Requires lam dx_obj to be an
-    integer multiple of the probe spacing so pointer labels land on the
-    convolution lattice exactly.
+    wavefunction makes the model unbiased.  ``coupling_error`` states the
+    rule for lam.
     """
 
     object_grid: GridSystem
@@ -248,14 +266,9 @@ class VonNeumannModel:
     def __post_init__(self):
         psi = self.probe_grid.check_normalized(self.probe_psi)
         object.__setattr__(self, "probe_psi", psi)
-        if self.lam <= 0:
-            raise ValueError("coupling strength must be positive")
-        ratio = self.lam * self.object_grid.dx / self.probe_grid.dx
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                "incompatible grids: lam * dx_object must be an integer multiple "
-                f"of dx_probe (got ratio {ratio!r})"
-            )
+        error = coupling_error(self.lam, self.object_grid.dx, self.probe_grid.dx)
+        if error:
+            raise ValueError(error)
 
     @property
     def shift_cells(self) -> np.ndarray:

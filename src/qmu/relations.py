@@ -10,25 +10,18 @@ violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import opalg
-from .errmetrics import eps_no_from_moments
+from .errmetrics import moment_form_eps
 from .grid import GridSystem, phase_space_marginals
-from .observables import (
-    BlochObservable,
-    Observable,
-    distribution_of,
-    intrinsic_noise,
-    moment_operator,
-)
+from .observables import effect_moment
 from .opalg import expectation, spread
 from .schemes import MeasurementScheme
 
 SLACK_TOL = 1e-9
-UNBIASED_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
@@ -267,24 +260,6 @@ class QubitJointModel:
     def effects(self) -> np.ndarray:
         return joint_effects(self.c, self.d, self.gamma0)
 
-    def marginal_first(self) -> Observable:
-        return BlochObservable(1.0, self.c).to_observable()
-
-    def marginal_second(self) -> Observable:
-        return BlochObservable(1.0, self.d).to_observable()
-
-    def target_first(self) -> np.ndarray:
-        return opalg.bloch_operator(self.a)
-
-    def target_second(self) -> np.ndarray:
-        return opalg.bloch_operator(self.b)
-
-    def eps_pair(self, rho) -> tuple[float, float]:
-        return (
-            eps_no_from_moments(self.target_first(), self.marginal_first(), rho),
-            eps_no_from_moments(self.target_second(), self.marginal_second(), rho),
-        )
-
 
 def qubit_joint_feasible(c, d, a=None, b=None) -> QubitJointModel | None:
     """Feasible covariant joint model for marginals (c, d), or None.
@@ -312,43 +287,61 @@ def qubit_joint_feasible(c, d, a=None, b=None) -> QubitJointModel | None:
         return None
 
 
-def check_branciard_joint(model: QubitJointModel, rho) -> RelationVerdict:
-    rho = check_purity(rho)
-    eps_a, eps_b = model.eps_pair(rho)
-    a_op, b_op = model.target_first(), model.target_second()
-    comm = commutator_expectation(a_op, b_op, rho)
-    return branciard_verdict(eps_a, eps_b, spread(a_op, rho), spread(b_op, rho), comm)
+def branciard_joint(a, b, c, d, rho) -> RelationVerdict:
+    """Branciard verdict of stacked covariant joint models in pure states rho (n, 2, 2).
 
-
-def check_unbiased_tradeoffs(model: QubitJointModel, rho, a_op=None,
-                             b_op=None) -> dict[str, RelationVerdict]:
-    """Trade-offs for unbiased joint approximations (see ``unbiased_verdicts``).
-
-    The targets default to the marginals' first-moment operators, which is
-    what unbiasedness means; explicitly supplied targets are validated and a
-    biased pair is rejected with the measured bias.
+    The targets have Bloch vectors a, b and the marginals c, d, each (n, 3)
+    or one (3,) vector for every row; the errors are the state-independent
+    covariant closed forms.
     """
-    c_obs, d_obs = model.marginal_first(), model.marginal_second()
-    if a_op is None:
-        a_op = moment_operator(c_obs, 1)
-    if b_op is None:
-        b_op = moment_operator(d_obs, 1)
-    bias_a = np.linalg.norm(moment_operator(c_obs, 1) - a_op)
-    bias_b = np.linalg.norm(moment_operator(d_obs, 1) - b_op)
-    if bias_a > UNBIASED_TOL or bias_b > UNBIASED_TOL:
-        raise ValueError(
-            f"unbiased marginals required (measured biases {bias_a:.3e}, {bias_b:.3e})"
-        )
-    rho = np.asarray(rho, dtype=complex)
-    return unbiased_verdicts(
+    a_op, b_op = opalg.bloch_operator(a), opalg.bloch_operator(b)
+    return branciard_verdict(
+        _covariant_eps(a, c), _covariant_eps(b, d), spread(a_op, rho), spread(b_op, rho),
         commutator_expectation(a_op, b_op, rho),
-        expectation(intrinsic_noise(c_obs), rho),
-        expectation(intrinsic_noise(d_obs), rho),
-        distribution_of(c_obs, rho).std,
-        distribution_of(d_obs, rho).std,
-        eps_no_from_moments(a_op, c_obs, rho),
-        eps_no_from_moments(b_op, d_obs, rho),
     )
+
+
+def unbiased_tradeoffs(c, d, rho) -> dict[str, RelationVerdict]:
+    """Trade-offs (see ``unbiased_verdicts``) of stacked covariant models (c, d) in states rho.
+
+    The targets are the marginals' first-moment operators; each marginal has
+    outcomes -/+1 and effects (1 - C_plus, C_plus) with C_plus = (1 + c.sigma)/2.
+    """
+    outcomes = np.array([-1.0, 1.0])
+    figures = []
+    for vec in (c, d):
+        c_plus = 0.5 * (np.eye(2) + opalg.bloch_operator(vec))
+        effects = np.stack([np.eye(2) - c_plus, c_plus], axis=-3)
+        m1, m2 = (effect_moment(outcomes, effects, k) for k in (1, 2))
+        probs = np.clip(np.einsum("nij,nkji->nk", rho, effects).real, 0.0, 1.0)
+        mean = probs @ outcomes
+        dev = opalg.sqrt_clamped(((outcomes - mean[:, None]) ** 2 * probs).sum(-1))
+        figures.append((m1, expectation(m2 - m1 @ m1, rho), dev, moment_form_eps(m1, m1, m2, rho)))
+    (a_op, noise_c, dev_c, eps_a), (b_op, noise_d, dev_d, eps_b) = figures
+    comm = commutator_expectation(a_op, b_op, rho)
+    return unbiased_verdicts(comm, noise_c, noise_d, dev_c, dev_d, eps_a, eps_b)
+
+
+def _only_row(verdict: RelationVerdict) -> RelationVerdict:
+    """The verdict of a stack of one, as floats."""
+    return replace(
+        verdict, lhs=float(verdict.lhs[0]), rhs=float(verdict.rhs[0]),
+        witnesses={k: float(v[0]) for k, v in verdict.witnesses.items()},
+    )
+
+
+def check_branciard_joint(model: QubitJointModel, rho) -> RelationVerdict:
+    """``branciard_joint`` of one model in one pure state."""
+    rho = check_purity(rho)
+    return _only_row(branciard_joint(model.a[None], model.b[None], model.c[None],
+                                     model.d[None], rho[None]))
+
+
+def check_unbiased_tradeoffs(model: QubitJointModel, rho) -> dict[str, RelationVerdict]:
+    """``unbiased_tradeoffs`` of one model in one state."""
+    rho = np.asarray(rho, dtype=complex)
+    verdicts = unbiased_tradeoffs(model.c[None], model.d[None], rho[None])
+    return {name: _only_row(v) for name, v in verdicts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +397,9 @@ def qubit_error_bound(a, b) -> tuple[float, float, QubitJointModel]:
     return bound, achieved, model
 
 
-def qubit_epsno_sum_check(model: QubitJointModel, rho=None) -> RelationVerdict:
-    """Summed noise errors against the incompatibility bound (covariant case).
-
-    The covariant closed forms are state-independent, so rho only feeds the
-    generic route used for cross-checking.
-    """
-    verdict = qubit_epsno_sum_verdict(model.a, model.b, model.c, model.d)
-    if rho is not None:
-        gen_a, gen_b = model.eps_pair(rho)
-        eps_a, eps_b = verdict.witnesses["eps_a"], verdict.witnesses["eps_b"]
-        if abs(gen_a - eps_a) > 1e-9 or abs(gen_b - eps_b) > 1e-9:
-            raise AssertionError("closed-form and generic noise errors disagree")
-    return verdict
+def qubit_epsno_sum_check(model: QubitJointModel) -> RelationVerdict:
+    """Summed noise errors against the incompatibility bound (covariant case)."""
+    return qubit_epsno_sum_verdict(model.a, model.b, model.c, model.d)
 
 
 # ---------------------------------------------------------------------------

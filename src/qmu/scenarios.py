@@ -33,6 +33,7 @@ from .grid import (
     VonNeumannModel,
     apply_oscillator,
     apply_position,
+    coupling_error,
     dense_position_error,
     dense_scheme_error,
     gaussian_state,
@@ -40,7 +41,6 @@ from .grid import (
     ground_state,
     half_width_error,
     momentum_matrix,
-    phase_space_marginals,
     position_distribution,
     position_observable,
 )
@@ -63,7 +63,6 @@ from .relations import (
     check_joint_effects,
     check_naive_heisenberg,
     check_unbiased_tradeoffs,
-    commutator_expectation,
     error_disturbance_figures,
     gamma0_interval,
     naive_product_verdict,
@@ -74,7 +73,7 @@ from .relations import (
     qubit_error_bound,
     qubit_incompatibility_bound,
     scheme_figures,
-    unbiased_verdicts,
+    unbiased_tradeoffs,
 )
 from .schemes import (
     identity_scheme,
@@ -484,10 +483,9 @@ def _run_husimi(name: str, params: dict, config: RunConfig) -> ScenarioOutcome:
         width=float(params.get("width", 1.0)),
     )
     first, second = phase_space_relation_check(grid, tau)
-    mu, nu = phase_space_marginals(grid, tau)
     values = {
-        "spread_product": mu.std * nu.std,
-        "second_moment_product": mu.moment(2) * nu.moment(2),
+        "spread_product": second.witnesses["mu_std"] * second.witnesses["nu_std"],
+        "second_moment_product": first.lhs,
         "second_moment_slack": first.slack,
         "spread_slack": second.slack,
         "hbar_scale": config.hbar_scale,
@@ -512,7 +510,7 @@ def _run_covariant_pair(params: dict, config: RunConfig) -> ScenarioOutcome:
     b = math.cos(angle) * EZ + math.sin(angle) * EX
     bound, achieved, model = qubit_error_bound(a, b)
     rho = _pure_bloch(params.get("rho_bloch", EY))
-    sum_verdict = qubit_epsno_sum_check(model, rho)
+    sum_verdict = qubit_epsno_sum_check(model)
     branciard = check_branciard_joint(model, rho)
     unbiased = check_unbiased_tradeoffs(model, rho)
     values = {
@@ -556,10 +554,19 @@ GRID_OVERRIDE_CHECKS = {
 }
 # The only runners that read a null grid parameter: as the run configuration's grid.
 NULL_GRID_RUNNERS = frozenset({"husimi-saturation", "husimi-squeezed", "husimi-displaced"})
-# Dense-model limits of the runners, checked on the parameters after overrides.
+
+
+def _von_neumann_limits(p: dict) -> str | None:
+    dx_obj, dx_probe = (2.0 * p[f"L_{side}"] / p[f"n_{side}"] for side in ("obj", "probe"))
+    return (dense_scheme_error(p["n_obj"], p["n_probe"])
+            or coupling_error(p["lam"], dx_obj, dx_probe))
+
+
+# Dense-model limits of the runners (for von Neumann also the coupling rule),
+# checked on the parameters after overrides.
 DENSE_LIMIT_CHECKS = {
     "position-flip": lambda p: dense_position_error(p["n"]),
-    "von-neumann-position": lambda p: dense_scheme_error(p["n_obj"], p["n_probe"]),
+    "von-neumann-position": _von_neumann_limits,
 }
 
 
@@ -587,7 +594,7 @@ def override_error(name: str, overrides: dict) -> str | None:
     """Why overrides are malformed input for scenario ``name``, or None.
 
     Checks the grid sizes and half widths the scenario takes, null only where
-    the runner reads it, and the runner's dense-model limit; every other
+    the runner reads it, and the runner's dense-model limits; every other
     parameter must have its default's shape (a finite number, or a list of as
     many finite numbers).  Cheap enough to run before any work.  Unknown keys
     are left to ``run_scenario``.
@@ -861,33 +868,12 @@ def feasible_models(rng: np.random.Generator, count: int) -> tuple[np.ndarray, n
     return c, d
 
 
-def _covariant_models(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+def covariant_models(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``feasible_models`` with their four joint effects checked positive."""
     c, d = feasible_models(rng, n)
     lo, hi = gamma0_interval(c, d)
     check_joint_effects(c, d, 0.5 * (lo + hi))
     return c, d
-
-
-def unbiased_tradeoffs(c, d, rho) -> dict[str, RelationVerdict]:
-    """``check_unbiased_tradeoffs`` of stacked covariant models (c, d) in states rho.
-
-    The targets are the marginals' first-moment operators; each marginal has
-    outcomes -/+1 and effects (1 - C_plus, C_plus) with C_plus = (1 + c.sigma)/2.
-    """
-    outcomes = np.array([-1.0, 1.0])
-    figures = []
-    for vec in (c, d):
-        c_plus = 0.5 * (np.eye(QUBIT) + opalg.bloch_operator(vec))
-        effects = np.stack([np.eye(QUBIT) - c_plus, c_plus], axis=-3)
-        m1, m2 = (effect_moment(outcomes, effects, k) for k in (1, 2))
-        probs = np.clip(np.einsum("nij,nkji->nk", rho, effects).real, 0.0, 1.0)
-        mean = probs @ outcomes
-        dev = opalg.sqrt_clamped(((outcomes - mean[:, None]) ** 2 * probs).sum(-1))
-        figures.append((m1, expectation(m2 - m1 @ m1, rho), dev, moment_form_eps(m1, m1, m2, rho)))
-    (a_op, noise_c, dev_c, eps_a), (b_op, noise_d, dev_d, eps_b) = figures
-    comm = commutator_expectation(a_op, b_op, rho)
-    return unbiased_verdicts(comm, noise_c, noise_d, dev_c, dev_d, eps_a, eps_b)
 
 
 def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
@@ -896,7 +882,7 @@ def unbiased_model_suite(seed: int = 0, draws: int = 1000) -> dict:
     mins = {"unbiased-intrinsic-noise": math.inf, "unbiased-output-spread": math.inf,
             "unbiased-error-product": math.inf}
     for n in _block_sizes(draws):
-        c, d = _covariant_models(rng, n)
+        c, d = covariant_models(rng, n)
         rho = opalg.random_density(QUBIT, rng, n=n)
         for name, verdict in unbiased_tradeoffs(c, d, rho).items():
             mins[name] = min(mins[name], float(verdict.slack.min()))
@@ -908,7 +894,7 @@ def epsno_sum_suite(seed: int = 0, draws: int = 10000) -> dict:
     rng = np.random.default_rng(seed)
     worst = math.inf
     for n in _block_sizes(draws):
-        c, d = _covariant_models(rng, n)
+        c, d = covariant_models(rng, n)
         verdict = qubit_epsno_sum_verdict(EZ, EX, c, d)
         worst = min(worst, float(verdict.slack.min()))
     return {"draws": draws, "min_slack": worst}

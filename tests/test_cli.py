@@ -293,6 +293,9 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "qubit-approx-smearing", "--set", "gamma=null"),
         ("scenario", "run", "oscillator-shift-zero-error", "--set", "alpha=[1]"),
         ("scenario", "run", "identity-scheme", "--set", "sigma_bloch=[1,2]"),
+        ("scenario", "run", "von-neumann-position", "--set", "lam=-1"),
+        ("scenario", "run", "von-neumann-position", "--set", "lam=0.3"),
+        ("scenario", "run", "von-neumann-position", "--set", "lam=1e-320"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
@@ -302,7 +305,8 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
          "set-dense-von-neumann", "seed-negative-check", "seed-negative-sweep",
          "seed-negative-scenario", "hbar-scale-nan", "hbar-scale-zero", "set-angle-null",
          "set-angle-nan", "set-angle-not-a-number", "set-gamma-null", "set-alpha-list",
-         "set-sigma_bloch-short"],
+         "set-sigma_bloch-short", "set-lam-negative", "set-lam-off-lattice",
+         "set-lam-vanishing"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"

@@ -9,7 +9,6 @@ from qmu import errmetrics
 from qmu.errmetrics import (
     bloch_parameters,
     calibration_error,
-    constant_bias,
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
@@ -273,15 +272,13 @@ def test_constant_bias_identity():
     a = spectral_measure(SIGMA_Z)
     mu = Distribution([-0.25, 0.75], [0.5, 0.5])
     c = smear(a, mu)
-    bias = constant_bias(SIGMA_Z, c)
-    assert bias is not None and abs(bias - mu.mean) < 1e-12
+    bias = mu.mean
     for _ in range(5):
         rho = opalg.random_density(2, rng)
         eps = eps_no_from_moments(SIGMA_Z, c, rho)
         da = distribution_of(a, rho)
         dc = distribution_of(c, rho)
         assert abs(eps**2 - (dc.variance - da.variance + bias**2)) < 1e-10
-    assert constant_bias(SIGMA_Z, BlochObservable(1.0, np.array([0.3, 0.3, 0.0])).to_observable()) is None
 
 
 # --- worst-case deviation -----------------------------------------------------

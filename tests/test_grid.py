@@ -13,6 +13,7 @@ from qmu.grid import (
     apply_oscillator,
     apply_position,
     boundary_mass,
+    coupling_error,
     dft_matrix,
     gaussian_state,
     ground_state,
@@ -154,6 +155,16 @@ def test_von_neumann_grid_compatibility_guard():
         VonNeumannModel(obj, probe, lam=0.5, probe_psi=gaussian_state(probe))
 
 
+def test_coupling_rule_rejects_vanishing_and_negative_couplings():
+    obj = probe = GridSystem(4, 4.0)
+    assert coupling_error(1.0, obj.dx, probe.dx) is None
+    assert coupling_error(3.0, obj.dx, probe.dx) is None
+    for lam in (-1.0, 0.0, 0.3, 1e-320, math.nan, math.inf):
+        assert coupling_error(lam, obj.dx, probe.dx) is not None, lam
+    with pytest.raises(ValueError, match="coupling strength"):
+        VonNeumannModel(obj, probe, lam=1e-320, probe_psi=gaussian_state(probe))
+
+
 def test_von_neumann_dense_scheme_matches_fast_route():
     obj = GridSystem(16, 6.0)
     probe = GridSystem(32, 12.0)
@@ -202,6 +213,16 @@ def test_half_width_keeps_the_squared_extent_finite():
     for bad in (math.nextafter(MAX_HALF_WIDTH, math.inf), 1e300, 10**400, math.inf,
                 math.nan, 0.0, -1.0, True):
         assert half_width_error(bad) is not None, bad
+
+
+def test_normalize_survives_extreme_amplitudes():
+    grid = GridSystem(4, 4.0)
+    for amplitude in (1e200, 1e-200):
+        psi = grid.normalize(np.full(4, amplitude))
+        np.testing.assert_allclose(psi, np.full(4, 1.0 / math.sqrt(4 * grid.dx)), rtol=1e-15)
+        assert abs(float(np.sum(np.abs(psi) ** 2)) * grid.dx - 1.0) <= 1e-15
+    with pytest.raises(ValueError, match="zero wavefunction"):
+        grid.normalize(np.zeros(4))
 
 
 def test_wavefunction_checks_reject_non_finite_entries():

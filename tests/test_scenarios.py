@@ -5,20 +5,17 @@ import pytest
 
 from qmu import opalg
 from qmu.errmetrics import eps_no_from_moments, eps_no_from_scheme, three_state_eps
-from qmu.observables import SharpObservable
+from qmu.observables import BlochObservable, SharpObservable
 from qmu.relations import (
     QubitJointModel,
     branciard_verdict,
     check_branciard_scheme,
     check_joint_effects,
     check_ozawa,
-    check_unbiased_tradeoffs,
     error_disturbance_figures,
     gamma0_interval,
     ozawa_verdict,
-    qubit_epsno_sum_check,
     qubit_epsno_sum_verdict,
-    qubit_joint_feasible,
 )
 from qmu.scenarios import (
     EX,
@@ -27,9 +24,9 @@ from qmu.scenarios import (
     RunConfig,
     SCENARIOS,
     TRIPLE_W2_AT_NULL_STATE,
-    _covariant_models,
     _eps_form_draws,
     _ozawa_draws,
+    covariant_models,
     eps_form_equivalence_suite,
     eps_form_routes,
     epsno_sum_suite,
@@ -41,7 +38,6 @@ from qmu.scenarios import (
     scenario_names,
     triple_eps_highprec,
     unbiased_model_suite,
-    unbiased_tradeoffs,
 )
 from qmu.schemes import MeasurementScheme, induced_observable, pointer_operator
 
@@ -159,26 +155,18 @@ def test_stacked_eps_routes_match_the_scalar_routes():
             assert abs(stacked[k] - oracle) <= 1e-12
 
 
-def test_stacked_unbiased_tradeoffs_match_the_scalar_check():
-    rng = np.random.default_rng(12)
-    c, d = _covariant_models(rng, 60)
-    rho = opalg.random_density(2, rng, n=60)
-    stacked = unbiased_tradeoffs(c, d, rho)
-    for k in range(60)[SUBSAMPLE]:
-        scalar = check_unbiased_tradeoffs(qubit_joint_feasible(c[k], d[k], a=EZ, b=EX), rho[k])
-        for name, verdict in scalar.items():
-            assert abs(stacked[name].lhs[k] - verdict.lhs) <= 1e-12
-            assert abs(stacked[name].rhs[k] - verdict.rhs) <= 1e-12
-
-
 def test_stacked_eps_sum_matches_the_generic_route():
     rng = np.random.default_rng(13)
-    c, d = _covariant_models(rng, 60)
+    c, d = covariant_models(rng, 60)
     stacked = qubit_epsno_sum_verdict(EZ, EX, c, d)
     for k in range(60)[SUBSAMPLE]:
-        model = qubit_joint_feasible(c[k], d[k], a=EZ, b=EX)
-        scalar = qubit_epsno_sum_check(model, opalg.random_density(2, rng))
-        assert abs(stacked.slack[k] - scalar.slack) <= 1e-12
+        rho = opalg.random_density(2, rng)
+        generic = sum(
+            eps_no_from_moments(opalg.bloch_operator(t), BlochObservable(1.0, m).to_observable(),
+                                rho)
+            for t, m in ((EZ, c[k]), (EX, d[k]))
+        )
+        assert abs(stacked.lhs[k] - generic) <= 1e-12
 
 
 def test_feasible_models_are_feasible_and_seeded():
