@@ -168,12 +168,12 @@ def cmd_scenario(args) -> int:
             "schema": SCHEMA,
             "scenarios": [
                 {
-                    "name": s.name,
-                    "kind": s.kind,
-                    "description": s.description,
-                    "parameters": s.parameters,
+                    "name": name,
+                    "kind": SCENARIOS[name].kind,
+                    "description": SCENARIOS[name].description,
+                    "parameters": SCENARIOS[name].parameters,
                 }
-                for s in (SCENARIOS[n] for n in scenario_names())
+                for name in scenario_names()
             ],
         }
         return _emit(payload, args)
@@ -324,7 +324,7 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         key = "min_ozawa_slack" if relation == "ozawa" else "min_branciard_slack"
         return summary, summary[key] >= -SLACK_TOL
     if relation == "naive-product":
-        verdicts = naive_falsification_cases(config)
+        verdicts = naive_falsification_cases()
         summary = {"cases": [verdict_to_json(v) for v in verdicts]}
         return summary, all(not v.holds for v in verdicts)
     if relation == "unbiased":

@@ -83,20 +83,29 @@ def delta(y: float) -> Distribution:
     return Distribution(np.array([y]), np.array([1.0]))
 
 
+def splits_from(v, first, tol: float = MERGE_TOL):
+    """The outcome-merge rule: whether v starts a new group after the one begun at first.
+
+    v joins when |v - first| <= tol * max(1, |v|, |first|).  Written as three
+    comparisons so that it takes floats and, elementwise, arrays alike.
+    """
+    gap = abs(v - first)
+    return (gap > tol) & (gap > tol * abs(v)) & (gap > tol * abs(first))
+
+
 def merge_groups(values, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Sort real values and group the nearly equal ones: the outcome-merge rule.
+    """Sort real values and group the nearly equal ones by ``splits_from``.
 
     Returns ``order``, the stable ascending argsort of ``values``, and
     ``starts``, the positions in ``values[order]`` where each group begins.  A
-    value joins the current group when it lies within
-    ``tol * max(1, |v|, |first|)`` of the group's *first* value, so a chain of
-    small gaps still splits once it drifts ``tol`` away from where it began.
+    value is compared with its group's *first* value, so a chain of small
+    gaps still splits once it drifts ``tol`` away from where it began.
     """
     values = np.asarray(values, dtype=float)
     order = values.argsort(kind="stable")
     starts = []
     for k, v in enumerate(values[order].tolist()):
-        if not starts or abs(v - first) > tol * max(1.0, abs(v), abs(first)):
+        if not starts or splits_from(v, first, tol):
             starts.append(k)
             first = v
     return order, np.array(starts, dtype=np.intp)

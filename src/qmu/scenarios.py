@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import opalg
-from .distributions import convolve, make_distribution, merge_groups, w2_quantile
+from .distributions import convolve, make_distribution, splits_from, w2_quantile
 from .errmetrics import (
-    calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
@@ -26,7 +27,6 @@ from .errmetrics import (
     three_state_eps,
     three_state_form_eps,
     value_comparison_eps,
-    w2_observables_worst,
 )
 from .grid import (
     GridSystem,
@@ -55,13 +55,12 @@ from .observables import (
     qubit_triple,
     spectral_measure,
 )
-from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state, expectation
+from .opalg import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state
 from .relations import (
     RelationVerdict,
     branciard_verdict,
     check_branciard_joint,
     check_joint_effects,
-    check_naive_heisenberg,
     check_unbiased_tradeoffs,
     error_disturbance_figures,
     gamma0_interval,
@@ -90,6 +89,8 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 # Frozen from the exact quantile/LP route on the three-outcome POVM scenario.
 TRIPLE_W2_AT_NULL_STATE = 0.448341529167965
+# Working precision (decimal digits) of the exact evaluation of that scenario.
+HIGHPREC_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -121,24 +122,17 @@ class ExpectedValue:
         raise ValueError(f"unknown expectation mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    kind: str  # qubit-approx | qubit-joint | scheme | grid
-    description: str
-    parameters: dict
-
-
 @dataclass
 class ScenarioOutcome:
-    name: str
-    parameters: dict
     values: dict
     verdicts: list[RelationVerdict] = field(default_factory=list)
     expected: list[ExpectedValue] = field(default_factory=list)
     report: dict | None = None
     # relations listed here are REQUIRED to be violated (falsification cases)
     expect_violation: frozenset = frozenset()
+    # stamped by run_scenario: the scenario's name and its parameters after overrides
+    name: str = ""
+    parameters: dict = field(default_factory=dict)
 
     @property
     def checks(self) -> list[dict]:
@@ -167,6 +161,22 @@ class ScenarioOutcome:
         return all(c["pass"] for c in self.checks)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One bundled scenario, named by its key in ``SCENARIOS``.
+
+    ``run(params, config)`` reads exactly the keys of ``parameters``, where
+    every default lives; ``limits(params)`` says why overridden parameters
+    exceed the model, or returns None.
+    """
+
+    kind: str  # qubit-approx | qubit-joint | scheme | grid
+    description: str
+    parameters: dict
+    run: Callable[[dict, RunConfig], ScenarioOutcome]
+    limits: Callable[[dict], str | None] | None = None
+
+
 def _pure_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     n = np.linalg.norm(r)
@@ -175,16 +185,16 @@ def _pure_bloch(r) -> np.ndarray:
     return bloch_state(r / n)
 
 
-def triple_eps_highprec(dps: int = 60) -> float:
+def triple_eps_highprec() -> float:
     """Noise error of the three-outcome POVM at its null state, exact data.
 
     The scenario data is algebraic in sqrt(2); evaluating the moment form
-    with 60-digit arithmetic removes the double-rounding floor and exposes
-    the exact zero.
+    with ``HIGHPREC_DPS``-digit arithmetic removes the double-rounding floor
+    and exposes the exact zero.
     """
     from mpmath import matrix, mp, mpc, sqrt
 
-    with mp.workdps(dps):
+    with mp.workdps(HIGHPREC_DPS):
         s2 = sqrt(2)
         g = 2 - s2
         sx = matrix([[0, 1], [1, 0]])
@@ -213,15 +223,12 @@ def _run_qubit_triple(params: dict, config: RunConfig) -> ScenarioOutcome:
     g = 2 - math.sqrt(2)
     moment_target = 0.5 * g * (SIGMA_X - SIGMA_Y)
     noise_target = 2 * (1 - g) * 0.5 * (np.eye(2) + (SIGMA_X + SIGMA_Y) / np.sqrt(2))
-    w2 = w2_quantile(
-        distribution_of(spectral_measure(a), rho0), distribution_of(triple, rho0)
-    )
     rep = error_report(a, triple, rho0)
     values = {
         "eps_no_highprec": triple_eps_highprec(),
-        "eps_no_float": eps_no_from_moments(a, triple, rho0),
+        "eps_no_float": rep.eps_no,
         "three_state_float": three_state_eps(a, triple, rho0),
-        "w2_state": w2,
+        "w2_state": rep.w2_state,
         "moment_identity_residual": float(np.linalg.norm(a - moment_target)),
         "noise_identity_residual": float(
             np.linalg.norm(intrinsic_noise(triple) - noise_target)
@@ -236,28 +243,21 @@ def _run_qubit_triple(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("moment_identity_residual", 0.0, 1e-12, "closed-form"),
         ExpectedValue("noise_identity_residual", 0.0, 1e-12, "closed-form"),
     ]
-    return ScenarioOutcome(
-        "qubit-triple-unbiased-zero", params, values, [], expected, report_to_json(rep)
-    )
+    return ScenarioOutcome(values, [], expected, report_to_json(rep))
 
 
 def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
     gamma = float(params["gamma"])
-    a_sharp = spectral_measure(SIGMA_Z)
     c = BlochObservable(1.0, gamma * EZ).to_observable()
-    rho = _pure_bloch(params.get("rho_bloch", EY))
-    eps = eps_no_from_moments(SIGMA_Z, c, rho)
-    worst = w2_observables_worst(a_sharp, c)
-    calib = calibration_error(a_sharp, c)
-    noise = expectation(intrinsic_noise(c), rho)
-    decomposition_residual = abs(eps**2 - noise - 0.25 * worst.value**4)
+    rep = error_report(SIGMA_Z, c, _pure_bloch(params["rho_bloch"]))
+    eps, worst = rep.eps_no, rep.w2_worst
     target = math.sqrt(2 * (1 - gamma))
     values = {
         "eps_no": eps,
-        "w2_worst": worst.value,
-        "calibration": calib.value,
-        "decomposition_residual": decomposition_residual,
-        "smearing_equality_residual": abs(eps - worst.value),
+        "w2_worst": worst,
+        "calibration": rep.calibration,
+        "decomposition_residual": abs(eps**2 - rep.intrinsic_noise_expectation - 0.25 * worst**4),
+        "smearing_equality_residual": abs(eps - worst),
     }
     expected = [
         ExpectedValue("w2_worst", target, 1e-9, "closed-form"),
@@ -265,14 +265,11 @@ def _run_qubit_smearing(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("decomposition_residual", 0.0, 1e-9, "closed-form"),
         ExpectedValue("smearing_equality_residual", 0.0, 1e-9, "closed-form"),
     ]
-    rep = error_report(SIGMA_Z, c, rho)
-    return ScenarioOutcome(
-        "qubit-approx-smearing", params, values, [], expected, report_to_json(rep)
-    )
+    return ScenarioOutcome(values, [], expected, report_to_json(rep))
 
 
 def _run_trivial_approximator(params: dict, config: RunConfig) -> ScenarioOutcome:
-    rho = _pure_bloch(params.get("rho_bloch", EY))
+    rho = _pure_bloch(params["rho_bloch"])
     a_sharp = spectral_measure(SIGMA_Z)
     probs = distribution_of(a_sharp, rho)
     trivial = Observable._trusted(
@@ -291,18 +288,15 @@ def _run_trivial_approximator(params: dict, config: RunConfig) -> ScenarioOutcom
         ExpectedValue("w2_state", 0.0, 1e-9, "closed-form"),
         ExpectedValue("value_vs_eps_residual", 0.0, 1e-10, "closed-form"),
     ]
-    return ScenarioOutcome("trivial-approximator", params, values, [], expected)
+    return ScenarioOutcome(values, [], expected)
 
 
-def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutcome:
-    sigma = _pure_bloch(params.get("sigma_bloch", EY))
-    rho = _pure_bloch(params.get("rho_bloch", EY))
+def _run_scheme(params: dict, config: RunConfig, swap: bool) -> ScenarioOutcome:
+    sigma = _pure_bloch(params["sigma_bloch"])
+    rho = _pure_bloch(params["rho_bloch"])
     a, b = SIGMA_Z, SIGMA_X
     a_sharp = spectral_measure(a)
-    if kind == "identity-scheme":
-        scheme = identity_scheme(a_sharp, sigma)
-    else:
-        scheme = swap_scheme(a_sharp, sigma)
+    scheme = (swap_scheme if swap else identity_scheme)(a_sharp, sigma)
     figures = scheme_figures(scheme, a, b, rho)
     eps, eta, _, _, comm = figures
     da, ds = distribution_of(a_sharp, rho), distribution_of(a_sharp, sigma)
@@ -310,7 +304,7 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
     db, dbs = distribution_of(b_sharp, rho), distribution_of(b_sharp, sigma)
     approx = induced_observable(scheme)
     w2_approx = w2_quantile(da, distribution_of(approx, rho))
-    if kind == "identity-scheme":
+    if not swap:
         eps_target = math.sqrt(da.variance + ds.variance + (da.mean - ds.mean) ** 2)
         eta_target, w2_dist = 0.0, 0.0
         w2_approx_target = w2_quantile(da, ds)
@@ -343,14 +337,11 @@ def _scheme_scenario(kind: str, params: dict, config: RunConfig) -> ScenarioOutc
             ExpectedValue("naive_slack", -0.2, 0.0, "derived-oracle", mode="at_most")
         )
         expect_violation = frozenset({"naive-product"})
-    return ScenarioOutcome(
-        kind, params, values, [naive, ozawa, branciard], expected,
-        expect_violation=expect_violation,
-    )
+    return ScenarioOutcome(values, [naive, ozawa, branciard], expected, expect_violation=expect_violation)
 
 
 def _run_position_flip(params: dict, config: RunConfig) -> ScenarioOutcome:
-    grid = GridSystem(int(params.get("n", 32)), float(params.get("L", 8.0)))
+    grid = GridSystem(int(params["n"]), float(params["L"]))
     q = position_observable(grid)
     minus_q = SharpObservable._trusted(-q.outcomes[::-1], q.effects[::-1].copy())
     psi = ground_state(grid)
@@ -366,19 +357,17 @@ def _run_position_flip(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("value_comparison", 2 * dist.std, 1e-9, "closed-form"),
         ExpectedValue("w2_state", 0.0, 1e-9, "closed-form"),
     ]
-    return ScenarioOutcome("position-flip", params, values, [], expected)
+    return ScenarioOutcome(values, [], expected)
 
 
 def _run_von_neumann(params: dict, config: RunConfig) -> ScenarioOutcome:
-    obj = GridSystem(int(params.get("n_obj", 32)), float(params.get("L_obj", 8.0)))
-    probe = GridSystem(int(params.get("n_probe", 32)), float(params.get("L_probe", 8.0)))
-    lam = float(params.get("lam", 1.0))
+    obj = GridSystem(int(params["n_obj"]), float(params["L_obj"]))
+    probe = GridSystem(int(params["n_probe"]), float(params["L_probe"]))
     model = VonNeumannModel(
-        obj, probe, lam, gaussian_state(probe, width=float(params.get("probe_width", 1.0)))
+        obj, probe, float(params["lam"]),
+        gaussian_state(probe, width=float(params["probe_width"])),
     )
-    psi = gaussian_state(
-        obj, center=float(params.get("center", 0.5)), width=float(params.get("width", 0.8))
-    )
+    psi = gaussian_state(obj, center=float(params["center"]), width=float(params["width"]))
     rho = np.outer(psi, psi.conj()) * obj.dx
     scheme = model.to_scheme()
     approx = induced_observable(scheme)
@@ -404,20 +393,21 @@ def _run_von_neumann(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("convolution_w2", 0.0, 1e-6, "derived-oracle"),
         ExpectedValue("noise_mean", 0.0, 1e-12, "closed-form"),
     ]
-    return ScenarioOutcome("von-neumann-position", params, values, [], expected)
+    return ScenarioOutcome(values, [], expected)
 
 
-def _oscillator_shift_ops(params: dict):
-    grid = GridSystem(int(params.get("n", 256)), float(params.get("L", 10.0)))
+def _oscillator_ground(params: dict):
+    """The grid, its oscillator ground state psi, H psi and ||H psi|| (zero up to discretisation)."""
+    grid = GridSystem(int(params["n"]), float(params["L"]))
     psi = ground_state(grid)
-    alpha = float(params.get("alpha", 0.5))
-    return grid, psi, alpha
+    h_psi = apply_oscillator(grid, psi)
+    return grid, psi, h_psi, math.sqrt(max(float(grid.inner(h_psi, h_psi).real), 0.0))
 
 
 def _run_oscillator_shift(params: dict, config: RunConfig) -> ScenarioOutcome:
-    grid, psi, alpha = _oscillator_shift_ops(params)
-    h_psi = apply_oscillator(grid, psi)
-    eps = alpha * math.sqrt(max(float(grid.inner(h_psi, h_psi).real), 0.0))
+    grid, psi, _, h_norm = _oscillator_ground(params)
+    alpha = float(params["alpha"])
+    eps = alpha * h_norm
     # spectral route for the approximator's outcome distribution
     qmat = np.diag(grid.positions.astype(complex))
     pmat = momentum_matrix(grid)
@@ -432,30 +422,23 @@ def _run_oscillator_shift(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("eps_no", 0.0, 1e-8, "closed-form"),
         ExpectedValue("w2_state", 0.1, 0.0, "derived-oracle", mode="at_least"),
     ]
-    return ScenarioOutcome("oscillator-shift-zero-error", params, values, [], expected)
+    return ScenarioOutcome(values, [], expected)
 
 
 def _run_double_zero(params: dict, config: RunConfig) -> ScenarioOutcome:
-    grid, psi, alpha = _oscillator_shift_ops(params)
-    beta = float(params.get("beta", 1.0))
-    h_psi = apply_oscillator(grid, psi)
-    h_norm = math.sqrt(max(float(grid.inner(h_psi, h_psi).real), 0.0))
+    grid, psi, h_psi, h_norm = _oscillator_ground(params)
+    alpha, beta = float(params["alpha"]), float(params["beta"])
     eps_a = alpha * h_norm
     eps_b = abs(alpha - beta) * h_norm
-
-    def apply_b(vec):
-        return apply_position(grid, vec) + beta * apply_oscillator(grid, vec)
-
     a_psi = apply_position(grid, psi)
-    b_psi = apply_b(psi)
-    dev_a = math.sqrt(
-        max(float(grid.inner(a_psi, a_psi).real) - float(grid.inner(psi, a_psi).real) ** 2, 0.0)
-    )
-    dev_b = math.sqrt(
-        max(float(grid.inner(b_psi, b_psi).real) - float(grid.inner(psi, b_psi).real) ** 2, 0.0)
-    )
+    b_psi = a_psi + beta * h_psi  # B = Q + beta H
+
+    def spread(op_psi):
+        mean = float(grid.inner(psi, op_psi).real)
+        return math.sqrt(max(float(grid.inner(op_psi, op_psi).real) - mean**2, 0.0))
+
     comm = abs(complex(grid.inner(a_psi, b_psi)) - complex(grid.inner(b_psi, a_psi)))
-    verdict = branciard_verdict(eps_a, eps_b, dev_a, dev_b, comm, witnesses={})
+    verdict = branciard_verdict(eps_a, eps_b, spread(a_psi), spread(b_psi), comm, witnesses={})
     values = {
         "eps_a": eps_a,
         "eps_b": eps_b,
@@ -470,18 +453,13 @@ def _run_double_zero(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("branciard_rhs", 0.0, 1e-12, "closed-form"),
         ExpectedValue("branciard_slack", 0.0, 1e-9, "closed-form", mode="at_least"),
     ]
-    return ScenarioOutcome("double-zero-approximators", params, values, [verdict], expected)
+    return ScenarioOutcome(values, [verdict], expected)
 
 
-def _run_husimi(name: str, params: dict, config: RunConfig) -> ScenarioOutcome:
-    n = params.get("n") or config.grid_n
-    half_width = params.get("L") or config.grid_l
-    grid = GridSystem(int(n), float(half_width))
-    tau = gaussian_state(
-        grid,
-        center=float(params.get("center", 0.0)),
-        width=float(params.get("width", 1.0)),
-    )
+def _run_husimi(params: dict, config: RunConfig, extra: tuple = ()) -> ScenarioOutcome:
+    """Phase-space marginals of a Gaussian generator; a null n or L is the configured grid."""
+    grid = GridSystem(int(params["n"] or config.grid_n), float(params["L"] or config.grid_l))
+    tau = gaussian_state(grid, center=float(params["center"]), width=float(params["width"]))
     first, second = phase_space_relation_check(grid, tau)
     values = {
         "spread_product": second.witnesses["mu_std"] * second.witnesses["nu_std"],
@@ -494,22 +472,17 @@ def _run_husimi(name: str, params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("spread_product", 0.5, 1e-4, "closed-form"),
         ExpectedValue("second_moment_slack", 0.0, 1e-9, "closed-form", mode="at_least"),
         ExpectedValue("spread_slack", 0.0, 1e-9, "closed-form", mode="at_least"),
+        *extra,
     ]
-    if name == "husimi-saturation":
-        expected.append(ExpectedValue("second_moment_product", 0.25, 1e-3, "closed-form"))
-    if name == "husimi-displaced":
-        expected.append(
-            ExpectedValue("second_moment_slack", 0.1, 0.0, "derived-oracle", mode="at_least")
-        )
-    return ScenarioOutcome(name, params, values, [first, second], expected)
+    return ScenarioOutcome(values, [first, second], expected)
 
 
 def _run_covariant_pair(params: dict, config: RunConfig) -> ScenarioOutcome:
-    angle = float(params.get("angle", math.pi / 2))
+    angle = float(params["angle"])
     a = EZ
     b = math.cos(angle) * EZ + math.sin(angle) * EX
     bound, achieved, model = qubit_error_bound(a, b)
-    rho = _pure_bloch(params.get("rho_bloch", EY))
+    rho = _pure_bloch(params["rho_bloch"])
     sum_verdict = qubit_epsno_sum_check(model)
     branciard = check_branciard_joint(model, rho)
     unbiased = check_unbiased_tradeoffs(model, rho)
@@ -528,46 +501,28 @@ def _run_covariant_pair(params: dict, config: RunConfig) -> ScenarioOutcome:
         ExpectedValue("branciard_slack", 0.0, 1e-9, "closed-form", mode="at_least"),
     ]
     verdicts = [sum_verdict, branciard, *unbiased.values()]
-    return ScenarioOutcome("covariant-qubit-pair", params, values, verdicts, expected)
+    return ScenarioOutcome(values, verdicts, expected)
 
-
-_RUNNERS = {
-    "qubit-triple-unbiased-zero": _run_qubit_triple,
-    "qubit-approx-smearing": _run_qubit_smearing,
-    "trivial-approximator": _run_trivial_approximator,
-    "identity-scheme": lambda p, c: _scheme_scenario("identity-scheme", p, c),
-    "swap-scheme": lambda p, c: _scheme_scenario("swap-scheme", p, c),
-    "position-flip": _run_position_flip,
-    "von-neumann-position": _run_von_neumann,
-    "oscillator-shift-zero-error": _run_oscillator_shift,
-    "double-zero-approximators": _run_double_zero,
-    "husimi-saturation": lambda p, c: _run_husimi("husimi-saturation", p, c),
-    "husimi-squeezed": lambda p, c: _run_husimi("husimi-squeezed", p, c),
-    "husimi-displaced": lambda p, c: _run_husimi("husimi-displaced", p, c),
-    "covariant-qubit-pair": _run_covariant_pair,
-}
 
 # Grid-size and half-width parameters of the runners, with GridSystem's checks.
 GRID_OVERRIDE_CHECKS = {
     "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
     "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
 }
-# The only runners that read a null grid parameter: as the run configuration's grid.
-NULL_GRID_RUNNERS = frozenset({"husimi-saturation", "husimi-squeezed", "husimi-displaced"})
 
 
 def _von_neumann_limits(p: dict) -> str | None:
+    """Dense size and coupling lattice; pointer shifts lam * x must stay within +-L_probe.
+
+    Past L_probe the periodic probe grid wraps the shifted pointer around.
+    """
     dx_obj, dx_probe = (2.0 * p[f"L_{side}"] / p[f"n_{side}"] for side in ("obj", "probe"))
-    return (dense_scheme_error(p["n_obj"], p["n_probe"])
-            or coupling_error(p["lam"], dx_obj, dx_probe))
-
-
-# Dense-model limits of the runners (for von Neumann also the coupling rule),
-# checked on the parameters after overrides.
-DENSE_LIMIT_CHECKS = {
-    "position-flip": lambda p: dense_position_error(p["n"]),
-    "von-neumann-position": _von_neumann_limits,
-}
+    error = (dense_scheme_error(p["n_obj"], p["n_probe"])
+             or coupling_error(p["lam"], dx_obj, dx_probe))
+    if error is None and p["lam"] * p["L_obj"] > p["L_probe"]:
+        error = ("pointer shifts must stay on the probe grid, lam * L_obj at most L_probe, "
+                 f"got lam * L_obj = {p['lam'] * p['L_obj']!r} > L_probe = {p['L_probe']!r}")
+    return error
 
 
 def _finite_number(value) -> bool:
@@ -594,12 +549,13 @@ def override_error(name: str, overrides: dict) -> str | None:
     """Why overrides are malformed input for scenario ``name``, or None.
 
     Checks the grid sizes and half widths the scenario takes, null only where
-    the runner reads it, and the runner's dense-model limits; every other
-    parameter must have its default's shape (a finite number, or a list of as
-    many finite numbers).  Cheap enough to run before any work.  Unknown keys
-    are left to ``run_scenario``.
+    the default is null, and the scenario's ``limits``; every other parameter
+    must have its default's shape (a finite number, or a list of as many
+    finite numbers).  Cheap enough to run before any work.  Unknown keys are
+    left to ``run_scenario``.
     """
-    params = SCENARIOS[name].parameters
+    scenario = SCENARIOS[name]
+    params = scenario.parameters
     for key, value in overrides.items():
         if key not in params:
             continue
@@ -607,62 +563,62 @@ def override_error(name: str, overrides: dict) -> str | None:
         if check is None:
             error = _shape_error(params[key], value)
         elif value is None:
-            if name not in NULL_GRID_RUNNERS:
+            if params[key] is not None:
                 return f"{key}: {name} takes no null grid parameter"
             continue
         else:
             error = check(value)
         if error:
             return f"{key}: {error}"
-    limit = DENSE_LIMIT_CHECKS.get(name)
-    error = limit({**params, **overrides}) if limit else None
+    error = scenario.limits({**params, **overrides}) if scenario.limits else None
     return f"{', '.join(sorted(overrides))}: {error}" if error else None
+
 
 SCENARIOS: dict[str, Scenario] = {
     "qubit-triple-unbiased-zero": Scenario(
-        "qubit-triple-unbiased-zero",
         "qubit-approx",
         "Three-outcome unbiased qubit POVM whose noise error vanishes at the "
         "intrinsic-noise null state while the outcome distributions differ.",
         {},
+        _run_qubit_triple,
     ),
     "qubit-approx-smearing": Scenario(
-        "qubit-approx-smearing",
         "qubit-approx",
         "Covariant smearing of a sharp qubit observable: worst-case and "
         "calibration deviations coincide and match the noise error.",
         {"gamma": 0.75, "rho_bloch": [0.0, 1.0, 0.0]},
+        _run_qubit_smearing,
     ),
     "trivial-approximator": Scenario(
-        "trivial-approximator",
         "qubit-approx",
         "State-matched trivial approximator: zero distribution error, "
         "noise error sqrt(2) times the preparation spread.",
         {"rho_bloch": [0.0, 1.0, 0.0]},
+        _run_trivial_approximator,
     ),
     "identity-scheme": Scenario(
-        "identity-scheme",
         "scheme",
         "Uninformative clone-probe premeasurement: zero disturbance, trivial "
         "measured observable; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
+        partial(_run_scheme, swap=False),
     ),
     "swap-scheme": Scenario(
-        "swap-scheme",
         "scheme",
         "Swap premeasurement: exact measurement with zero noise error, "
         "state replaced by the probe; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
+        partial(_run_scheme, swap=True),
     ),
     "position-flip": Scenario(
-        "position-flip",
         "grid",
         "Sharp position flip (-Q approximating Q) on an even state: value "
         "comparison sees the anticorrelation, distributions coincide.",
         {"n": 32, "L": 8.0},
+        _run_position_flip,
+        limits=lambda p: dense_position_error(p["n"]),
     ),
     "von-neumann-position": Scenario(
-        "von-neumann-position",
         "scheme",
         "Approximate unbiased position measurement via momentum-coupled "
         "probe; measured distribution is the smeared position.",
@@ -676,47 +632,53 @@ SCENARIOS: dict[str, Scenario] = {
             "center": 0.5,
             "width": 0.8,
         },
+        _run_von_neumann,
+        limits=_von_neumann_limits,
     ),
     "oscillator-shift-zero-error": Scenario(
-        "oscillator-shift-zero-error",
         "grid",
         "Sharp approximator built from the oscillator-shifted position: "
         "zero noise error on the ground state despite distinct statistics.",
         {"n": 256, "L": 10.0, "alpha": 0.5},
+        _run_oscillator_shift,
     ),
     "double-zero-approximators": Scenario(
-        "double-zero-approximators",
         "grid",
         "One sharp approximator for two distinct targets, both with zero "
         "noise error on the ground state: the tight relation holds at 0 = 0.",
         {"n": 256, "L": 10.0, "alpha": 0.5, "beta": 1.0},
+        _run_double_zero,
     ),
     "husimi-saturation": Scenario(
-        "husimi-saturation",
         "grid",
         "Ground-state-generated covariant phase-space marginals saturate "
         "the spread-product bound.",
         {"n": None, "L": None, "center": 0.0, "width": 1.0},
+        partial(_run_husimi, extra=(
+            ExpectedValue("second_moment_product", 0.25, 1e-3, "closed-form"),
+        )),
     ),
     "husimi-squeezed": Scenario(
-        "husimi-squeezed",
         "grid",
         "Squeezed generator: spread product still saturates, second moments "
         "stay above the bound.",
         {"n": None, "L": None, "center": 0.0, "width": 2.0},
+        _run_husimi,
     ),
     "husimi-displaced": Scenario(
-        "husimi-displaced",
         "grid",
         "Displaced generator: bias makes the second-moment inequality strict.",
         {"n": None, "L": None, "center": 1.5, "width": 1.0},
+        partial(_run_husimi, extra=(
+            ExpectedValue("second_moment_slack", 0.1, 0.0, "derived-oracle", mode="at_least"),
+        )),
     ),
     "covariant-qubit-pair": Scenario(
-        "covariant-qubit-pair",
         "qubit-joint",
         "Optimal covariant joint approximation of two qubit observables; "
         "reaches the incompatibility bound.",
         {"angle": math.pi / 2, "rho_bloch": [0.0, 1.0, 0.0]},
+        _run_covariant_pair,
     ),
 }
 
@@ -730,7 +692,9 @@ def run_scenario(name: str, config: RunConfig = RunConfig(), overrides: dict | N
         if unknown:
             raise KeyError(f"unknown parameters for {name}: {sorted(unknown)}")
         params.update(overrides)
-    return _RUNNERS[name](params, config)
+    outcome = SCENARIOS[name].run(params, config)
+    outcome.name, outcome.parameters = name, params
+    return outcome
 
 
 def scenario_names() -> list[str]:
@@ -757,16 +721,17 @@ def random_qubit_schemes(rng: np.random.Generator, n: int):
 
     Returns the Haar couplings (n, 4, 4), the probe states (n, 2, 2), and
     the sharp pointers' eigenvalues (n, 2), eigenvector columns (n, 2, 2)
-    and projections (n, 2, 2, 2).  A pointer whose two eigenvalues
-    ``merge_groups`` would merge into one outcome is drawn again.  Every
+    and projections (n, 2, 2, 2).  A pointer whose two (ascending)
+    eigenvalues the merge rule ``splits_from`` would merge into one outcome
+    is drawn again.  Every
     draw is valid by construction, so none is checked.
     """
     coupling = opalg.haar_unitary(QUBIT * QUBIT, rng, n)
     sigma = opalg.random_density(QUBIT, rng, n=n)
     values, vectors = np.linalg.eigh(opalg.random_hermitian(QUBIT, rng, n=n))
     while True:
-        merged = [k for k, row in enumerate(values) if merge_groups(row)[1].size < QUBIT]
-        if not merged:
+        merged = np.flatnonzero(~splits_from(values[:, 1], values[:, 0]))
+        if not merged.size:
             break
         values[merged], vectors[merged] = np.linalg.eigh(
             opalg.random_hermitian(QUBIT, rng, n=len(merged))
@@ -839,15 +804,9 @@ def eps_form_equivalence_suite(seed: int = 0, draws: int = 1000) -> dict:
     return {"draws": draws, "max_form_gap": worst}
 
 
-def naive_falsification_cases(config: RunConfig = RunConfig()) -> list[RelationVerdict]:
-    """The bundled uninformative and swap cases that defeat the product bound."""
-    rho = _pure_bloch(EY)
-    sigma = _pure_bloch(EY)
-    cases = [
-        (identity_scheme(spectral_measure(SIGMA_Z), sigma), SIGMA_Z, SIGMA_X, rho),
-        (swap_scheme(spectral_measure(SIGMA_Z), sigma), SIGMA_Z, SIGMA_X, rho),
-    ]
-    return [check_naive_heisenberg(s, a, b, r) for s, a, b, r in cases]
+def naive_falsification_cases() -> list[RelationVerdict]:
+    """The naive-product verdicts of the bundled scenarios that defeat the product bound."""
+    return [run_scenario(name).verdicts[0] for name in ("identity-scheme", "swap-scheme")]
 
 
 def feasible_models(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -296,6 +296,9 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "von-neumann-position", "--set", "lam=-1"),
         ("scenario", "run", "von-neumann-position", "--set", "lam=0.3"),
         ("scenario", "run", "von-neumann-position", "--set", "lam=1e-320"),
+        ("scenario", "run", "von-neumann-position", "--set", "lam=2"),
+        ("scenario", "run", "von-neumann-position", "--set", "L_obj=16", "--set", "n_obj=64",
+         "--set", "n_probe=64"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
@@ -306,7 +309,7 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
          "seed-negative-scenario", "hbar-scale-nan", "hbar-scale-zero", "set-angle-null",
          "set-angle-nan", "set-angle-not-a-number", "set-gamma-null", "set-alpha-list",
          "set-sigma_bloch-short", "set-lam-negative", "set-lam-off-lattice",
-         "set-lam-vanishing"],
+         "set-lam-vanishing", "set-lam-wraps-probe-grid", "set-L_obj-wraps-probe-grid"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmu.distributions import (
+    MERGE_TOL,
     Coupling,
     Distribution,
     cauchy_schwarz_bounds,
@@ -12,6 +13,7 @@ from qmu.distributions import (
     merge_groups,
     merge_outcomes,
     quantile_coupling,
+    splits_from,
     w2_lp_oracle,
     w2_quantile,
 )
@@ -174,6 +176,20 @@ def test_merge_splits_chains_at_the_first_value():
     mats = np.arange(4.0)[:, None, None] * np.eye(2)
     _, summed = merge_outcomes(values, mats)
     np.testing.assert_array_equal(summed, np.array([4.0, 0.0, 2.0])[:, None, None] * np.eye(2))
+
+
+def test_merge_rule_takes_floats_and_arrays_alike():
+    # Gaps within 2 % of tol * max(1, |v|, |first|), magnitudes from 1e-3 to 1e3
+    # and both signs, so that each of the three terms is the largest somewhere.
+    rng = np.random.default_rng(4)
+    first = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3, 3, 400)
+    gap = MERGE_TOL * np.maximum(1.0, np.abs(first)) * rng.uniform(0.98, 1.02, 400)
+    v = first + rng.choice([-1.0, 1.0], 400) * gap
+    stacked = splits_from(v, first)
+    for k in range(400):
+        x, y = float(v[k]), float(first[k])
+        assert splits_from(x, y) == stacked[k] == (abs(x - y) > MERGE_TOL * max(1.0, abs(x), abs(y)))
+    assert 0 < stacked.sum() < 400
 
 
 def test_make_distribution_drops_zero_mass_atoms():

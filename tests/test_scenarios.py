@@ -57,6 +57,32 @@ def test_scenario_names_unique_and_registered():
     assert set(names) == set(SCENARIOS)
 
 
+class _RecordingDict(dict):
+    """Parameters that remember the keys a runner indexed.
+
+    ``get`` is left unrecorded, so a key read with a runner's own default
+    shows as unread.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_runners_read_exactly_their_parameters(name):
+    # Every default lives in the table: no runner keeps a second default
+    # for a key, and no declared parameter goes unread.
+    scenario = SCENARIOS[name]
+    params = _RecordingDict(scenario.parameters)
+    scenario.run(params, RunConfig(grid_n=256, grid_l=10.0))
+    assert params.read == set(scenario.parameters)
+
+
 def test_unknown_scenario_and_override():
     with pytest.raises(KeyError):
         run_scenario("no-such-scenario")
