@@ -18,14 +18,13 @@ import numpy as np
 
 from .distributions import LP_MAX, quantile_coupling, w2_lp_oracle, w2_quantile
 from .errmetrics import FORM_TOL
-from .grid import GridSystem, gaussian_state, grid_size_error, half_width_error
+from .grid import grid_size_error, half_width_error
 from .observables import spectral_measure
 from .opalg import SIGMA_X, SIGMA_Z, bloch_state
 from .relations import (
     SLACK_TOL,
     branciard_joint,
     check_naive_heisenberg,
-    phase_space_relation_check,
     qubit_error_bound,
 )
 from .scenarios import (
@@ -35,9 +34,9 @@ from .scenarios import (
     RunConfig,
     SCENARIOS,
     ScenarioOutcome,
-    covariant_models,
     epsno_sum_suite,
     eps_form_equivalence_suite,
+    feasible_models,
     naive_falsification_cases,
     override_error,
     ozawa_branciard_suite,
@@ -197,9 +196,6 @@ def cmd_scenario(args) -> int:
     for name in names:
         try:
             outcome = run_scenario(name, config, overrides or None)
-        except KeyError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_UNKNOWN
         except (ValueError, ArithmeticError) as exc:
             print(f"numerical failure in {name}: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -237,7 +233,7 @@ def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
                  "slack": verdict.slack}
             )
     elif relation == "branciard":
-        c, d = covariant_models(np.random.default_rng(config.seed), points)
+        c, d = feasible_models(np.random.default_rng(config.seed), points)
         rho = np.broadcast_to(bloch_state(EY), (points, 2, 2))
         verdict = branciard_joint(EZ, EX, c, d, rho)
         columns = {
@@ -344,11 +340,8 @@ def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
         }
         return summary, summary["min_slack"] >= -SLACK_TOL and worst_gap <= SLACK_TOL
     if relation == "phase-space":
-        grid = GridSystem(config.grid_n, config.grid_l)
-        verdicts = []
-        for kwargs in ({}, {"width": 2.0}, {"center": 1.5}):
-            tau = gaussian_state(grid, **kwargs)
-            verdicts.extend(phase_space_relation_check(grid, tau))
+        verdicts = [v for name in ("husimi-saturation", "husimi-squeezed", "husimi-displaced")
+                    for v in run_scenario(name, config).verdicts]
         summary = {"verdicts": [verdict_to_json(v) for v in verdicts]}
         return summary, all(v.holds for v in verdicts)
     if relation == "eps-forms":
@@ -492,7 +485,11 @@ def main(argv=None) -> int:
     if error is not None:
         print(error, file=sys.stderr)
         return EXIT_UNKNOWN
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .observables import (
     SharpObservable,
     distribution_of,
     distribution_of_pure,
-    intrinsic_noise,
     moment_operator,
     product_biobservable,
     spectral_measure,
@@ -428,24 +427,28 @@ class ErrorReport:
 
 
 def error_report(a, c: Observable, rho) -> ErrorReport:
-    """Assemble the full error report for target operator a, approximator c."""
-    a = opalg.check_hermitian(a)
+    """Assemble the full error report for target operator a, approximator c.
+
+    ``spectral_measure`` checks a once; eps, the bias and the intrinsic noise
+    all come from one pair of moment operators of c.
+    """
     a_sharp = spectral_measure(a)
+    a = np.asarray(a, dtype=complex)
+    if c.dim != a.shape[0]:
+        raise ValueError("target operator and approximator dimensions differ")
     rho = np.asarray(rho, dtype=complex)
-    eps = eps_no_from_moments(a, c, rho)
+    m1, m2 = moment_operator(c, 1), moment_operator(c, 2)
+    eps = moment_form_eps(a, m1, m2, rho)
     w2_state = w2_quantile(distribution_of(a_sharp, rho), distribution_of(c, rho))
     worst = w2_observables_worst(a_sharp, c)
     calib = calibration_error(a_sharp, c)
-    m1 = moment_operator(c, 1)
-    bias = expectation(m1 - a, rho)
-    noise = expectation(intrinsic_noise(c), rho)
     return ErrorReport(
         eps_no=eps,
         w2_state=w2_state,
         w2_worst=worst.value,
         calibration=calib.value,
-        bias=bias,
-        intrinsic_noise_expectation=noise,
+        bias=expectation(m1 - a, rho),
+        intrinsic_noise_expectation=expectation(m2 - m1 @ m1, rho),
         w2_worst_exact=worst.exact,
         witness_state=worst.state,
         calibration_witness=calib.state,

@@ -112,9 +112,9 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product, object factor first: index (i_obj, i_probe).
 
-    Stacks broadcast over their leading axes.
+    Stacks broadcast over their leading axes; the factors are not checked.
     """
-    a, b = as_complex_matrix(a), as_complex_matrix(b)
+    a, b = np.asarray(a), np.asarray(b)
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     dim = a.shape[-1] * b.shape[-1]
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*lead, dim, dim)

@@ -161,12 +161,10 @@ def error_disturbance_figures(u, sigma, zf, a, b, rho) -> tuple[np.ndarray, ...]
     operator D(B) = U^dag (B (x) 1) U - B (x) 1, eps^2 = <N(A)^dag N(A)> and
     eta^2 = <D(B)^dag D(B)> in rho (x) sigma.  The spreads of a and b and
     |tr(rho [A, B])| complete the tuple: five (n,) arrays, in the order of
-    the verdict cores' arguments.
+    the verdict cores' arguments.  Nothing is checked here: ``scheme_figures``
+    checks the targets of one scheme, and the suites draw valid stacks.
     """
-    a, b = opalg.check_hermitian(a), opalg.check_hermitian(b)
     dim_o, dim_p = a.shape[-1], sigma.shape[-1]
-    if b.shape[-1] != dim_o or dim_o * dim_p != u.shape[-1]:
-        raise ValueError("target operators do not act on the object space of the coupling")
     u_dag = opalg.dagger(u)
     eye_o, eye_p = np.eye(dim_o), np.eye(dim_p)
     state = opalg.tensor(rho, sigma)
@@ -179,10 +177,17 @@ def error_disturbance_figures(u, sigma, zf, a, b, rho) -> tuple[np.ndarray, ...]
 
 
 def scheme_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
-    """``error_disturbance_figures`` of one scheme, as floats."""
+    """``error_disturbance_figures`` of one scheme, as floats.
+
+    Raises ValueError unless a and b are Hermitian on the object space.
+    """
+    a, b = opalg.check_hermitian(a), opalg.check_hermitian(b)
+    dim_o = scheme.object_dim
+    if a.shape != (dim_o, dim_o) or b.shape != (dim_o, dim_o):
+        raise ValueError("target operators do not act on the object space of the coupling")
     figures = error_disturbance_figures(
         scheme.coupling[None], scheme.probe_state[None], scheme.pointer_operator()[None],
-        *(np.asarray(m, dtype=complex)[None] for m in (a, b, rho)),
+        a[None], b[None], np.asarray(rho, dtype=complex)[None],
     )
     return tuple(float(f[0]) for f in figures)
 

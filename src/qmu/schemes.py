@@ -133,18 +133,25 @@ def induced_effects(coupling, probe_state, pointer_basis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _premeasurement(a: SharpObservable, sigma, coupling) -> MeasurementScheme:
+    """The scheme with pointer a on a probe in state sigma; only sigma is checked.
+
+    The couplings of the builders below are the identity and a permutation,
+    unitary by construction.
+    """
+    sigma = opalg.check_density(sigma)
+    if sigma.shape != (a.dim, a.dim):
+        raise ValueError("pointer observable does not act on the probe space")
+    return MeasurementScheme._trusted(sigma, coupling, a, a.outcomes)
+
+
 def identity_scheme(a: SharpObservable, sigma) -> MeasurementScheme:
     """Uninformative premeasurement: clone probe, trivial coupling, pointer A.
 
     The measured observable is trivial, F(X) = A_sigma(X) 1, and the state is
     untouched, so the disturbance vanishes for every observable and state.
     """
-    d = a.dim
-    return MeasurementScheme(
-        probe_state=np.asarray(sigma, dtype=complex),
-        coupling=np.eye(d * d, dtype=complex),
-        pointer=a,
-    )
+    return _premeasurement(a, sigma, np.eye(a.dim * a.dim, dtype=complex))
 
 
 def swap_unitary(d: int) -> np.ndarray:
@@ -157,9 +164,4 @@ def swap_unitary(d: int) -> np.ndarray:
 
 def swap_scheme(a: SharpObservable, sigma) -> MeasurementScheme:
     """Swap premeasurement: measures A exactly, replaces the state by sigma."""
-    d = a.dim
-    return MeasurementScheme(
-        probe_state=np.asarray(sigma, dtype=complex),
-        coupling=swap_unitary(d),
-        pointer=a,
-    )
+    return _premeasurement(a, sigma, swap_unitary(a.dim))

@@ -299,6 +299,7 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "von-neumann-position", "--set", "lam=2"),
         ("scenario", "run", "von-neumann-position", "--set", "L_obj=16", "--set", "n_obj=64",
          "--set", "n_probe=64"),
+        ("scenario", "run", "--all", "--set", "rho_bloch=[1,0,0]"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
@@ -309,12 +310,30 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
          "seed-negative-scenario", "hbar-scale-nan", "hbar-scale-zero", "set-angle-null",
          "set-angle-nan", "set-angle-not-a-number", "set-gamma-null", "set-alpha-list",
          "set-sigma_bloch-short", "set-lam-negative", "set-lam-off-lattice",
-         "set-lam-vanishing", "set-lam-wraps-probe-grid", "set-L_obj-wraps-probe-grid"],
+         "set-lam-vanishing", "set-lam-wraps-probe-grid", "set-L_obj-wraps-probe-grid",
+         "set-key-unknown-to-a-scenario"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"
     code, out, err = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
     assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("ozawa_branciard_suite", ("check", "ozawa")),
+    ("feasible_models", ("sweep", "branciard", "{csv}")),
+])
+def test_out_of_memory_exits_3_with_one_line(tmp_path, capsys, monkeypatch, target, argv):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setattr(f"qmu.cli.{target}", exhausted)
+    csv_path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
+    assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert not csv_path.exists()

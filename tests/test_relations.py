@@ -42,6 +42,18 @@ EY = np.array([0.0, 1.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
 
 
+
+@pytest.mark.parametrize("checker", [check_ozawa, check_naive_heisenberg, check_branciard_scheme])
+def test_scheme_checkers_reject_malformed_targets(checker):
+    scheme = swap_scheme(spectral_measure(SIGMA_Z), bloch_state(EY))
+    rho = bloch_state(EZ)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        checker(scheme, SIGMA_Z, np.array([[0.0, 1.0], [0.0, 0.0]]), rho)
+    with pytest.raises(ValueError, match="object space"):
+        checker(scheme, np.eye(3), SIGMA_X, rho)
+    with pytest.raises(ValueError, match="object space"):
+        checker(scheme, SIGMA_Z, np.eye(4), rho)
+
 def random_feasible_pair(rng):
     while True:
         c = rng.uniform(-1, 1, 3)

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from qmu import opalg
+from qmu.cli import main
 from qmu.errmetrics import eps_no_from_moments, eps_no_from_scheme, three_state_eps
 from qmu.observables import BlochObservable, SharpObservable
 from qmu.relations import (
@@ -26,7 +28,6 @@ from qmu.scenarios import (
     TRIPLE_W2_AT_NULL_STATE,
     _eps_form_draws,
     _ozawa_draws,
-    covariant_models,
     eps_form_equivalence_suite,
     eps_form_routes,
     epsno_sum_suite,
@@ -183,7 +184,7 @@ def test_stacked_eps_routes_match_the_scalar_routes():
 
 def test_stacked_eps_sum_matches_the_generic_route():
     rng = np.random.default_rng(13)
-    c, d = covariant_models(rng, 60)
+    c, d = feasible_models(rng, 60)
     stacked = qubit_epsno_sum_verdict(EZ, EX, c, d)
     for k in range(60)[SUBSAMPLE]:
         rho = opalg.random_density(2, rng)
@@ -203,6 +204,11 @@ def test_feasible_models_are_feasible_and_seeded():
     c2, d2 = feasible_models(np.random.default_rng(5), 300)
     np.testing.assert_array_equal(c, c2)
     np.testing.assert_array_equal(d, d2)
+    rng = np.random.default_rng(8)
+    for _ in range(3):  # the suites use the rows unchecked, block after block
+        c, d = feasible_models(rng, SUITE_BLOCK)
+        lo, hi = gamma0_interval(c, d)
+        check_joint_effects(c, d, 0.5 * (lo + hi))
 
 
 def test_a_bad_row_fails_the_block_as_the_scalar_constructors_fail():
@@ -229,3 +235,24 @@ def test_suites_report_the_budget_as_draws(draws):
     for suite in (ozawa_branciard_suite, eps_form_equivalence_suite,
                   unbiased_model_suite, epsno_sum_suite):
         assert suite(seed=2, draws=draws)["draws"] == draws
+
+
+def test_suites_and_the_branciard_sweep_call_no_validator(monkeypatch, tmp_path):
+    """Every opalg validator and ``check_joint_effects`` raises wherever a qmu module binds it."""
+    guarded = (opalg.as_complex_matrix, opalg.check_hermitian, opalg.check_density,
+               opalg.check_unitary, check_joint_effects)
+
+    def refuse(fn):
+        def called(*args, **kwargs):
+            raise AssertionError(f"{fn.__name__} was called")
+        return called
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "qmu":
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in guarded):
+                    monkeypatch.setattr(module, attr, refuse(value))
+    for suite in (ozawa_branciard_suite, eps_form_equivalence_suite,
+                  unbiased_model_suite, epsno_sum_suite):
+        suite(seed=4, draws=40)
+    assert main(["sweep", "branciard", str(tmp_path / "sweep.csv"), "--points", "40"]) == 0

@@ -9,6 +9,7 @@ from qmu.observables import (
     check_effects,
     check_projections,
     distribution_of,
+    qubit_triple,
     smear,
     spectral_measure,
 )
@@ -213,6 +214,8 @@ def test_trusted_builders_pass_the_public_validators():
     c_vec = rng.uniform(-1.0, 1.0, 3)
     built.append(BlochObservable(1.0, 0.9 * c_vec / np.linalg.norm(c_vec)).to_observable())
     built.append(position_observable(GridSystem(16, 4.0)))
+    built.append(qubit_triple())
+    assert np.linalg.norm(built[-1].effects.sum(axis=0) - np.eye(2)) <= 1e-12
     for obs in built:
         rebuilt = revalidated(obs)
         assert isinstance(rebuilt, type(obs))
@@ -230,3 +233,7 @@ def test_trusted_builders_pass_the_public_validators():
     scheme = VonNeumannModel(GridSystem(32, 8.0), probe, 1.0, gaussian_state(probe)).to_scheme()
     revalidated_scheme(scheme)
     revalidated(induced_observable(scheme))
+    for builder in (identity_scheme, swap_scheme):
+        for d in (2, 3):
+            sigma = opalg.random_density(d, rng)
+            revalidated_scheme(builder(spectral_measure(opalg.random_hermitian(d, rng)), sigma))
