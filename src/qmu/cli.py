@@ -200,6 +200,7 @@ def cmd_scenario(args) -> int:
             print(f"numerical failure in {name}: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         outcomes.append(outcome)
+    for outcome in outcomes:  # only once all have run: a failure prints its line alone
         _print_outcome_table(outcome)
     payload = {
         "schema": SCHEMA,

@@ -217,41 +217,66 @@ class Coupling:
         return float(np.dot(self.weights, diff * diff))
 
 
-def _quantile_cells(mu: Distribution, nu: Distribution):
-    """Cells (i, j, w) of the staircase coupling of mu and nu.
+def quantile_cells(p: np.ndarray, q: np.ndarray):
+    """Cells (i, j, w) of the staircase couplings of probability rows p and q.
 
-    Both quantile functions are constant between the merged cumulative
-    breakpoints ``t``, so each interval (t[k-1], t[k]] of positive length is
-    one cell, at the atoms whose cumulative sums first reach t[k]: at most
-    m+n-1 cells.  The stable sort merges the two sorted runs of breakpoints,
-    so time and memory are linear in m+n.
+    ``p`` is (N, m) and ``q`` is (N, n).  Both quantile functions of a row
+    are constant between its merged cumulative breakpoints ``t``, so each
+    interval (t[k-1], t[k]] of positive length is one cell, at the atoms
+    whose cumulative sums first reach t[k]: on each side, the atoms whose
+    breakpoints the stable merge puts before t[k].  The stable sort merges
+    each row's sorted runs of breakpoints, so time and memory are linear in
+    m+n a row.  Returns three (N, K) arrays: each row's cells in staircase
+    order (at most m+n-1 of them), then zero-weight cells up to the longest
+    row's count K.
     """
+    rows, m = p.shape
+    n = q.shape[1]
     # Clamped to at most 1, so that a partial sum rounding above 1 cannot
     # become a breakpoint past the other side's last one.
-    a, b = np.minimum(mu.probs.cumsum(), 1.0), np.minimum(nu.probs.cumsum(), 1.0)
-    a[-1] = b[-1] = 1.0
-    t = np.concatenate(([0.0], a, b))
-    t.sort(kind="stable")
-    w = t[1:] - t[:-1]
+    a, b = np.minimum(p.cumsum(axis=1), 1.0), np.minimum(q.cumsum(axis=1), 1.0)
+    a[:, -1] = b[:, -1] = 1.0
+    t = np.concatenate([np.zeros((rows, 1)), a, b], axis=1)
+    order = t.argsort(axis=1, kind="stable")
+    t = t.ravel()[order + (m + n + 1) * np.arange(rows)[:, None]]
+    w = t[:, 1:] - t[:, :-1]
+    # The leading 0 sorts first, so the k breakpoints before t[k] are it,
+    # j of q's and k-1-j of p's.  Only zero-length intervals reach i = m.
+    j = np.cumsum(order[:, :-1] > m, axis=1)
+    i = np.minimum(np.arange(m + n) - j, m - 1)
     keep = w > 0
-    t, w = t[1:][keep], w[keep]
-    return a.searchsorted(t), b.searchsorted(t), w
+    cells = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+    cells += (m + n) * np.arange(rows)[:, None]
+    return i.ravel()[cells], j.ravel()[cells], w.ravel()[cells]
+
+
+def w2_quantile_rows(x: np.ndarray, y: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Wasserstein 2-deviations of probability rows on shared supports.
+
+    ``x`` (m,) and ``y`` (n,) are increasing supports, ``p`` (N, m) and
+    ``q`` (N, n) rows of probabilities on them; returns the (N,) values,
+    each the cost of its row's staircase coupling as one dot product.
+    """
+    i, j, w = quantile_cells(p, q)
+    diff = x[i] - y[j]
+    cost = (w[:, None, :] @ (diff * diff)[:, :, None])[:, 0, 0]
+    return np.sqrt(np.maximum(cost, 0.0))
 
 
 def w2_quantile(mu: Distribution, nu: Distribution) -> float:
     """Wasserstein 2-deviation via the quantile (comonotone) construction.
 
-    The squared value is the integral of the squared quantile difference,
-    the cost of the staircase coupling that ``quantile_coupling`` returns.
+    The one-row case of ``w2_quantile_rows``: the squared value is the
+    integral of the squared quantile difference, the cost of the staircase
+    coupling that ``quantile_coupling`` returns.
     """
-    i, j, w = _quantile_cells(mu, nu)
-    diff = mu.support[i] - nu.support[j]
-    return math.sqrt(max(float(np.dot(w, diff * diff)), 0.0))
+    return float(w2_quantile_rows(mu.support, nu.support, mu.probs[None], nu.probs[None])[0])
 
 
 def quantile_coupling(mu: Distribution, nu: Distribution) -> Coupling:
     """The staircase coupling of mu and nu; it attains ``w2_quantile``."""
-    return Coupling(mu.support, nu.support, *_quantile_cells(mu, nu))
+    i, j, w = quantile_cells(mu.probs[None], nu.probs[None])
+    return Coupling(mu.support, nu.support, i[0], j[0], w[0])
 
 
 def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:

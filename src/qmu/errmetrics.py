@@ -17,16 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .distributions import w2_quantile
+from .distributions import w2_quantile, w2_quantile_rows
 from .observables import (
     TOL_COMMUTE,
-    BiProbabilityTable,
     Observable,
     SharpObservable,
+    born_probabilities,
     distribution_of,
     distribution_of_pure,
     moment_operator,
     product_biobservable,
+    pure_states,
     spectral_measure,
 )
 from .opalg import expectation
@@ -138,7 +139,6 @@ class ValueComparison:
 
     value: float
     commuting: bool
-    table: BiProbabilityTable
     w2_distributions: float
 
 
@@ -153,7 +153,7 @@ def value_comparison_eps(a: SharpObservable, c: Observable, rho) -> ValueCompari
     table = product_biobservable(a, c, rho)
     value = math.sqrt(max(table.value_deviation_squared(), 0.0))
     w2 = w2_quantile(distribution_of(a, rho), distribution_of(c, rho))
-    return ValueComparison(value, table.commuting, table, w2)
+    return ValueComparison(value, table.commuting, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,37 +284,60 @@ def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> Wo
     """Exact worst case when every effect of a and c is diagonal in ``basis``.
 
     Every dual operator sum u_i A_i + sum v_j C_j is then diagonal, so the sup
-    over states is the largest classical deviation over the basis states.
+    over states is the largest classical deviation over the basis states:
+    the rows of one Born table, one call of the row kernel.
     """
-    best_val, best_state = -1.0, None
-    for psi in basis.T:
-        val = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
-        if val > best_val:
-            best_val, best_state = val, psi
-    return WorstCaseResult(value=best_val, state=best_state, exact=True)
+    rho = pure_states(basis.T)
+    values = w2_quantile_rows(a.outcomes, c.outcomes, born_probabilities(rho, a.effects),
+                              born_probabilities(rho, c.effects))
+    k = int(np.argmax(values))
+    return WorstCaseResult(value=float(values[k]), state=basis[:, k], exact=True)
+
+
+def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
+                     c_effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact worst cases of N pairs that share their outcome values, by duality.
+
+    ``a_effects`` (N, m, d, d) and ``c_effects`` (N, n, d, d) are the pairs'
+    effects on the outcome values ``x`` (m,) and ``y`` (n,).  W2^2 in state
+    rho is the max over dual-feasible (u, v) of tr rho M(u, v) with
+    M = sum u_i A_i + sum v_j C_j, so sup_rho W2^2 is the largest top
+    eigenvalue of M over the staircase duals, which depend on x and y alone.
+    The operators of every (pair, dual) go through stacked ``eigvalsh``
+    calls of at most ``EIG_CHUNK_ENTRIES`` entries; one stacked eigh of
+    each pair's winning operator gives its witness, and the reported value
+    is the deviation at the witness.  Returns (N,) values and (N, d)
+    witnesses.
+    """
+    u, v = staircase_duals(x, y)
+    coeffs = np.concatenate([u, v], axis=1)
+    pairs, d = a_effects.shape[0], a_effects.shape[-1]
+    effects = np.concatenate([a_effects, c_effects], axis=1).reshape(pairs, -1, d * d)
+    dual_chunk = max(1, EIG_CHUNK_ENTRIES // (d * d))
+    pair_chunk = max(1, dual_chunk // coeffs.shape[0])
+    top = np.full(pairs, -np.inf)
+    best = np.zeros(pairs, dtype=np.intp)
+    for lo in range(0, pairs, pair_chunk):
+        block = slice(lo, lo + pair_chunk)
+        for first in range(0, coeffs.shape[0], dual_chunk):
+            ops = (coeffs[first:first + dual_chunk] @ effects[block]).reshape(-1, d, d)
+            tops = np.linalg.eigvalsh(ops)[:, -1].reshape(effects[block].shape[0], -1)
+            local = tops.max(axis=1)
+            better = local > top[block]  # ties keep the earlier dual
+            best[block][better] = first + tops.argmax(axis=1)[better]
+            top[block] = np.maximum(top[block], local)
+    winners = (coeffs[best][:, None, :] @ effects)[:, 0].reshape(pairs, d, d)
+    psi = opalg.eig_hermitian(0.5 * (winners + opalg.dagger(winners)))[1][..., -1]
+    rho = pure_states(psi)
+    values = w2_quantile_rows(x, y, born_probabilities(rho, a_effects),
+                              born_probabilities(rho, c_effects))
+    return values, psi
 
 
 def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
-    """Exact worst case by Kantorovich duality over the staircase duals.
-
-    W2^2 in state rho is the max over dual-feasible (u, v) of tr rho M(u, v)
-    with M = sum u_i A_i + sum v_j C_j, so sup_rho W2^2 is the largest top
-    eigenvalue of M over the staircase duals.  Its top eigenvector is the
-    witness, and the reported value is the deviation at the witness.
-    """
-    u, v = staircase_duals(a.outcomes, c.outcomes)
-    coeffs = np.concatenate([u, v], axis=1)
-    d = a.dim
-    effects = np.concatenate([a.effects, c.effects]).reshape(-1, d * d)
-    chunk = max(1, EIG_CHUNK_ENTRIES // (d * d))
-    top = np.empty(coeffs.shape[0])
-    for lo in range(0, coeffs.shape[0], chunk):
-        stack = (coeffs[lo:lo + chunk] @ effects).reshape(-1, d, d)
-        top[lo:lo + chunk] = np.linalg.eigvalsh(stack)[:, -1]
-    best = (coeffs[int(np.argmax(top))] @ effects).reshape(d, d)
-    psi = opalg.eig_hermitian(0.5 * (best + best.conj().T))[1][:, -1]
-    value = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
-    return WorstCaseResult(value=value, state=psi, exact=True)
+    """Exact worst case by Kantorovich duality: the N = 1 case of ``w2_worst_stacked``."""
+    values, states = w2_worst_stacked(a.outcomes, a.effects[None], c.outcomes, c.effects[None])
+    return WorstCaseResult(value=float(values[0]), state=states[0], exact=True)
 
 
 def worst_case_deviation(a: Observable, c: Observable) -> WorstCaseResult:
@@ -375,26 +398,42 @@ class CalibrationResult:
     state: np.ndarray  # unit vector in the target eigenspace attaining the value
 
 
-def calibration_error(a: SharpObservable, c: Observable) -> CalibrationResult:
-    """Calibration error of c against the sharp target a, in closed form.
+def calibration_stacked(y: np.ndarray, projections: np.ndarray, x: np.ndarray,
+                        effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration errors of N pairs that share their outcome values, in closed form.
 
-    As eps -> 0 the states with Delta(A_rho, delta_y) <= eps shrink onto the
-    eigenspace P_y, so the limit is sqrt(max_y lambda_max(V^dag D_y V)) with
-    D_y = sum_x (x - y)^2 C(x) and V an orthonormal basis of P_y.  The top
-    eigenvector, mapped back by V, is the witness state.
+    ``projections`` (N, n_y, d, d) are the sharp targets' eigenprojections
+    P_y on the values ``y``; ``effects`` (N, n_x, d, d) are the
+    approximators' effects on the values ``x``.  As eps -> 0 the states with
+    Delta(A_rho, delta_y) <= eps shrink onto P_y, so the limit is
+    sqrt(max_y lambda_max of D_y on P_y) with D_y = sum_x (x - y)^2 C(x).
+    Every D_y comes from one einsum, and one stacked eigh of
+    P_y D_y P_y - (1 - P_y) gives its top eigenvector on P_y: D_y >= 0, so
+    the -1 block keeps that vector inside P_y even when the top value is 0,
+    and eigenspaces of any rank share the stack.  Each vector's value is
+    its deviation <psi|D_y|psi>, which rounds more tightly than the stacked
+    eigenvalue.  Returns (N,) values and (N, d) witnesses, each a unit
+    vector in its P_y.
+    """
+    d = effects.shape[-1]
+    deviation = np.einsum("yx,nxij->nyij", (x[None, :] - y[:, None]) ** 2, effects)
+    shifted = projections @ deviation @ projections - (np.eye(d) - projections)
+    psi = opalg.eig_hermitian(0.5 * (shifted + opalg.dagger(shifted)))[1][..., -1]
+    tops = np.einsum("nyi,nyij,nyj->ny", psi.conj(), deviation, psi).real
+    best = np.argmax(tops, axis=1)
+    rows = np.arange(effects.shape[0])
+    return opalg.sqrt_clamped(tops[rows, best]), psi[rows, best]
+
+
+def calibration_error(a: SharpObservable, c: Observable) -> CalibrationResult:
+    """Calibration error of c against the sharp target a.
+
+    The N = 1 case of ``calibration_stacked``, with the witness state.
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
-    best, witness = -np.inf, None
-    for y, proj in zip(a.outcomes, a.effects):
-        evals, evecs = opalg.eig_hermitian(proj)
-        basis = evecs[:, evals > 0.5]
-        deviation = np.einsum("x,xij->ij", (c.outcomes - y) ** 2, c.effects)
-        compressed = basis.conj().T @ deviation @ basis
-        top, vecs = opalg.eig_hermitian(0.5 * (compressed + compressed.conj().T))
-        if top[-1] > best:
-            best, witness = top[-1], basis @ vecs[:, -1]
-    return CalibrationResult(value=opalg.sqrt_clamped(float(best)), state=witness)
+    values, states = calibration_stacked(a.outcomes, a.effects[None], c.outcomes, c.effects[None])
+    return CalibrationResult(value=float(values[0]), state=states[0])
 
 
 # ---------------------------------------------------------------------------

@@ -205,19 +205,34 @@ def distribution_of(obs: Observable, rho) -> Distribution:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (obs.dim, obs.dim):
         raise ValueError(f"state dimension {rho.shape} does not match observable dim {obs.dim}")
-    probs = np.einsum("ij,kji->k", rho, obs.effects).real
+    return Distribution(obs.outcomes, born_probabilities(rho, obs.effects))
+
+
+def born_probabilities(rho, effects) -> np.ndarray:
+    """Checked Born probabilities tr(rho E_k), clipped to [0, 1].
+
+    ``rho`` (..., d, d) is a state or a stack of states; ``effects``
+    (..., k, d, d) is one effect list for them all or one per state.
+    Returns (..., k) rows, each checked to be nonnegative and to sum to one.
+    """
+    probs = np.einsum("...ij,...kji->...k", rho, effects).real
     if probs.min() < -1e-12:
         raise ValueError(f"negative Born probability {probs.min():.3e}")
     probs = np.clip(probs, 0.0, 1.0)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"Born probabilities sum to {total!r}")
-    return Distribution(obs.outcomes, probs)
+    total = probs.sum(axis=-1)
+    worst = total.flat[np.argmax(np.abs(total - 1.0))]
+    if abs(worst - 1.0) > 1e-10:
+        raise ValueError(f"Born probabilities sum to {worst!r}")
+    return probs
+
+
+def pure_states(psi) -> np.ndarray:
+    """Density operators |psi><psi| of a vector or of each row of a stack (..., d)."""
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def distribution_of_pure(obs: Observable, psi) -> Distribution:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return distribution_of(obs, np.outer(psi, psi.conj()))
+    return distribution_of(obs, pure_states(np.asarray(psi, dtype=complex).reshape(-1)))
 
 
 @dataclass(frozen=True)

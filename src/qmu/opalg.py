@@ -19,7 +19,6 @@ TOL_HERM = 1e-12          # per-entry Hermiticity
 TOL_TRACE = 1e-12         # trace-one for density operators
 TOL_PSD = 1e-12           # eigenvalue floor for positivity
 TOL_UNITARY = 1e-10       # Frobenius norm of U^dag U - 1
-TOL_EIG = 1e-10           # spectral reconstruction / orthonormality
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -93,20 +92,41 @@ def spread(op: np.ndarray, rho: np.ndarray):
 
 
 def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with a fixed phase convention.
+    """Eigendecomposition of a Hermitian matrix, or a stack, with a fixed phase convention.
 
-    Returns ascending eigenvalues and orthonormal eigenvector columns; each
-    column's largest-magnitude component is made real positive so the output
-    is deterministic up to degenerate-block rotations.
+    Returns ascending eigenvalues and orthonormal eigenvector columns, phases
+    fixed by ``fix_phases``, so the output is deterministic up to
+    degenerate-block rotations.
     """
-    m = check_hermitian(op)
-    evals, evecs = np.linalg.eigh(m)
-    for k in range(evecs.shape[1]):
-        idx = int(np.argmax(np.abs(evecs[:, k])))
-        pivot = evecs[idx, k]
-        if abs(pivot) > 0:
-            evecs[:, k] *= pivot.conj() / abs(pivot)
-    return evals, evecs
+    evals, evecs = np.linalg.eigh(check_hermitian(op))
+    return evals, fix_phases(evecs)
+
+
+def fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """``vecs`` (..., d, k) with each column's largest-magnitude component real positive.
+
+    Works in place when ``vecs`` is contiguous, as ``eigh`` returns it.  The
+    first of equally large components is the pivot, and a zero column is
+    left as it is.  The phase conj(p)/|p| is
+    formed term by term as numpy's scalar complex division forms it (|p| by
+    ``hypot``, then its reciprocal, zero signs kept), so every column of a
+    stack rounds exactly as the scalar ``p.conj() / abs(p)`` does.
+    """
+    d, k = vecs.shape[-2:]
+    cols = vecs.reshape(-1, d, k)
+    stack = np.arange(cols.shape[0])[:, None]
+    pivot = cols[stack, np.abs(cols).argmax(axis=1), np.arange(k)]
+    re, im = pivot.real, -pivot.imag
+    size = np.hypot(re, im)
+    zero = size == 0
+    size[zero] = 1.0
+    ratio, scale = 0.0 / size, 1.0 / size
+    phase = np.empty_like(pivot)
+    phase.real = (re + im * ratio) * scale
+    phase.imag = (im - re * ratio) * scale
+    phase[zero] = 1.0
+    cols *= phase[:, None, :]
+    return cols.reshape(vecs.shape)
 
 
 def tensor(a, b) -> np.ndarray:

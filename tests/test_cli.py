@@ -225,6 +225,16 @@ def test_check_numerical_failure_exits_3(capsys):
     assert len(err.strip().splitlines()) == 1 and "phase-space" in err
 
 
+def test_scenario_run_all_late_failure_prints_one_line(capsys):
+    # The first husimi-* scenario fails after earlier scenarios have run:
+    # their tables must not come before the failure line.
+    code, out, err = run_cli(capsys, "--grid-L", "1e-300", "scenario", "run", "--all")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure in husimi-")
+    assert len(err.strip().splitlines()) == 1
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

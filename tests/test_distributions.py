@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,12 @@ from qmu.distributions import (
     make_distribution,
     merge_groups,
     merge_outcomes,
+    quantile_cells,
     quantile_coupling,
     splits_from,
     w2_lp_oracle,
     w2_quantile,
+    w2_quantile_rows,
 )
 
 
@@ -295,6 +299,68 @@ def test_staircase_large_supports():
     assert abs(val - quantile_integral(mu, nu)) <= 1e-12 * val
     shifted = w2_quantile(mu, mu.translate(-0.7))
     assert abs(shifted - 0.7) < 1e-12
+
+
+def searchsorted_cells(mu, nu):
+    """Staircase cells of one pair by a sorted merge and a searchsorted on each side."""
+    a, b = np.minimum(np.cumsum(mu.probs), 1.0), np.minimum(np.cumsum(nu.probs), 1.0)
+    a[-1] = b[-1] = 1.0
+    t = np.sort(np.concatenate(([0.0], a, b)), kind="stable")
+    w = t[1:] - t[:-1]
+    t, w = t[1:][w > 0], w[w > 0]
+    return a.searchsorted(t), b.searchsorted(t), w
+
+
+def test_row_kernel_one_row_matches_the_searchsorted_construction():
+    rng = np.random.default_rng(13)
+    for m, n in ((2048, 1536), (1536, 2048), (1536, 1536)):
+        mu = Distribution(np.sort(rng.normal(0.0, 1.0, m)), rng.dirichlet(np.ones(m)))
+        nu = Distribution(np.sort(rng.normal(0.4, 1.3, n)), rng.dirichlet(np.ones(n)))
+        i, j, w = searchsorted_cells(mu, nu)
+        cells = quantile_cells(mu.probs[None], nu.probs[None])
+        coupling = quantile_coupling(mu, nu)
+        for expected, row, cell in zip((i, j, w), cells, (coupling.rows, coupling.cols,
+                                                            coupling.weights)):
+            assert row.shape == (1, expected.size)
+            assert row[0].tobytes() == expected.tobytes() == cell.tobytes()
+        value = w2_quantile_rows(mu.support, nu.support, mu.probs[None], nu.probs[None])
+        diff = mu.support[i] - nu.support[j]
+        assert value.shape == (1,)
+        assert abs(value[0] - w2_quantile(mu, nu)) <= 1e-15
+        assert abs(value[0] - math.sqrt(np.dot(w, diff * diff))) <= 1e-15
+
+
+def test_row_kernel_stack_equals_a_loop_over_rows():
+    rng = np.random.default_rng(14)
+    m, n = 24, 5
+    x, y = np.sort(rng.uniform(-2, 2, m)), np.sort(rng.uniform(-2, 2, n))
+    p, q = rng.dirichlet(np.ones(m), 40), rng.dirichlet(np.ones(n), 40)
+    p[::4, [0, 3, m - 1]] = 0.0  # zero-probability atoms, first and last included
+    q[1::4, [0, n - 1]] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    # breakpoints tied across the two sides
+    p[2] = np.concatenate((np.full(4, 0.25), np.zeros(m - 4)))
+    q[2] = [0.5, 0.0, 0.5, 0.0, 0.0]
+    p[3] = np.concatenate((np.full(5, 0.2), np.zeros(m - 5)))
+    q[3] = np.full(n, 0.2)
+    # twenty atoms of 0.05 sum to 1 + 2.2e-16: cumulative sums round above 1
+    p[5] = np.concatenate((np.full(20, 0.05), np.zeros(m - 20)))
+    assert np.cumsum(p[5])[19] > 1.0
+    q[6] = [0.05, 0.05, 0.05, 0.05, 0.8]
+    p[6] = np.full(m, 1 / m)
+    cells = quantile_cells(p, q)
+    values = w2_quantile_rows(x, y, p, q)
+    assert values.shape == (40,)
+    for r in range(40):
+        mu, nu = Distribution(x, p[r]), Distribution(y, q[r])
+        coupling = quantile_coupling(mu, nu)
+        count = coupling.weights.size
+        for row, expected in zip(cells, (coupling.rows, coupling.cols, coupling.weights)):
+            assert row[r, :count].tobytes() == expected.tobytes()
+        assert np.all(cells[2][r, count:] == 0.0)
+        assert abs(values[r] - w2_quantile(mu, nu)) <= 1e-15
+        assert abs(values[r] - quantile_integral(mu, nu)) <= 1e-12
 
 
 @st.composite

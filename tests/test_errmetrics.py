@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from qmu import opalg
 from qmu.distributions import Distribution, w2_quantile
@@ -9,6 +10,7 @@ from qmu import errmetrics
 from qmu.errmetrics import (
     bloch_parameters,
     calibration_error,
+    calibration_stacked,
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
@@ -20,6 +22,7 @@ from qmu.errmetrics import (
     value_comparison_eps,
     w2_observables_worst,
     w2_worst_common_basis,
+    w2_worst_stacked,
     w2_worst_staircase,
     worst_case_deviation,
 )
@@ -592,6 +595,117 @@ def test_calibration_witness_attains_the_value():
         assert abs(deviation - rep.calibration) < 1e-12
         encoded = report_to_json(rep)["calibration_witness_state"]
         np.testing.assert_array_equal(np.array(encoded) @ [1, 1j], psi)
+
+
+# --- stacked sups ----------------------------------------------------------------
+
+
+TARGET_VALUES = np.array([-1.0, 0.5])
+APPROX_VALUES = np.array([-1.0, 0.2, 0.5])
+
+
+def shared_value_block(rng, n_pairs=24, d=4):
+    """Seeded pairs on shared outcome values: degenerate sharp targets against
+    random POVMs, commuting smearings of the target, and the target itself.
+
+    Targets have eigenvalue -1 on a random 3-dimensional space and 0.5 on its
+    complement; approximators take the values (-1, 0.2, 0.5).  Returns the
+    stacked effects and the pairs as observables.
+    """
+    targets, approximators = [], []
+    for k in range(n_pairs):
+        u = opalg.haar_unitary(d, rng)
+        low = u[:, :3] @ u[:, :3].conj().T
+        projections = np.stack([low, np.eye(d) - low])
+        if k % 3 == 0:
+            effects = random_povm(d, 3, rng).effects
+        elif k % 3 == 1:  # classical noise on the target's values: commutes with it
+            noise = rng.dirichlet(np.ones(3), size=2).T  # column y is a law on the x values
+            effects = np.einsum("xy,yij->xij", noise, projections)
+        else:  # C = A, with a never-seen outcome 0.2
+            effects = np.stack([projections[0], np.zeros((d, d)), projections[1]])
+        targets.append(projections)
+        approximators.append(effects)
+    targets = np.array(targets, dtype=complex)
+    approximators = np.array(approximators, dtype=complex)
+    pairs = [(SharpObservable(TARGET_VALUES, a), Observable(APPROX_VALUES, c))
+             for a, c in zip(targets, approximators)]
+    return targets, approximators, pairs
+
+
+def calibration_by_compression(a, c):
+    """max over y of lambda_max(V^dag D_y V), V an orthonormal basis of P_y."""
+    best = 0.0
+    for y, proj in zip(a.outcomes, a.effects):
+        evals, evecs = np.linalg.eigh(proj)
+        basis = evecs[:, evals > 0.5]
+        dev = sum((x - y) ** 2 * eff for x, eff in zip(c.outcomes, c.effects))
+        best = max(best, np.linalg.eigvalsh(basis.conj().T @ dev @ basis)[-1])
+    return math.sqrt(max(best, 0.0))
+
+
+def test_stacked_sups_match_the_scalar_routes():
+    targets, approximators, pairs = shared_value_block(np.random.default_rng(51))
+    worst, witnesses = w2_worst_stacked(TARGET_VALUES, targets, APPROX_VALUES, approximators)
+    calib, calib_witnesses = calibration_stacked(TARGET_VALUES, targets, APPROX_VALUES,
+                                                 approximators)
+    assert worst.shape == calib.shape == (len(pairs),)
+    assert witnesses.shape == calib_witnesses.shape == (len(pairs), 4)
+    for k, (a, c) in enumerate(pairs):
+        assert abs(worst[k] - w2_observables_worst(a, c).value) < 1e-12
+        psi = witnesses[k]
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        at_witness = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
+        assert abs(at_witness - worst[k]) < 1e-12
+        # squares: near an exact 0 (C = A) the square root lifts rounding to 1e-8
+        assert abs(calib[k] ** 2 - calibration_error(a, c).value ** 2) < 1e-12
+        assert abs(calib[k] ** 2 - calibration_by_compression(a, c) ** 2) < 1e-12
+        assert calib[k] ** 2 <= worst[k] ** 2 + 1e-12
+        # the calibration witness is a unit vector inside one eigenspace P_y
+        # and attains the value there, also when the value is 0 (C = A)
+        psi = calib_witnesses[k]
+        weights = np.einsum("i,kij,j->k", psi.conj(), a.effects, psi).real
+        y = int(np.argmax(weights))
+        assert abs(weights[y] - 1.0) < 1e-12
+        deviation = distribution_of_pure(c, psi).deviation_from_point(a.outcomes[y])
+        assert abs(deviation**2 - calib[k] ** 2) < 1e-12
+        if k % 3 == 2:
+            assert worst[k] < 1e-12 and calib[k] ** 2 < 1e-12
+
+
+def test_stacked_worst_case_meets_the_qubit_closed_form():
+    rng = np.random.default_rng(52)
+    pairs = []
+    for _ in range(40):
+        avec = rng.standard_normal(3)
+        c0 = rng.uniform(0.1, 1.9)
+        cvec = rng.standard_normal(3)
+        cvec *= rng.uniform(0.0, min(c0, 2.0 - c0)) / np.linalg.norm(cvec)
+        pairs.append((spectral_measure(opalg.bloch_operator(avec / np.linalg.norm(avec))),
+                      BlochObservable(c0, cvec).to_observable()))
+    values, states = w2_worst_stacked(
+        np.array([-1.0, 1.0]), np.stack([a.effects for a, _ in pairs]),
+        np.array([-1.0, 1.0]), np.stack([c.effects for _, c in pairs]))
+    for (a, c), value, psi in zip(pairs, values, states):
+        assert abs(value - qubit_worst_case_closed_form(a, c)) < 1e-12
+        at_witness = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
+        assert abs(at_witness - value) < 1e-12
+
+
+@pytest.mark.parametrize("entries", [2 * 16, 7 * 16])
+def test_stacked_worst_case_across_chunk_boundaries(monkeypatch, entries):
+    # d = 4 and three staircase duals: 32 entries split each pair's duals
+    # over two chunks, 112 entries put two pairs in a chunk and leave a
+    # partial last one.
+    targets, approximators, pairs = shared_value_block(np.random.default_rng(53), n_pairs=9)
+    whole, _ = w2_worst_stacked(TARGET_VALUES, targets, APPROX_VALUES, approximators)
+    monkeypatch.setattr(errmetrics, "EIG_CHUNK_ENTRIES", entries)
+    chunked, states = w2_worst_stacked(TARGET_VALUES, targets, APPROX_VALUES, approximators)
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+    for (a, c), value, psi in zip(pairs, chunked, states):
+        assert abs(value - w2_observables_worst(a, c).value) < 1e-12
+        at_witness = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
+        assert abs(at_witness - value) < 1e-12
 
 
 # --- report --------------------------------------------------------------------

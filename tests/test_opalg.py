@@ -131,3 +131,40 @@ def test_spread_matches_the_spectral_distribution():
                         opalg.projector(opalg.haar_state(dim, rng))):
                 expected = distribution_of(spectral_measure(a), rho).std
                 assert abs(spread(a, rho) - expected) < 1e-12
+
+
+def phases_by_column(vecs):
+    """The per-column phase convention, one column at a time."""
+    vecs = vecs.copy()
+    for k in range(vecs.shape[1]):
+        idx = int(np.argmax(np.abs(vecs[:, k])))
+        pivot = vecs[idx, k]
+        if abs(pivot) > 0:
+            vecs[:, k] *= pivot.conj() / abs(pivot)
+    return vecs
+
+
+def test_fix_phases_equals_the_per_column_loop_bitwise():
+    rng = np.random.default_rng(41)
+    s = 1 / np.sqrt(2)
+    cases = [
+        # the two largest entries of a column have equal magnitude
+        np.array([[s, 1j * s], [-1j * s, s]]),
+        np.array([[0.5, 0.5j, 0.5, -0.5j], [-0.5j, 0.5, 0.5j, 0.5],
+                  [0.5, -0.5, 0.5, 0.5], [0.5j, 0.5j, -0.5j, 0.5j]]).T,
+        np.array([[0.6, -0.8], [-0.8, -0.6]], dtype=complex),  # real, signed zeros
+        np.array([[0.0, 1.0], [1j, 0.0]]),
+    ]
+    for dim in (1, 2, 3, 5, 9):
+        for real in (False, True):
+            h = opalg.random_hermitian(dim, rng)
+            cases.append(np.linalg.eigh(h.real.astype(complex) if real else h)[1])
+    for vecs in cases:
+        expected = phases_by_column(vecs)
+        assert opalg.fix_phases(vecs.copy()).tobytes() == np.ascontiguousarray(expected).tobytes()
+    stack = np.linalg.eigh(opalg.random_hermitian(4, rng, n=50))[1]
+    fixed = opalg.fix_phases(stack.copy())
+    for vecs, got in zip(stack, fixed):
+        assert got.tobytes() == phases_by_column(vecs).tobytes()
+    evals, evecs = eig_hermitian(opalg.random_hermitian(3, rng, n=7))
+    assert evals.shape == (7, 3) and evecs.shape == (7, 3, 3)
