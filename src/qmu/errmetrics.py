@@ -10,6 +10,7 @@ calibration as the eps -> 0 limit over near-eigenstate preparations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -208,9 +209,8 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     eigenbasis ill-conditioned; while every effect commutes with the
     combination, the next of ``SHARED_BASIS_TRIES`` weight vectors is tried.
     """
-    rng = np.random.default_rng(0)
-    for _ in range(SHARED_BASIS_TRIES):
-        combination = np.einsum("k,kij->ij", rng.uniform(1.0, 2.0, effects.shape[0]), effects)
+    for weights in _basis_weights(effects.shape[0]):
+        combination = np.einsum("k,kij->ij", weights, effects)
         _, basis = np.linalg.eigh(combination)
         rotated = basis.conj().T @ effects @ basis
         off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
@@ -220,6 +220,15 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
         if np.linalg.norm(commutators, axis=(1, 2)).max() > TOL_COMMUTE:
             return None
     return None
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_weights(count: int) -> np.ndarray:
+    """The ``SHARED_BASIS_TRIES`` weight vectors, drawn in turn from one seeded stream."""
+    rng = np.random.default_rng(0)
+    weights = np.stack([rng.uniform(1.0, 2.0, count) for _ in range(SHARED_BASIS_TRIES)])
+    weights.flags.writeable = False
+    return weights
 
 
 def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +241,12 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for every pair of marginals one of them is optimal.  Returns ``u`` of
     shape (T, m) and ``v`` of shape (T, n), normalised by u_0 = 0.
     """
-    m, n = x.size, y.size
+    return _tree_duals((x[:, None] - y[None, :]) ** 2, *_staircase_entries(x.size, y.size))
+
+
+@functools.lru_cache(maxsize=32)
+def _staircase_entries(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_entries`` of all staircase trees for m and n outcomes, read-only."""
     steps = m + n - 2
     trees = math.comb(steps, m - 1)
     down_at = np.fromiter(
@@ -241,7 +255,10 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ).reshape(trees, m - 1)
     is_down = np.zeros((trees, steps), dtype=bool)
     is_down[np.arange(trees)[:, None], down_at] = True
-    return _tree_duals((x[:, None] - y[None, :]) ** 2, is_down)
+    entries = _path_entries(is_down, m)
+    for entry in entries:
+        entry.flags.writeable = False
+    return entries
 
 
 def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,29 +272,50 @@ def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarr
     n = cost.shape[1]
     breakpoints = np.concatenate([np.cumsum(q)[:-1], np.cumsum(p)[:-1]])
     is_down = np.argsort(breakpoints, kind="stable") >= n - 1
-    u, v = _tree_duals(cost, is_down[None])
+    u, v = _tree_duals(cost, *_path_entries(is_down[None], cost.shape[0]))
     return u[0], v[0]
 
 
-def _tree_duals(cost: np.ndarray, is_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Duals (u, v) of the monotone paths whose steps are ``is_down`` (T, m+n-2)."""
+def _path_entries(is_down: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the monotone paths with steps ``is_down`` (T, m+n-2) enter rows and columns.
+
+    Row k is entered down column entry_col[:, k-1]; column j is entered
+    along row entry_row[:, j-1].
+    """
     trees, steps = is_down.shape
-    m, n = cost.shape
     rows_before = np.cumsum(is_down, axis=1) - is_down
     cols_before = np.arange(steps) - rows_before
-    # Row k is entered down column entry_col[:, k-1]; column j is entered
-    # along row entry_row[:, j-1].  The two path cells of each step share a
-    # potential, so the other one changes by the difference of their costs.
-    entry_col = cols_before[is_down].reshape(trees, m - 1)
-    entry_row = rows_before[~is_down].reshape(trees, n - 1)
+    return (cols_before[is_down].reshape(trees, m - 1),
+            rows_before[~is_down].reshape(trees, steps + 1 - m))
+
+
+def _tree_duals(cost: np.ndarray, entry_col: np.ndarray,
+                entry_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Duals (u, v) of the monotone paths with the given ``_path_entries``.
+
+    The two path cells of each step share a potential, so the other one
+    changes by the difference of their costs.
+    """
+    m, n = cost.shape
     rows = np.arange(1, m)
     cols = np.arange(1, n)
     du = cost[rows, entry_col] - cost[rows - 1, entry_col]
     dv = cost[entry_row, cols] - cost[entry_row, cols - 1]
-    zero = np.zeros((trees, 1))
+    zero = np.zeros((entry_col.shape[0], 1))
     u = np.concatenate([zero, np.cumsum(du, axis=1)], axis=1)
     v = cost[0, 0] + np.concatenate([zero, np.cumsum(dv, axis=1)], axis=1)
     return u, v
+
+
+def w2_born_rows(rho, x, a_effects, y, c_effects) -> np.ndarray:
+    """W2 between the Born distributions of two effect lists in each state of a stack.
+
+    ``rho`` is (N, d, d); the effect lists are shared, (m, d, d) and
+    (n, d, d), or one per state, (N, m, d, d) and (N, n, d, d), on the
+    outcome values ``x`` and ``y``.  Returns the (N,) deviations.
+    """
+    return w2_quantile_rows(x, y, born_probabilities(rho, a_effects),
+                            born_probabilities(rho, c_effects))
 
 
 def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> WorstCaseResult:
@@ -287,9 +325,7 @@ def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> Wo
     over states is the largest classical deviation over the basis states:
     the rows of one Born table, one call of the row kernel.
     """
-    rho = pure_states(basis.T)
-    values = w2_quantile_rows(a.outcomes, c.outcomes, born_probabilities(rho, a.effects),
-                              born_probabilities(rho, c.effects))
+    values = w2_born_rows(pure_states(basis.T), a.outcomes, a.effects, c.outcomes, c.effects)
     k = int(np.argmax(values))
     return WorstCaseResult(value=float(values[k]), state=basis[:, k], exact=True)
 
@@ -328,10 +364,7 @@ def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
             top[block] = np.maximum(top[block], local)
     winners = (coeffs[best][:, None, :] @ effects)[:, 0].reshape(pairs, d, d)
     psi = opalg.eig_hermitian(0.5 * (winners + opalg.dagger(winners)))[1][..., -1]
-    rho = pure_states(psi)
-    values = w2_quantile_rows(x, y, born_probabilities(rho, a_effects),
-                              born_probabilities(rho, c_effects))
-    return values, psi
+    return w2_born_rows(pure_states(psi), x, a_effects, y, c_effects), psi
 
 
 def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
@@ -476,14 +509,16 @@ def error_report(a, c: Observable, rho) -> ErrorReport:
     if c.dim != a.shape[0]:
         raise ValueError("target operator and approximator dimensions differ")
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != a.shape:
+        raise ValueError(f"state dimension {rho.shape} does not match observable dim {c.dim}")
     m1, m2 = moment_operator(c, 1), moment_operator(c, 2)
     eps = moment_form_eps(a, m1, m2, rho)
-    w2_state = w2_quantile(distribution_of(a_sharp, rho), distribution_of(c, rho))
+    w2_state = w2_born_rows(rho[None], a_sharp.outcomes, a_sharp.effects, c.outcomes, c.effects)
     worst = w2_observables_worst(a_sharp, c)
     calib = calibration_error(a_sharp, c)
     return ErrorReport(
         eps_no=eps,
-        w2_state=w2_state,
+        w2_state=float(w2_state[0]),
         w2_worst=worst.value,
         calibration=calib.value,
         bias=expectation(m1 - a, rho),

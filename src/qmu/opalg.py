@@ -103,28 +103,23 @@ def eig_hermitian(op) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """``vecs`` (..., d, k) with each column's largest-magnitude component real positive.
+    """Unit columns ``vecs`` (..., d, k), each with its largest-magnitude component real positive.
 
     Works in place when ``vecs`` is contiguous, as ``eigh`` returns it.  The
-    first of equally large components is the pivot, and a zero column is
-    left as it is.  The phase conj(p)/|p| is
-    formed term by term as numpy's scalar complex division forms it (|p| by
-    ``hypot``, then its reciprocal, zero signs kept), so every column of a
-    stack rounds exactly as the scalar ``p.conj() / abs(p)`` does.
+    first of equally large components is the pivot.  The phase conj(p)/|p|
+    is formed term by term as numpy's scalar complex division forms it (|p|
+    by ``hypot``, then its reciprocal, zero signs kept), so every column of
+    a stack rounds exactly as the scalar ``p.conj() / abs(p)`` does.
     """
     d, k = vecs.shape[-2:]
     cols = vecs.reshape(-1, d, k)
-    stack = np.arange(cols.shape[0])[:, None]
-    pivot = cols[stack, np.abs(cols).argmax(axis=1), np.arange(k)]
+    pivot = cols[np.arange(cols.shape[0])[:, None], np.abs(cols).argmax(axis=1), np.arange(k)]
     re, im = pivot.real, -pivot.imag
-    size = np.hypot(re, im)
-    zero = size == 0
-    size[zero] = 1.0
-    ratio, scale = 0.0 / size, 1.0 / size
+    scale = 1.0 / np.hypot(re, im)
+    ratio = 0.0 * scale  # the imaginary part of |p| over its real part
     phase = np.empty_like(pivot)
     phase.real = (re + im * ratio) * scale
     phase.imag = (im - re * ratio) * scale
-    phase[zero] = 1.0
     cols *= phase[:, None, :]
     return cols.reshape(vecs.shape)
 
