@@ -237,15 +237,18 @@ def quantile_cells(p: np.ndarray, q: np.ndarray):
     a, b = np.minimum(p.cumsum(axis=1), 1.0), np.minimum(q.cumsum(axis=1), 1.0)
     a[:, -1] = b[:, -1] = 1.0
     t = np.concatenate([np.zeros((rows, 1)), a, b], axis=1)
-    order = t.argsort(axis=1, kind="stable")
-    t = t.ravel()[order + (m + n + 1) * np.arange(rows)[:, None]]
+    order = t.argsort(axis=1, kind="stable")[:, :-1]
+    t.sort(axis=1, kind="stable")
     w = t[:, 1:] - t[:, :-1]
     # The leading 0 sorts first, so the k breakpoints before t[k] are it,
-    # j of q's and k-1-j of p's.  Only zero-length intervals reach i = m.
-    j = np.cumsum(order[:, :-1] > m, axis=1)
-    i = np.minimum(np.arange(m + n) - j, m - 1)
+    # j of q's and k-1-j of p's; a q breakpoint at k-1 is q's (order-m)-th,
+    # a p breakpoint there p's order-th.  Only zero-length intervals reach
+    # i = m.
+    k = np.arange(m + n)
+    j = np.where(order > m, order - m, k - order)
+    i = np.minimum(k - j, m - 1)
     keep = w > 0
-    cells = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+    cells = np.argsort(~keep, axis=1, kind="stable")[:, :np.count_nonzero(keep, axis=1).max()]
     cells += (m + n) * np.arange(rows)[:, None]
     return i.ravel()[cells], j.ravel()[cells], w.ravel()[cells]
 

@@ -218,11 +218,11 @@ def born_probabilities(rho, effects) -> np.ndarray:
     probs = np.einsum("...ij,...kji->...k", rho, effects).real
     if probs.min() < -1e-12:
         raise ValueError(f"negative Born probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = probs.clip(0.0, 1.0)
     total = probs.sum(axis=-1)
-    worst = total.flat[np.argmax(np.abs(total - 1.0))]
-    if abs(worst - 1.0) > 1e-10:
-        raise ValueError(f"Born probabilities sum to {worst!r}")
+    off = np.abs(total - 1.0)
+    if off.max() > 1e-10:
+        raise ValueError(f"Born probabilities sum to {total.flat[off.argmax()]!r}")
     return probs
 
 
