@@ -244,9 +244,12 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _tree_duals((x[:, None] - y[None, :]) ** 2, *_staircase_entries(x.size, y.size))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _staircase_entries(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_path_entries`` of all staircase trees for m and n outcomes, read-only."""
+    """``_path_entries`` of all staircase trees for m and n outcomes, read-only.
+
+    Kept for the last few sizes: a block or a batch of reports reuses them.
+    """
     steps = m + n - 2
     trees = math.comb(steps, m - 1)
     down_at = np.fromiter(
