@@ -238,6 +238,8 @@ def quantile_cells(p: np.ndarray, q: np.ndarray):
     a[:, -1] = b[:, -1] = 1.0
     t = np.concatenate([np.zeros((rows, 1)), a, b], axis=1)
     order = t.argsort(axis=1, kind="stable")[:, :-1]
+    # Sorting t again (a merge of its sorted runs) is faster than gathering
+    # it by the permutation, both for one short row and for stacks.
     t.sort(axis=1, kind="stable")
     w = t[:, 1:] - t[:, :-1]
     # The leading 0 sorts first, so the k breakpoints before t[k] are it,

@@ -10,7 +10,6 @@ calibration as the eps -> 0 limit over near-eigenstate preparations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -209,8 +208,9 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     eigenbasis ill-conditioned; while every effect commutes with the
     combination, the next of ``SHARED_BASIS_TRIES`` weight vectors is tried.
     """
-    for weights in _basis_weights(effects.shape[0]):
-        combination = np.einsum("k,kij->ij", weights, effects)
+    rng = np.random.default_rng(0)
+    for _ in range(SHARED_BASIS_TRIES):
+        combination = np.einsum("k,kij->ij", rng.uniform(1.0, 2.0, effects.shape[0]), effects)
         _, basis = np.linalg.eigh(combination)
         rotated = basis.conj().T @ effects @ basis
         off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
@@ -220,15 +220,6 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
         if np.linalg.norm(commutators, axis=(1, 2)).max() > TOL_COMMUTE:
             return None
     return None
-
-
-@functools.lru_cache(maxsize=32)
-def _basis_weights(count: int) -> np.ndarray:
-    """The ``SHARED_BASIS_TRIES`` weight vectors, drawn in turn from one seeded stream."""
-    rng = np.random.default_rng(0)
-    weights = np.stack([rng.uniform(1.0, 2.0, count) for _ in range(SHARED_BASIS_TRIES)])
-    weights.flags.writeable = False
-    return weights
 
 
 def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,15 +232,7 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for every pair of marginals one of them is optimal.  Returns ``u`` of
     shape (T, m) and ``v`` of shape (T, n), normalised by u_0 = 0.
     """
-    return _tree_duals((x[:, None] - y[None, :]) ** 2, *_staircase_entries(x.size, y.size))
-
-
-@functools.lru_cache(maxsize=8)
-def _staircase_entries(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_path_entries`` of all staircase trees for m and n outcomes, read-only.
-
-    Kept for the last few sizes: a block or a batch of reports reuses them.
-    """
+    m, n = x.size, y.size
     steps = m + n - 2
     trees = math.comb(steps, m - 1)
     down_at = np.fromiter(
@@ -258,10 +241,7 @@ def _staircase_entries(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     ).reshape(trees, m - 1)
     is_down = np.zeros((trees, steps), dtype=bool)
     is_down[np.arange(trees)[:, None], down_at] = True
-    entries = _path_entries(is_down, m)
-    for entry in entries:
-        entry.flags.writeable = False
-    return entries
+    return _tree_duals((x[:, None] - y[None, :]) ** 2, is_down)
 
 
 def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,36 +255,26 @@ def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarr
     n = cost.shape[1]
     breakpoints = np.concatenate([np.cumsum(q)[:-1], np.cumsum(p)[:-1]])
     is_down = np.argsort(breakpoints, kind="stable") >= n - 1
-    u, v = _tree_duals(cost, *_path_entries(is_down[None], cost.shape[0]))
+    u, v = _tree_duals(cost, is_down[None])
     return u[0], v[0]
 
 
-def _path_entries(is_down: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the monotone paths with steps ``is_down`` (T, m+n-2) enter rows and columns.
-
-    Row k is entered down column entry_col[:, k-1]; column j is entered
-    along row entry_row[:, j-1].
-    """
+def _tree_duals(cost: np.ndarray, is_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Duals (u, v) of the monotone paths whose steps are ``is_down`` (T, m+n-2)."""
     trees, steps = is_down.shape
+    m, n = cost.shape
     rows_before = np.cumsum(is_down, axis=1) - is_down
     cols_before = np.arange(steps) - rows_before
-    return (cols_before[is_down].reshape(trees, m - 1),
-            rows_before[~is_down].reshape(trees, steps + 1 - m))
-
-
-def _tree_duals(cost: np.ndarray, entry_col: np.ndarray,
-                entry_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Duals (u, v) of the monotone paths with the given ``_path_entries``.
-
-    The two path cells of each step share a potential, so the other one
-    changes by the difference of their costs.
-    """
-    m, n = cost.shape
+    # Row k is entered down column entry_col[:, k-1]; column j is entered
+    # along row entry_row[:, j-1].  The two path cells of each step share a
+    # potential, so the other one changes by the difference of their costs.
+    entry_col = cols_before[is_down].reshape(trees, m - 1)
+    entry_row = rows_before[~is_down].reshape(trees, n - 1)
     rows = np.arange(1, m)
     cols = np.arange(1, n)
     du = cost[rows, entry_col] - cost[rows - 1, entry_col]
     dv = cost[entry_row, cols] - cost[entry_row, cols - 1]
-    zero = np.zeros((entry_col.shape[0], 1))
+    zero = np.zeros((trees, 1))
     u = np.concatenate([zero, np.cumsum(du, axis=1)], axis=1)
     v = cost[0, 0] + np.concatenate([zero, np.cumsum(dv, axis=1)], axis=1)
     return u, v
@@ -446,16 +416,19 @@ def calibration_stacked(y: np.ndarray, projections: np.ndarray, x: np.ndarray,
     Every D_y comes from one einsum, and one stacked eigh of
     P_y D_y P_y - (1 - P_y) gives its top eigenvector on P_y: D_y >= 0, so
     the -1 block keeps that vector inside P_y even when the top value is 0,
-    and eigenspaces of any rank share the stack.  Each vector's value is
-    its deviation <psi|D_y|psi>, which rounds more tightly than the stacked
-    eigenvalue.  Returns (N,) values and (N, d) witnesses, each a unit
-    vector in its P_y.
+    and eigenspaces of any rank share the stack.  An outcome with P_y = 0
+    leaves only the -1 block, whose top value is -1; it has no states and
+    is skipped.  Each vector's value is its deviation <psi|D_y|psi>, which
+    rounds more tightly than the stacked eigenvalue.  Returns (N,) values
+    and (N, d) witnesses, each a unit vector in its P_y.
     """
     d = effects.shape[-1]
     deviation = np.einsum("yx,nxij->nyij", (x[None, :] - y[:, None]) ** 2, effects)
     shifted = projections @ deviation @ projections - (np.eye(d) - projections)
-    psi = opalg.eig_hermitian(0.5 * (shifted + opalg.dagger(shifted)))[1][..., -1]
+    evals, evecs = opalg.eig_hermitian(0.5 * (shifted + opalg.dagger(shifted)))
+    psi = evecs[..., -1]
     tops = np.einsum("nyi,nyij,nyj->ny", psi.conj(), deviation, psi).real
+    tops = np.where(evals[..., -1] > -0.5, tops, -np.inf)
     best = np.argmax(tops, axis=1)
     rows = np.arange(effects.shape[0])
     return opalg.sqrt_clamped(tops[rows, best]), psi[rows, best]

@@ -639,6 +639,8 @@ def calibration_by_compression(a, c):
     for y, proj in zip(a.outcomes, a.effects):
         evals, evecs = np.linalg.eigh(proj)
         basis = evecs[:, evals > 0.5]
+        if basis.shape[1] == 0:  # an outcome that no state gives
+            continue
         dev = sum((x - y) ** 2 * eff for x, eff in zip(c.outcomes, c.effects))
         best = max(best, np.linalg.eigvalsh(basis.conj().T @ dev @ basis)[-1])
     return math.sqrt(max(best, 0.0))
@@ -671,6 +673,24 @@ def test_stacked_sups_match_the_scalar_routes():
         assert abs(deviation**2 - calib[k] ** 2) < 1e-12
         if k % 3 == 2:
             assert worst[k] < 1e-12 and calib[k] ** 2 < 1e-12
+
+
+def test_calibration_skips_a_target_outcome_with_zero_projection():
+    # P_0 = 0 leaves only the -1 block for y = 0, whose eigenvectors lie in
+    # no eigenspace; D_0 = I for C = A would otherwise give the value 1.
+    rng = np.random.default_rng(54)
+    u = opalg.haar_unitary(3, rng)
+    low = u[:, :1] @ u[:, :1].conj().T
+    a = SharpObservable([-1.0, 0.0, 1.0], [low, np.zeros((3, 3)), np.eye(3) - low])
+    for c in (a, random_povm(3, 3, rng)):
+        result = calibration_error(a, c)
+        assert abs(result.value**2 - calibration_by_compression(a, c) ** 2) < 1e-12
+        weights = np.einsum("i,kij,j->k", result.state.conj(), a.effects, result.state).real
+        y = int(np.argmax(weights))
+        assert y != 1 and abs(weights[y] - 1.0) < 1e-12
+        deviation = distribution_of_pure(c, result.state).deviation_from_point(a.outcomes[y])
+        assert abs(deviation**2 - result.value**2) < 1e-12
+    assert calibration_error(a, a).value < 1e-7
 
 
 def test_stacked_worst_case_meets_the_qubit_closed_form():
