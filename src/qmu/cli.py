@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .distributions import LP_MAX, quantile_coupling, w2_lp_oracle, w2_quantile
+from .distributions import LP_MAX, w2_lp_oracle, w2_quantile_with_coupling
 from .errmetrics import FORM_TOL
 from .grid import grid_size_error, half_width_error
 from .observables import spectral_measure
@@ -290,7 +290,7 @@ def cmd_wasserstein(args) -> int:
     if args.oracle and max(mu.support.size, nu.support.size) > LP_MAX:
         print(f"--oracle takes at most {LP_MAX} support points per side", file=sys.stderr)
         return EXIT_UNKNOWN
-    value = w2_quantile(mu, nu)
+    value, coupling = w2_quantile_with_coupling(mu, nu)
     print(f"{value:.12g}")
     if args.oracle:
         oracle = w2_lp_oracle(mu, nu)
@@ -301,7 +301,6 @@ def cmd_wasserstein(args) -> int:
             return EXIT_NUMERIC
         print(f"oracle agrees: {oracle:.12g}", file=sys.stderr)
     if args.coupling:
-        coupling = quantile_coupling(mu, nu)
         try:
             coupling.check_marginals(mu, nu)
         except ValueError as exc:

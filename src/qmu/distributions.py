@@ -262,7 +262,10 @@ def w2_quantile_rows(x: np.ndarray, y: np.ndarray, p: np.ndarray, q: np.ndarray)
     ``q`` (N, n) rows of probabilities on them; returns the (N,) values,
     each the cost of its row's staircase coupling as one dot product.
     """
-    i, j, w = quantile_cells(p, q)
+    return _staircase_w2(x, y, *quantile_cells(p, q))
+
+
+def _staircase_w2(x, y, i, j, w) -> np.ndarray:
     diff = x[i] - y[j]
     cost = (w[:, None, :] @ (diff * diff)[:, :, None])[:, 0, 0]
     return np.sqrt(np.maximum(cost, 0.0))
@@ -280,8 +283,18 @@ def w2_quantile(mu: Distribution, nu: Distribution) -> float:
 
 def quantile_coupling(mu: Distribution, nu: Distribution) -> Coupling:
     """The staircase coupling of mu and nu; it attains ``w2_quantile``."""
+    return w2_quantile_with_coupling(mu, nu)[1]
+
+
+def w2_quantile_with_coupling(mu: Distribution, nu: Distribution) -> tuple[float, Coupling]:
+    """``w2_quantile`` and ``quantile_coupling`` of one pair from one set of cells.
+
+    The value is bitwise ``w2_quantile(mu, nu)``: the same cells, the same
+    dot product.
+    """
     i, j, w = quantile_cells(mu.probs[None], nu.probs[None])
-    return Coupling(mu.support, nu.support, i[0], j[0], w[0])
+    value = float(_staircase_w2(mu.support, nu.support, i, j, w)[0])
+    return value, Coupling(mu.support, nu.support, i[0], j[0], w[0])
 
 
 def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:

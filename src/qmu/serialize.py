@@ -8,9 +8,9 @@ every report is strict JSON.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import re
 
 import numpy as np
 
@@ -133,43 +133,120 @@ def dumps_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def read_distribution_csv(path) -> Distribution:
-    values: list[float] = []
-    probs: list[float] = []
-    with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() in ("value", "x"):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"distribution CSV row has {len(row)} columns, need 2")
-            values.append(float(row[0]))
-            probs.append(float(row[1]))
-    if not values:
+# A line starting with one of these is a data row; only others may be skipped.
+_NUMBER_START = frozenset("0123456789+-.")
+# As in the csv module, a quote opens a field only at its start and is
+# literal elsewhere; "" inside quotes is one quote.  A line matches
+# _CLOSED_LINE when every quoted field closes on it.
+_FIELD = r'(?:"(?:[^"]|"")*"(?!")[^,]*|[^,"][^,]*|)'
+_CLOSED_LINE = re.compile(rf"{_FIELD}(?:,{_FIELD})*")
+_QUOTED_FIRST_FIELD = re.compile(r'"((?:[^"]|"")*)"([^,]*)')
+_ROW_INDEX = re.compile(r" at row \d+")
+# Whitespace around a number to loadtxt, but not to float().
+_SEPARATOR_CONTROLS = re.compile("[\x1c-\x1f]")
+
+
+def _first_field(line: str) -> str:
+    """The first field of a closed line, unquoted as the ``csv`` module reads it."""
+    if line.startswith('"'):
+        quoted = _QUOTED_FIRST_FIELD.match(line)
+        return quoted[1].replace('""', '"') + quoted[2]
+    return line.partition(",")[0]
+
+
+def _is_skipped(line: str) -> bool:
+    """A blank line, a ``#`` comment or a value/x header."""
+    first = _first_field(line).strip()
+    return not line or first.startswith("#") or first.lower() in ("value", "x")
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(
+        lines, delimiter=",", usecols=(0, 1), ndmin=2, comments=None, quotechar='"'
+    )
+
+
+def _first_bad_line(lines: list[str]) -> int:
+    """Index of the line at which ``_parse_rows(lines)`` fails.
+
+    Lines parse one after another, so a prefix fails exactly when it
+    reaches that line: bisect on prefixes.  Every prefix tried holds a
+    nonblank line, so none parses to an empty table (which loadtxt warns
+    of).  Only a failed read pays for this.
+    """
+    lo, hi = next(k for k, line in enumerate(lines) if line), len(lines) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(lines[: mid + 1])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _read_table(text: str) -> np.ndarray:
+    """The (rows, 2) value/probability table of a distribution CSV's text.
+
+    Skipped lines are emptied, which ``np.loadtxt`` skips as well, so list
+    indices stay line numbers; one ``np.loadtxt`` call parses the rest.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if '"' in text:
+        for k, line in enumerate(lines):
+            if '"' in line and not _CLOSED_LINE.fullmatch(line):
+                raise ValueError(f"line {k + 1}: a quoted field runs past the line end")
+    for k, line in enumerate(lines):
+        if line[:1] not in _NUMBER_START and _is_skipped(line):
+            lines[k] = ""
+    if not any(lines):
         raise ValueError("distribution CSV is empty")
-    order = np.argsort(values)
-    return Distribution(np.asarray(values)[order], np.asarray(probs)[order])
+    if _SEPARATOR_CONTROLS.search(text):
+        for k, line in enumerate(lines):
+            if _SEPARATOR_CONTROLS.search(",".join(line.split(",", 2)[:2])):
+                raise ValueError(f"line {k + 1}: control character U+001C-U+001F in a number")
+    try:
+        return _parse_rows(lines)
+    except ValueError as exc:
+        reason = _ROW_INDEX.sub("", str(exc)).rstrip(".")
+        raise ValueError(f"line {_first_bad_line(lines) + 1}: {reason}") from None
 
 
-def write_distribution_csv(dist: Distribution, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["value", "probability"])
-        for v, p in zip(dist.support, dist.probs):
-            writer.writerow([repr(float(v)), repr(float(p))])
+def read_distribution_csv(path) -> Distribution:
+    """Read a value,probability CSV; malformed input raises ValueError naming the file.
+
+    Blank lines, lines whose first field starts with ``#`` and value/x header
+    lines are skipped.  Each number is converted as ``float()`` converts it;
+    columns past the second are ignored.  A row that does not parse is named
+    by its 1-based line.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            table = _read_table(handle.read())
+        order = np.argsort(table[:, 0])
+        return Distribution(table[order, 0], table[order, 1])
+    except ValueError as exc:  # an OSError names the file already
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_coupling_csv(coupling: Coupling, path):
-    """One row per cell of positive weight, in the coupling's cell order."""
+    """One row per cell of positive weight, in the coupling's cell order.
+
+    The bytes are those ``csv.writer`` wrote: each number as its ``repr``,
+    no quoting, CRLF line ends.  Each support point is formatted once.
+    """
     keep = coupling.weights > 0
-    xs = coupling.row_support[coupling.rows[keep]].tolist()
-    ys = coupling.col_support[coupling.cols[keep]].tolist()
-    ws = coupling.weights[keep].tolist()
+    xs = [repr(x) for x in coupling.row_support.tolist()]
+    ys = [repr(y) for y in coupling.col_support.tolist()]
+    cells = zip(
+        coupling.rows[keep].tolist(),
+        coupling.cols[keep].tolist(),
+        coupling.weights[keep].tolist(),
+    )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["row_value", "col_value", "weight"])
-        writer.writerows([repr(x), repr(y), repr(w)] for x, y, w in zip(xs, ys, ws))
+        handle.write("row_value,col_value,weight\r\n")
+        handle.write("".join([f"{xs[i]},{ys[j]},{w!r}\r\n" for i, j, w in cells]))
 
 
 def grid_config_to_json(grid) -> dict:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmu.cli import CHECK_RELATIONS, main
-from qmu.distributions import Distribution
+from qmu.distributions import Coupling, Distribution, quantile_coupling
 from qmu.serialize import (
     decode_matrix,
     dumps_json,
@@ -19,8 +21,48 @@ from qmu.serialize import (
     read_distribution_csv,
     scheme_from_json,
     scheme_to_json,
-    write_distribution_csv,
+    write_coupling_csv,
 )
+
+
+def write_distribution_csv(dist: Distribution, path):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["value", "probability"])
+        for v, p in zip(dist.support, dist.probs):
+            writer.writerow([repr(float(v)), repr(float(p))])
+
+
+def reference_read_distribution_csv(path) -> Distribution:
+    """The ``csv``-module reader that ``read_distribution_csv`` replaced."""
+    values: list[float] = []
+    probs: list[float] = []
+    with open(path, newline="") as handle:
+        for row in csv.reader(handle):
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if row[0].strip().lower() in ("value", "x"):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"distribution CSV row has {len(row)} columns, need 2")
+            values.append(float(row[0]))
+            probs.append(float(row[1]))
+    if not values:
+        raise ValueError("distribution CSV is empty")
+    order = np.argsort(values)
+    return Distribution(np.asarray(values)[order], np.asarray(probs)[order])
+
+
+def reference_write_coupling_csv(coupling, path):
+    """The ``csv.writer`` writer that ``write_coupling_csv`` replaced."""
+    keep = coupling.weights > 0
+    xs = coupling.row_support[coupling.rows[keep]].tolist()
+    ys = coupling.col_support[coupling.cols[keep]].tolist()
+    ws = coupling.weights[keep].tolist()
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["row_value", "col_value", "weight"])
+        writer.writerows([repr(x), repr(y), repr(w)] for x, y, w in zip(xs, ys, ws))
 
 
 def run_cli(capsys, *argv):
@@ -450,3 +492,181 @@ def test_distribution_csv_roundtrip(tmp_path):
     back = read_distribution_csv(path)
     np.testing.assert_array_equal(back.support, dist.support)
     np.testing.assert_array_equal(back.probs, dist.probs)
+
+
+# Each case is read by the csv-module reference and by read_distribution_csv:
+# an accepted file must give bitwise the same Distribution, a rejected one a
+# ValueError that names the file (exit 2 from the CLI).
+CSV_EDGE_CASES = {
+    "header-mid-file": b"0.5,0.25\nvalue,probability\n-1,0.75\n",
+    "x-header-any-case": b"X,P\n1,1\nx\n",
+    "quoted-header": b'"value","probability"\n1,1\n',
+    "padded-header": b" Value \t,probability\n1,1\n",
+    "comment-rows": b"# measured\n  # indented\n1,0.5\n#,x\n2,0.5\n",
+    "quoted-comment": b'"# note, with a comma",1\n1,1\n',
+    "blank-lines": b"\n1,0.5\n\n\n2,0.5\n\n",
+    "quoted-fields": b'"1.5","0.25"\n"-2",0.75\n',
+    "quoted-field-with-tail": b'"1.5"5,1\n',
+    "escaped-quote": b'"1""5",1\n',
+    "escaped-quote-left-open": b'"#q"",1\n3.25,1.0\n"#q",1\n',
+    "quote-inside-field": b'1"5,1\n',
+    "quoted-comma": b'"1,5",1\n',
+    "quote-after-space": b' "1.5",1\n',
+    "extra-columns": b"1,0.5,a,b\n2,0.5\n",
+    "extra-column-with-quotes": b'1,0.5,a"b\n2,0.5,"c,d"\n',
+    "whitespace": b"  1.5 ,\t0.5\t\n2\xc2\xa0,\x0c0.5 \n",
+    "unicode-spaces": "　1, 0.5 \n2,0.5\x85\n".encode(),
+    "crlf": b"1,0.5\r\n2,0.5\r\n",
+    "cr": b"1,0.5\r2,0.5\r",
+    "no-final-newline": b"1,1",
+    "signed-zero": b"-0.0,1\n",
+    "subnormal-and-large": b"5e-324,0.5\n1e16,0.25\n-1.2345678901234567e150,0.25\n",
+    "long-mantissas": b"0.1000000000000000055511151231257827,0.3\n2.4703282292062328e-324,0.7\n",
+    "underflow": b"1e-400,1\n",
+    "unsorted": b"3,0.5\n-1,0.25\n.5e1,0.25\n",
+    "signs-and-exponents": b"+1E+2,0.5\n-.5e-1,0.5\n",
+    "inf-value": b"inf,1\n",
+    "infinity-value": b"1,0.5\n-Infinity,0.5\n",
+    "nan-probability": b"0,nan\n",
+    "overflow": b"1e400,1\n",
+    "one-column": b"1,0.5\n2\n",
+    "one-column-only": b"0.5\n",
+    "whitespace-only-line": b"1,0.5\n   \n2,0.5\n",
+    "empty-fields": b"1,1\n,\n",
+    "empty-file": b"",
+    "headers-and-comments-only": b"value,probability\n# none\n\n",
+    "not-a-number": b"1,0.5\nabc,0.5\n",
+    "hex-float": b"0x1p3,1\n",
+    "fortran-exponent": b"1d3,1\n",
+    "digits-with-space": b"1 5,1\n",
+    "duplicate-values": b"1,0.5\n1,0.5\n",
+    "signed-zero-duplicates": b"0,0.5\n-0,0.5\n",
+    "bad-sum": b"1,0.6\n2,0.6\n",
+    "negative-probability": b"1,-0.5\n2,1.5\n",
+    "nul-in-field": b"1,0.5\x00\n2,0.5\n",
+    "separator-control": b"1\x1c,1\n",
+    "separator-control-in-comment-and-extra-column": b"#\x1f\n1,1,\x1e\n",
+    "not-utf-8": b"\xff1,1\n",
+    "two-byte-order-marks": b"\xef\xbb\xbf\xef\xbb\xbf1,1\n",
+}
+
+
+def _read_outcome(reader, path):
+    try:
+        dist = reader(path)
+    except ValueError as exc:
+        return None, str(exc)
+    return dist.support.tobytes() + dist.probs.tobytes(), None
+
+
+@pytest.mark.parametrize("name", CSV_EDGE_CASES)
+def test_distribution_csv_edge_cases_match_the_csv_module_reader(tmp_path, capsys, name):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(CSV_EDGE_CASES[name])
+    expected, _ = _read_outcome(reference_read_distribution_csv, path)
+    got, message = _read_outcome(read_distribution_csv, path)
+    assert got == expected
+    good = tmp_path / "good.csv"
+    write_distribution_csv(Distribution([0.0, 1.0], [0.5, 0.5]), good)
+    code, out, err = run_cli(capsys, "wasserstein", str(good), str(path))
+    if expected is None:
+        assert str(path) in message
+        assert code == 2 and out == ""
+        assert err == f"malformed distribution input: {message}\n"
+    else:
+        assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("data", [
+    b"1_0,1\n",                           # digit-group underscore
+    "١,1\n".encode(),                # ARABIC-INDIC DIGIT ONE
+    "１,1\n".encode(),                # FULLWIDTH DIGIT ONE
+    b'1,"1\n"\n',                         # a quoted field over a line break
+    b'1,1\n"# comment\nspanning lines"\n',
+    b'1,1,"a""\n#c\n',                     # "" is a quote, not the close
+])
+def test_distribution_csv_narrowing(tmp_path, capsys, data):
+    # float() and the csv module took these; the reader rejects them.
+    path = tmp_path / "narrow.csv"
+    path.write_bytes(data)
+    reference_read_distribution_csv(path)
+    with pytest.raises(ValueError, match="line"):
+        read_distribution_csv(path)
+    code, out, err = run_cli(capsys, "wasserstein", str(path), str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_wasserstein_reads_a_byte_order_mark_and_crlf(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(b"value,probability\n-1.5,0.25\n2.0,0.75\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbfvalue,probability\r\n-1.5,0.25\r\n2.0,0.75\r\n")
+    a, b = read_distribution_csv(plain), read_distribution_csv(marked)
+    assert a.support.tobytes() == b.support.tobytes()
+    assert a.probs.tobytes() == b.probs.tobytes()
+    other = tmp_path / "other.csv"
+    write_distribution_csv(Distribution([0.0, 1.0], [0.5, 0.5]), other)
+    _, expected, _ = run_cli(capsys, "wasserstein", str(plain), str(other))
+    code, out, err = run_cli(capsys, "wasserstein", str(marked), str(other))
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("bad_row, reason", [
+    ("abc,0.25", "could not convert string 'abc'"),
+    ("0.5", "1 columns"),
+])
+def test_malformed_second_input_names_the_file_and_line(tmp_path, capsys, bad_row, reason):
+    good = tmp_path / "good.csv"
+    write_distribution_csv(Distribution([0.0, 1.0], [0.5, 0.5]), good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# comment\nvalue,probability\n\n-1,0.5\n{bad_row}\n2,0.25\n")
+    code, out, err = run_cli(capsys, "wasserstein", str(good), str(bad))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"malformed distribution input: {bad}: line 5: ")
+    assert reason in err
+
+
+@st.composite
+def couplings(draw):
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e16, -1e16, 1.7976931348623157e308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    weights = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.0]),
+        st.floats(min_value=0.0, max_value=1e300),
+    )
+    m, n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 20))
+    return Coupling(
+        draw(st.lists(values, min_size=m, max_size=m)),
+        draw(st.lists(values, min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)),
+        draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)),
+        draw(st.lists(weights, min_size=k, max_size=k)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(couplings())
+def test_coupling_csv_bytes_equal_the_csv_writer(tmp_path_factory, coupling):
+    folder = tmp_path_factory.getbasetemp()
+    write_coupling_csv(coupling, folder / "new.csv")
+    reference_write_coupling_csv(coupling, folder / "reference.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def test_staircase_coupling_csv_bytes_equal_the_csv_writer(tmp_path):
+    rng = np.random.default_rng(21)
+    for m, n in ((2048, 1536), (1, 5), (7, 7)):
+        probs = rng.dirichlet(np.ones(m))
+        if m > 1:
+            probs[rng.integers(m)] = 0.0  # a zero-probability atom
+        mu = Distribution(np.sort(rng.normal(0.0, 1e17, m)), probs / probs.sum())
+        nu = Distribution(np.sort(rng.normal(0.0, 1e-3, n)), rng.dirichlet(np.ones(n)))
+        coupling = quantile_coupling(mu, nu)
+        write_coupling_csv(coupling, tmp_path / "new.csv")
+        reference_write_coupling_csv(coupling, tmp_path / "reference.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -20,6 +20,7 @@ from qmu.distributions import (
     w2_lp_oracle,
     w2_quantile,
     w2_quantile_rows,
+    w2_quantile_with_coupling,
 )
 
 
@@ -328,6 +329,28 @@ def test_row_kernel_one_row_matches_the_searchsorted_construction():
         assert value.shape == (1,)
         assert abs(value[0] - w2_quantile(mu, nu)) <= 1e-15
         assert abs(value[0] - math.sqrt(np.dot(w, diff * diff))) <= 1e-15
+
+
+def test_value_and_coupling_from_one_set_of_cells():
+    rng = np.random.default_rng(15)
+    x = np.sort(rng.normal(0.0, 1.0, 1536))
+    p = rng.dirichlet(np.ones(1536))
+    pairs = [(Distribution(x, p), Distribution(x + 0.7, p))]
+    for m, n in ((2048, 1536), (1, 3), (5, 1), (6, 6)):
+        probs = rng.dirichlet(np.ones(m))
+        if m > 1:
+            probs[0] = 0.0  # a zero-probability atom
+        mu = Distribution(np.sort(rng.normal(0.0, 1.0, m)), probs / probs.sum())
+        nu = Distribution(np.sort(rng.normal(0.4, 1.3, n)), rng.dirichlet(np.ones(n)))
+        pairs.append((mu, nu))
+    for mu, nu in pairs:
+        value, coupling = w2_quantile_with_coupling(mu, nu)
+        assert np.float64(value).tobytes() == np.float64(w2_quantile(mu, nu)).tobytes()
+        cells = quantile_cells(mu.probs[None], nu.probs[None])
+        for expected, got in zip(cells, (coupling.rows, coupling.cols, coupling.weights)):
+            assert got.tobytes() == expected[0].tobytes()
+        assert coupling.row_support.tobytes() == mu.support.tobytes()
+        assert coupling.col_support.tobytes() == nu.support.tobytes()
 
 
 def test_row_kernel_stack_equals_a_loop_over_rows():
