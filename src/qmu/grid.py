@@ -2,9 +2,10 @@
 
 Units are dimensionless with hbar = m = omega = 1; positions are
 x_j = (j - n/2) dx with dx = 2L/n, momenta p_k = (k - n/2) pi/L in
-symmetric (fftshift) ordering.  Grid constructions never materialize dense
-effect families; distributions come from Born-rule sampling and operators
-act by FFT application.
+symmetric (fftshift) ordering.  Distributions come from Born-rule sampling
+and operators act by FFT application or, for the von Neumann model, by
+cyclic shifts; the dense matrices at the end of the module are for small
+grids.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution, make_distribution
-from .observables import SharpObservable
+from . import opalg
+from .distributions import Distribution, make_distribution, merge_outcomes
+from .observables import Observable, SharpObservable
 from .schemes import MeasurementScheme
 
 ALIASING_TOL = 1e-8
@@ -195,11 +197,6 @@ def apply_position(grid: GridSystem, psi) -> np.ndarray:
     return grid.positions * np.asarray(psi, dtype=complex).reshape(-1)
 
 
-def apply_momentum(grid: GridSystem, psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return _to_position(grid.momenta * _to_momentum(psi))
-
-
 def apply_oscillator(grid: GridSystem, psi) -> np.ndarray:
     """(P^2/2 + Q^2/2 - 1/2) psi; the shift makes the ground state a null vector."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -221,7 +218,8 @@ def phase_space_marginals(grid: GridSystem, tau) -> tuple[Distribution, Distribu
 
 
 # ---------------------------------------------------------------------------
-# Dense operators for small grids (used by the von Neumann scheme)
+# Dense operators for small grids: the position POVM, P^2 and the dense
+# reference von Neumann scheme
 # ---------------------------------------------------------------------------
 
 
@@ -232,9 +230,15 @@ def dft_matrix(grid: GridSystem) -> np.ndarray:
     return phase / math.sqrt(grid.n)
 
 
-def momentum_matrix(grid: GridSystem) -> np.ndarray:
-    f = dft_matrix(grid)
-    return f.conj().T @ np.diag(grid.momenta.astype(complex)) @ f
+def momentum_squared_matrix(grid: GridSystem) -> np.ndarray:
+    """P^2 = F^dag diag(p^2) F as a real symmetric circulant matrix.
+
+    Entry (l, j) depends only on (l - j) mod n: the first column is the
+    inverse DFT of p^2 in natural (ifftshift) order, real because p^2 is even.
+    The matrix is symmetric to rounding; ``eigh`` reads its lower triangle.
+    """
+    column = np.fft.ifft(np.fft.ifftshift(grid.momenta**2)).real
+    return column[(np.arange(grid.n)[:, None] - np.arange(grid.n)) % grid.n]
 
 
 def position_observable(grid: GridSystem) -> SharpObservable:
@@ -275,23 +279,64 @@ class VonNeumannModel:
         ratio = round(self.lam * self.object_grid.dx / self.probe_grid.dx)
         return (np.arange(self.object_grid.n) - self.object_grid.n // 2) * int(ratio)
 
+    @property
+    def probe_vector(self) -> np.ndarray:
+        """The probe state phi as a unit vector."""
+        return self.probe_psi / np.linalg.norm(self.probe_psi)
+
     def noise_distribution(self) -> Distribution:
         """The smearing measure: law of (probe position)/lam."""
         probs = np.abs(self.probe_psi) ** 2 * self.probe_grid.dx
         return make_distribution(self.probe_grid.positions / self.lam, probs / probs.sum())
+
+    def shifted_probes(self) -> np.ndarray:
+        """Shifted probe amplitudes: row j is T_j phi, (T_j phi)[l] = phi[(l - s_j) mod n_probe].
+
+        s_j = shift_cells[j].  The coupling is U = sum_j |j><j| (x) T_j: on the
+        grid, translating the probe by lam x_j is exactly the cyclic shift by
+        s_j cells.
+        """
+        n = self.probe_grid.n
+        return self.probe_vector[(np.arange(n) - self.shift_cells[:, None]) % n]
 
     def measured_distribution(self, psi) -> Distribution:
         """Pointer-label distribution for object state psi (fast route)."""
         psi = self.object_grid.check_normalized(psi)
         check_aliasing(self.object_grid, psi)
         weights = np.abs(psi) ** 2 * self.object_grid.dx
-        probe_prob = np.abs(self.probe_psi) ** 2 * self.probe_grid.dx
-        out = np.zeros(self.probe_grid.n)
-        for w, cells in zip(weights, self.shift_cells):
-            if w == 0.0:
-                continue
-            out += w * np.roll(probe_prob, cells)
+        out = weights @ np.abs(self.shifted_probes()) ** 2
         return make_distribution(self.probe_grid.positions / self.lam, out / out.sum())
+
+    def induced_observable(self) -> Observable:
+        """The observable of ``to_scheme()``, read off the shifts.
+
+        Pointer cell l has the diagonal effect F_l = diag_j |T_j phi|^2_l, a
+        smearing of Q, and the value y_l / lam; outcomes merge by
+        ``merge_outcomes`` as in ``schemes.induced_observable``.
+        """
+        probs = np.abs(self.shifted_probes()) ** 2
+        cells = np.arange(self.object_grid.n)
+        effects = np.zeros((self.probe_grid.n, cells.size, cells.size), dtype=complex)
+        effects[:, cells, cells] = probs.T
+        return Observable._trusted(*merge_outcomes(self.probe_grid.positions / self.lam, effects))
+
+    def eps_no_from_shifts(self, a, psi) -> float:
+        """Noise-operator error of target a on the pure object state psi (scheme route).
+
+        ||U^dag (1 (x) Z_f) U (psi (x) phi) - (a psi) (x) phi|| on the
+        n_obj x n_probe array W[j] = psi_j T_j phi: scale by f, shift each row
+        back by s_j, subtract.  ``to_scheme`` gives the same through
+        ``errmetrics.eps_no_from_scheme`` on dense matrices.
+        """
+        a = opalg.check_hermitian(a)
+        if a.shape[0] != self.object_grid.n:
+            raise ValueError("target operator does not act on the object space")
+        psi = self.object_grid.check_normalized(psi) * math.sqrt(self.object_grid.dx)
+        n = self.probe_grid.n
+        out = psi[:, None] * self.shifted_probes() * (self.probe_grid.positions / self.lam)
+        out = np.take_along_axis(out, (np.arange(n) + self.shift_cells[:, None]) % n, axis=1)
+        out -= (a @ psi)[:, None] * self.probe_vector
+        return math.sqrt(float(np.vdot(out, out).real))
 
     def to_scheme(self) -> MeasurementScheme:
         """Dense measurement scheme on object (x) probe (small grids only).

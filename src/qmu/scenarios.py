@@ -21,7 +21,6 @@ from . import opalg
 from .distributions import convolve, make_distribution, splits_from, w2_quantile
 from .errmetrics import (
     eps_no_from_moments,
-    eps_no_from_scheme,
     error_report,
     moment_form_eps,
     three_state_eps,
@@ -40,7 +39,7 @@ from .grid import (
     grid_size_error,
     ground_state,
     half_width_error,
-    momentum_matrix,
+    momentum_squared_matrix,
     position_distribution,
     position_observable,
 )
@@ -368,11 +367,9 @@ def _run_von_neumann(params: dict, config: RunConfig) -> ScenarioOutcome:
     )
     psi = gaussian_state(obj, center=float(params["center"]), width=float(params["width"]))
     rho = np.outer(psi, psi.conj()) * obj.dx
-    scheme = model.to_scheme()
-    approx = induced_observable(scheme)
     q_op = np.diag(obj.positions.astype(complex))
-    eps_scheme = eps_no_from_scheme(scheme, q_op, rho)
-    eps_moment = eps_no_from_moments(q_op, approx, rho)
+    eps_scheme = model.eps_no_from_shifts(q_op, psi)
+    eps_moment = eps_no_from_moments(q_op, model.induced_observable(), rho)
     mu = model.noise_distribution()
     measured = model.measured_distribution(psi)
     conv = convolve(mu, position_distribution(obj, psi))
@@ -407,13 +404,12 @@ def _run_oscillator_shift(params: dict, config: RunConfig) -> ScenarioOutcome:
     grid, psi, _, h_norm = _oscillator_ground(params)
     alpha = float(params["alpha"])
     eps = alpha * h_norm
-    # spectral route for the approximator's outcome distribution
-    qmat = np.diag(grid.positions.astype(complex))
-    pmat = momentum_matrix(grid)
-    hmat = pmat @ pmat / 2 + qmat @ qmat / 2 - 0.5 * np.eye(grid.n)
-    qprime = qmat + alpha * hmat
-    evals, evecs = np.linalg.eigh(qprime)
-    weights = np.abs(evecs.conj().T @ (psi * math.sqrt(grid.dx))) ** 2
+    # spectral route for the approximator's outcome distribution: Q' = Q + alpha H is real
+    x = grid.positions
+    hmat = 0.5 * momentum_squared_matrix(grid)
+    hmat[np.diag_indices(grid.n)] += 0.5 * x**2 - 0.5
+    evals, evecs = np.linalg.eigh(np.diag(x) + alpha * hmat)
+    weights = np.abs(evecs.T @ (psi * math.sqrt(grid.dx))) ** 2
     dist_c = make_distribution(evals, weights)
     w2 = w2_quantile(position_distribution(grid, psi), dist_c)
     values = {"eps_no": eps, "w2_state": w2}

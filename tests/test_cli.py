@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qmu.cli import CHECK_RELATIONS, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling
+from qmu.grid import VonNeumannModel
 from qmu.serialize import (
     decode_matrix,
     dumps_json,
@@ -233,6 +234,8 @@ def test_no_local_optimiser_is_imported(tmp_path):
     script = f"""
 import sys
 from qmu.cli import main
+lazy = [m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "scipy"]
+assert not lazy, lazy
 runs = [["scenario", "run", "--all"], ["check", "qubit-error-bound"]]
 runs += [["sweep", r, {str(tmp_path / "sweep.csv")!r}, "--points", "5"]
          for r in ("qubit-error-bound", "naive-product", "branciard")]
@@ -257,6 +260,17 @@ assert "scipy.optimize" not in sys.modules
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=_src_env(), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_von_neumann_scenario_reads_the_shifts_not_the_dense_scheme(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the scenario built the dense von Neumann scheme")
+
+    monkeypatch.setattr(VonNeumannModel, "to_scheme", refuse)
+    code, out, err = run_cli(capsys, "scenario", "run", "von-neumann-position")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert [s["passed"] for s in payload["scenarios"]] == [True]
 
 
 def test_check_numerical_failure_exits_3(capsys):

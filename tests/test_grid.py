@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from qmu import opalg
 from qmu.distributions import convolve, w2_quantile
+from qmu.errmetrics import eps_no_from_scheme
 from qmu.grid import (
     MAX_HALF_WIDTH,
     GridAliasingError,
     GridSystem,
     VonNeumannModel,
-    apply_momentum,
     apply_oscillator,
     apply_position,
     boundary_mass,
@@ -19,14 +20,21 @@ from qmu.grid import (
     ground_state,
     half_width_error,
     momentum_distribution,
+    momentum_squared_matrix,
     momentum_wavefunction,
     parity_flip,
     phase_space_marginals,
     position_distribution,
     position_observable,
 )
-from qmu.observables import distribution_of
+from qmu.observables import check_effects, distribution_of
 from qmu.schemes import induced_observable
+
+
+def apply_momentum(grid: GridSystem, psi) -> np.ndarray:
+    """P psi through the FFT: multiply by p on the momentum side."""
+    phi = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(psi)))
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(grid.momenta * phi)))
 
 
 def test_dft_matrix_matches_fft_path():
@@ -36,6 +44,20 @@ def test_dft_matrix_matches_fft_path():
     via_matrix = dft_matrix(grid) @ psi * math.sqrt(8) * grid.dx / math.sqrt(2 * math.pi)
     via_fft = momentum_wavefunction(grid, psi)
     np.testing.assert_allclose(via_fft, via_matrix, atol=1e-12)
+
+
+def test_momentum_squared_matrix_is_the_dense_p_squared():
+    for grid in (GridSystem(8, 3.0), GridSystem(64, 10.0)):
+        f = dft_matrix(grid)
+        dense = f.conj().T @ np.diag(grid.momenta**2) @ f
+        circulant = momentum_squared_matrix(grid)
+        assert circulant.dtype == float
+        tol = 1e-12 * grid.momenta.min() ** 2
+        np.testing.assert_allclose(circulant, circulant.T, rtol=0, atol=tol)
+        np.testing.assert_allclose(circulant, dense, rtol=0, atol=tol)
+        psi = gaussian_state(grid, width=1.3, momentum=0.4)
+        np.testing.assert_allclose(circulant @ psi, apply_momentum(grid, apply_momentum(grid, psi)),
+                                   rtol=0, atol=1e-10)
 
 
 def test_ground_state_moments():
@@ -177,6 +199,46 @@ def test_von_neumann_dense_scheme_matches_fast_route():
     fast = model.measured_distribution(psi)
     np.testing.assert_allclose(dense.support, fast.support, atol=1e-12)
     np.testing.assert_allclose(dense.probs, fast.probs, atol=1e-9)
+
+
+# (n, L) of object and probe, and lam: the scenario default, a probe four times
+# as wide, a stronger coupling, and an object finer than its (wrapping) probe.
+VON_NEUMANN_GRIDS = [
+    pytest.param((32, 8.0), (32, 8.0), 1.0, id="32+32-lam1"),
+    pytest.param((16, 6.0), (64, 24.0), 1.0, id="16+64-wide-probe"),
+    pytest.param((32, 8.0), (64, 16.0), 2.0, id="32+64-lam2"),
+    pytest.param((32, 8.0), (16, 8.0), 2.0, id="32+16-finer-object"),
+]
+
+
+@pytest.mark.parametrize("obj_grid, probe_grid, lam", VON_NEUMANN_GRIDS)
+def test_von_neumann_shift_route_matches_the_dense_scheme(obj_grid, probe_grid, lam):
+    obj, probe = GridSystem(*obj_grid), GridSystem(*probe_grid)
+    model = VonNeumannModel(obj, probe, lam, gaussian_state(probe, width=1.0, momentum=0.2))
+    scheme = model.to_scheme()
+    dense, fast = induced_observable(scheme), model.induced_observable()
+    np.testing.assert_allclose(fast.outcomes, dense.outcomes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fast.effects, dense.effects, rtol=0, atol=1e-12)
+    check_effects(fast.effects)
+    psi = gaussian_state(obj, center=0.5, width=0.8, momentum=0.3)
+    rho = np.outer(psi, psi.conj()) * obj.dx
+    rng = np.random.default_rng(5)
+    for a in (np.diag(obj.positions.astype(complex)), opalg.random_hermitian(obj.n, rng)):
+        reference = eps_no_from_scheme(scheme, a, rho)
+        assert abs(model.eps_no_from_shifts(a, psi) - reference) <= 1e-12 * max(1.0, reference)
+    born = distribution_of(fast, rho)
+    measured = model.measured_distribution(psi)
+    np.testing.assert_allclose(measured.support, born.support, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(measured.probs, born.probs, rtol=0, atol=1e-12)
+
+
+def test_von_neumann_shift_route_rejects_a_foreign_target():
+    obj = probe = GridSystem(16, 4.0)
+    model = VonNeumannModel(obj, probe, 1.0, gaussian_state(probe))
+    with pytest.raises(ValueError, match="object space"):
+        model.eps_no_from_shifts(np.eye(8), gaussian_state(obj))
+    with pytest.raises(ValueError, match="Hermitian"):
+        model.eps_no_from_shifts(np.triu(np.ones((16, 16))), gaussian_state(obj))
 
 
 def test_grid_convergence_doubling():
