@@ -9,9 +9,7 @@ and a reproducible scenario library exposed through the ``qmu`` CLI.
 from .distributions import (
     Coupling,
     Distribution,
-    cauchy_schwarz_bounds,
     convolve,
-    delta,
     make_distribution,
     quantile_coupling,
     w2_lp_oracle,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -291,6 +292,12 @@ def cmd_wasserstein(args) -> int:
         print(f"--oracle takes at most {LP_MAX} support points per side", file=sys.stderr)
         return EXIT_UNKNOWN
     value, coupling = w2_quantile_with_coupling(mu, nu)
+    if not math.isfinite(value):
+        print(
+            f"{args.dist_a}, {args.dist_b}: the 2-deviation exceeds the float range",
+            file=sys.stderr,
+        )
+        return EXIT_UNKNOWN
     print(f"{value:.12g}")
     if args.oracle:
         oracle = w2_lp_oracle(mu, nu)
@@ -419,7 +426,13 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qmu`` parser, built on the first call and shared by every later one.
+
+    ``parse_args`` keeps no state between calls, so ``main`` can reuse it;
+    callers must not add arguments or change defaults on the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="qmu",
         description=(

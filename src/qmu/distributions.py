@@ -40,7 +40,7 @@ class Distribution:
         if probs.min() < -PROB_TOL:
             raise ValueError(f"negative probability {probs.min():.3e}")
         if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
+            raise ValueError(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         _check_finite(support, probs)  # NaN passes the comparisons above
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
@@ -77,10 +77,6 @@ class Distribution:
 def _check_finite(values, probs) -> None:
     if not (np.isfinite(values).all() and np.isfinite(probs).all()):
         raise ValueError("support and probabilities must be finite")
-
-
-def delta(y: float) -> Distribution:
-    return Distribution(np.array([y]), np.array([1.0]))
 
 
 def splits_from(v, first, tol: float = MERGE_TOL):
@@ -265,10 +261,39 @@ def w2_quantile_rows(x: np.ndarray, y: np.ndarray, p: np.ndarray, q: np.ndarray)
     return _staircase_w2(x, y, *quantile_cells(p, q))
 
 
+# Below 2**SQUARE_SAFE_EXP every support difference is below 2**511 and its
+# square below 2**1022, so the staircase cost cannot overflow.
+SQUARE_SAFE_EXP = 510
+SQUARE_SAFE = 2.0**SQUARE_SAFE_EXP
+
+
+def scale_exponent(x, y) -> int:
+    """The k >= 0 that brings increasing supports x and y below 2**SQUARE_SAFE_EXP.
+
+    W2 is 1-homogeneous and scaling by a power of two is exact short of
+    subnormals, so W2 of the supports scaled by 2**-k, times 2**k, is W2
+    computed without overflow.  Supports already in range take k = 0; an
+    O(1) read, as the extreme values are the endpoints.
+    """
+    reach = max(-x[0], x[-1], -y[0], y[-1])
+    return 0 if reach < SQUARE_SAFE else int(np.frexp(reach)[1]) - SQUARE_SAFE_EXP
+
+
 def _staircase_w2(x, y, i, j, w) -> np.ndarray:
+    """Square roots of the staircase costs, scaled by ``scale_exponent``.
+
+    A value above the float range comes out inf.
+    """
+    k = scale_exponent(x, y)
+    if k:
+        x, y = np.ldexp(x, -k), np.ldexp(y, -k)
     diff = x[i] - y[j]
     cost = (w[:, None, :] @ (diff * diff)[:, :, None])[:, 0, 0]
-    return np.sqrt(np.maximum(cost, 0.0))
+    value = np.sqrt(np.maximum(cost, 0.0))
+    if k:
+        with np.errstate(over="ignore"):
+            value = np.ldexp(value, k)
+    return value
 
 
 def w2_quantile(mu: Distribution, nu: Distribution) -> float:
@@ -297,14 +322,6 @@ def w2_quantile_with_coupling(mu: Distribution, nu: Distribution) -> tuple[float
     return value, Coupling(mu.support, nu.support, i[0], j[0], w[0])
 
 
-def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:
-    """Lower/upper bounds on the squared 2-deviation from means and spreads."""
-    md = (mu.mean - nu.mean) ** 2
-    lower = (mu.std - nu.std) ** 2 + md
-    upper = (mu.std + nu.std) ** 2 + md
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # LP oracle
 # ---------------------------------------------------------------------------
@@ -315,17 +332,23 @@ def w2_lp_oracle(mu: Distribution, nu: Distribution) -> float:
 
     Supports up to 16 points per side are solved with an exact rational
     transportation simplex; larger instances (up to 64) with scipy's HiGHS
-    solver. Deliberately independent of the quantile construction.
+    solver. Deliberately independent of the quantile construction; only the
+    power-of-two scaling of far-out supports (``scale_exponent``) is shared.
     """
     m, n = mu.support.size, nu.support.size
     if m > LP_MAX or n > LP_MAX:
         raise ValueError(f"oracle scale exceeded: supports {m}x{n} > {LP_MAX}")
+    k = scale_exponent(mu.support, nu.support)
+    if k:
+        mu, nu = mu.scale(2.0**-k), nu.scale(2.0**-k)
     if m <= EXACT_LP_MAX and n <= EXACT_LP_MAX:
         cost = _transport_simplex_exact(
             list(mu.support), list(mu.probs), list(nu.support), list(nu.probs)
         )
-        return math.sqrt(max(float(cost), 0.0))
-    return _transport_lp_float(mu, nu)
+        value = math.sqrt(max(float(cost), 0.0))
+    else:
+        value = _transport_lp_float(mu, nu)
+    return math.ldexp(value, k)
 
 
 def _transport_lp_float(mu: Distribution, nu: Distribution) -> float:

@@ -168,35 +168,6 @@ class WorstCaseResult:
     exact: bool = False
 
 
-def bloch_parameters(obs: Observable) -> tuple[float, np.ndarray] | None:
-    """(c0, c) for a two-outcome qubit POVM with outcomes (-1, +1), else None."""
-    if obs.dim != 2 or obs.n_outcomes != 2:
-        return None
-    if not np.allclose(obs.outcomes, [-1.0, 1.0], atol=1e-12):
-        return None
-    c_plus = obs.effects[1]
-    c0 = float(np.trace(c_plus).real)
-    c = np.array([float(np.trace(c_plus @ s).real) for s in opalg.PAULI])
-    return c0, c
-
-
-def qubit_worst_case_closed_form(a: Observable, c: Observable) -> float | None:
-    """Exact worst-case deviation for qubit pairs: sqrt(2|1-c0| + 2||a-c||).
-
-    Applies when the target is a sharp two-outcome (+/-1) qubit observable;
-    returns the deviation value, or None when the closed form does not apply.
-    """
-    pa = bloch_parameters(a)
-    pc = bloch_parameters(c)
-    if pa is None or pc is None:
-        return None
-    a0, avec = pa
-    if abs(a0 - 1.0) > 1e-10 or abs(np.linalg.norm(avec) - 1.0) > 1e-10:
-        return None
-    c0, cvec = pc
-    return math.sqrt(2 * abs(1 - c0) + 2 * np.linalg.norm(avec - cvec))
-
-
 def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     """Orthonormal basis (columns) diagonalising every effect, or None.
 

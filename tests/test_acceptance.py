@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
+from closed_forms import cauchy_schwarz_bounds, qubit_worst_case_closed_form
 from qmu import opalg
 from qmu.cli import main as cli_main
 from qmu.distributions import (
     Distribution,
-    cauchy_schwarz_bounds,
     quantile_coupling,
     w2_lp_oracle,
     w2_quantile,
@@ -23,7 +23,6 @@ from qmu.errmetrics import (
     calibration_error,
     eps_no_from_moments,
     eps_no_from_scheme,
-    qubit_worst_case_closed_form,
     three_state_eps,
     w2_observables_worst,
     worst_case_deviation,

@@ -1,15 +1,17 @@
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmu.cli import CHECK_RELATIONS, main
+from qmu.cli import CHECK_RELATIONS, build_parser, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling
 from qmu.grid import VonNeumannModel
 from qmu.serialize import (
@@ -184,6 +186,47 @@ def test_wasserstein_oracle_scale_limit(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "64" in err
+
+
+def test_wasserstein_far_apart_point_masses(tmp_path, capsys):
+    # Squaring the 2e200 gap overflows; the kernel rescales by a power of two.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution([-1e200], [1.0]), a)
+    write_distribution_csv(Distribution([1e200], [1.0]), b)
+    coupling_path = tmp_path / "coupling.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "wasserstein", str(a), str(b)) == (0, "2e+200\n", "")
+        assert run_cli(capsys, "wasserstein", str(a), str(b), "--oracle") == (
+            0, "2e+200\n", "oracle agrees: 2e+200\n")
+        assert run_cli(
+            capsys, "wasserstein", str(a), str(b), "--coupling", str(coupling_path)
+        ) == (0, "2e+200\n", "")
+    assert coupling_path.read_bytes() == b"row_value,col_value,weight\r\n-1e+200,1e+200,1.0\r\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--oracle",), ("--coupling", "{coupling}")])
+def test_wasserstein_above_the_float_range_exits_2(tmp_path, capsys, extra):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution([-1.7e308], [1.0]), a)
+    write_distribution_csv(Distribution([1.7e308], [1.0]), b)
+    coupling_path = tmp_path / "coupling.csv"
+    argv = [arg.format(coupling=coupling_path) for arg in extra]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "wasserstein", str(a), str(b), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"{a}, {b}: the 2-deviation exceeds the float range\n"
+    assert not coupling_path.exists()
+
+
+def test_wasserstein_probability_sum_message_is_a_plain_float(tmp_path, capsys):
+    bad = tmp_path / "s.csv"
+    bad.write_text("0,0.5\n1,0.6\n")
+    good = tmp_path / "good.csv"
+    write_distribution_csv(Distribution([0.0], [1.0]), good)
+    assert run_cli(capsys, "wasserstein", str(bad), str(good)) == (
+        2, "", f"malformed distribution input: {bad}: probabilities sum to 1.1, expected 1\n")
 
 
 def test_sweep_bound_relation(tmp_path, capsys):
@@ -436,6 +479,61 @@ def test_byte_identical_reruns(tmp_path, capsys):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_a_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    out_file, fresh_out_file = tmp_path / "report.json", tmp_path / "fresh.json"
+    calls = [
+        ["--seed", "3", "check", "ozawa", "--budget", "20"],
+        ["check", "ozawa", "--budget", "20"],
+        ["check", "unbiased", "--budget", "20", "--out", str(out_file)],
+        ["check", "unbiased", "--budget", "20"],
+        ["scenario", "run", "identity-scheme", "--set", "sigma_bloch=[0,0,1]"],
+        ["scenario", "run", "identity-scheme"],
+        ["check"],
+        ["check", "eps-forms", "--budget", "20"],
+    ]
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, capsys.readouterr().out))
+    assert [code for code, _ in results] == [0, 0, 0, 0, 0, 0, 2, 0]
+    seeds = [json.loads(results[k][1])["config"]["seed"] for k in (0, 1)]
+    assert seeds == [3, 0]
+    assert results[2][1] == ""
+    assert results[3][1] == out_file.read_text()
+    parameters = [json.loads(results[k][1])["scenarios"][0]["parameters"] for k in (4, 5)]
+    assert parameters[0]["sigma_bloch"] == [0, 0, 1]
+    assert parameters[1]["sigma_bloch"] == [0.0, 1.0, 0.0]  # the default
+    for argv, (code, out) in zip(calls, results):
+        argv = [fresh_out_file if arg == str(out_file) else arg for arg in argv]
+        fresh = subprocess.run([sys.executable, "-m", "qmu", *argv], capture_output=True,
+                               text=True, env=_src_env(), timeout=60)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+    assert fresh_out_file.read_bytes() == out_file.read_bytes()
+
+
+def test_a_second_main_call_builds_no_parser(monkeypatch, capsys):
+    constructed = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    counts = []
+    for _ in range(2):
+        before = constructed[0]
+        assert main(["scenario", "list"]) == 0
+        counts.append(constructed[0] - before)
+    capsys.readouterr()
+    assert counts[0] > 0
+    assert counts[1] == 0
 
 
 def test_serialization_roundtrips():

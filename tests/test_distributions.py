@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_forms import cauchy_schwarz_bounds, delta
 from qmu.distributions import (
     MERGE_TOL,
     Coupling,
     Distribution,
-    cauchy_schwarz_bounds,
     convolve,
-    delta,
     make_distribution,
     merge_groups,
     merge_outcomes,
@@ -384,6 +383,27 @@ def test_row_kernel_stack_equals_a_loop_over_rows():
         assert np.all(cells[2][r, count:] == 0.0)
         assert abs(values[r] - w2_quantile(mu, nu)) <= 1e-15
         assert abs(values[r] - quantile_integral(mu, nu)) <= 1e-12
+
+
+def _random_row_pair(seed):
+    """Increasing supports of 1-39 points at a scale in [1e-5, 1e5] and 3 rows each."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 40, 2)
+    scale = 10.0 ** rng.uniform(-5, 5)
+    x = np.sort(rng.uniform(-scale, scale, m)) + rng.uniform(-scale, scale)
+    y = np.sort(rng.uniform(-scale, scale, n))
+    return x, y, rng.dirichlet(np.ones(m), 3), rng.dirichlet(np.ones(n), 3)
+
+
+# k >= 500 puts the supports past 2**510, where squared differences could
+# overflow and the kernel rescales them.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(-60, 59) | st.integers(500, 1000))
+def test_property_row_kernel_scales_bitwise_by_powers_of_two(seed, k):
+    x, y, p, q = _random_row_pair(seed)
+    scaled = w2_quantile_rows(np.ldexp(x, k), np.ldexp(y, k), p, q)
+    assert np.isfinite(scaled).all()
+    assert scaled.tobytes() == np.ldexp(w2_quantile_rows(x, y, p, q), k).tobytes()
 
 
 @st.composite

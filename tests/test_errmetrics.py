@@ -4,18 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import bloch_parameters, qubit_worst_case_closed_form
 from qmu import opalg
 from qmu.distributions import Distribution, w2_quantile
 from qmu import errmetrics
 from qmu.errmetrics import (
-    bloch_parameters,
     calibration_error,
     calibration_stacked,
     eps_no_from_moments,
     eps_no_from_scheme,
     error_report,
     eta_no_from_scheme,
-    qubit_worst_case_closed_form,
     shared_eigenbasis,
     staircase_duals,
     three_state_eps,

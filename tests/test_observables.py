@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qmu import opalg
-from qmu.distributions import Distribution, convolve, delta
+from closed_forms import delta
+from qmu.distributions import Distribution, convolve
 from qmu.observables import (
     BlochObservable,
     Observable,
