@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .distributions import LP_MAX, w2_lp_oracle, w2_quantile_with_coupling
+from .distributions import LP_MAX, support_reach, w2_lp_oracle, w2_quantile_with_coupling
 from .errmetrics import FORM_TOL
 from .grid import grid_size_error, half_width_error
 from .observables import spectral_measure
@@ -59,6 +59,10 @@ EXIT_OK = 0
 EXIT_UNKNOWN = 2
 EXIT_NUMERIC = 3
 EXIT_UNWRITABLE = 4
+
+# wasserstein --oracle: the quantile and LP values may differ by this much
+# times max(1, reach), reach the largest |support value| of the two inputs.
+ORACLE_TOL = 1e-9
 
 SWEEP_RELATIONS = ("qubit-error-bound", "naive-product", "branciard")
 CHECK_RELATIONS = (
@@ -301,7 +305,7 @@ def cmd_wasserstein(args) -> int:
     print(f"{value:.12g}")
     if args.oracle:
         oracle = w2_lp_oracle(mu, nu)
-        if abs(oracle - value) > 1e-9:
+        if abs(oracle - value) > ORACLE_TOL * max(1.0, support_reach(mu.support, nu.support)):
             print(
                 f"oracle mismatch: quantile={value!r} lp={oracle!r}", file=sys.stderr
             )

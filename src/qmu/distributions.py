@@ -35,7 +35,7 @@ class Distribution:
         probs = np.asarray(self.probs, dtype=float).reshape(-1)
         if support.shape != probs.shape or support.size == 0:
             raise ValueError("support and probs must be equal-length nonempty arrays")
-        if np.any(np.diff(support) <= 0):
+        if np.any(support[1:] <= support[:-1]):
             raise ValueError("support must be strictly increasing")
         if probs.min() < -PROB_TOL:
             raise ValueError(f"negative probability {probs.min():.3e}")
@@ -261,22 +261,33 @@ def w2_quantile_rows(x: np.ndarray, y: np.ndarray, p: np.ndarray, q: np.ndarray)
     return _staircase_w2(x, y, *quantile_cells(p, q))
 
 
-# Below 2**SQUARE_SAFE_EXP every support difference is below 2**511 and its
-# square below 2**1022, so the staircase cost cannot overflow.
+# Supports with a reach in [2**-SQUARE_SAFE_EXP, 2**SQUARE_SAFE_EXP) are not
+# rescaled.  Below the upper end every support difference is below 2**511 and
+# its square below 2**1022, so the staircase cost cannot overflow.
 SQUARE_SAFE_EXP = 510
 SQUARE_SAFE = 2.0**SQUARE_SAFE_EXP
+SQUARE_TINY = 2.0**-SQUARE_SAFE_EXP
+
+
+def support_reach(x, y) -> float:
+    """The largest |value| of increasing supports x and y: an O(1) read of the endpoints."""
+    return max(-x[0], x[-1], -y[0], y[-1])
 
 
 def scale_exponent(x, y) -> int:
-    """The k >= 0 that brings increasing supports x and y below 2**SQUARE_SAFE_EXP.
+    """The power of two 2**-k by which to scale increasing supports x and y.
 
-    W2 is 1-homogeneous and scaling by a power of two is exact short of
-    subnormals, so W2 of the supports scaled by 2**-k, times 2**k, is W2
-    computed without overflow.  Supports already in range take k = 0; an
-    O(1) read, as the extreme values are the endpoints.
+    Supports with a reach in [2**-SQUARE_SAFE_EXP, 2**SQUARE_SAFE_EXP), and
+    all-zero ones, take k = 0.  Others are scaled to a reach just below
+    2**SQUARE_SAFE_EXP: far-out ones down (k > 0), so that no square
+    overflows, and tiny ones up (k < 0), so that their squares do not
+    underflow.  W2 is 1-homogeneous and scaling by a power of two is exact
+    short of subnormals, so W2 of the scaled supports, times 2**k, is W2.
     """
-    reach = max(-x[0], x[-1], -y[0], y[-1])
-    return 0 if reach < SQUARE_SAFE else int(np.frexp(reach)[1]) - SQUARE_SAFE_EXP
+    reach = support_reach(x, y)
+    if SQUARE_TINY <= reach < SQUARE_SAFE or reach == 0:
+        return 0
+    return int(np.frexp(reach)[1]) - SQUARE_SAFE_EXP
 
 
 def _staircase_w2(x, y, i, j, w) -> np.ndarray:
@@ -340,7 +351,8 @@ def w2_lp_oracle(mu: Distribution, nu: Distribution) -> float:
         raise ValueError(f"oracle scale exceeded: supports {m}x{n} > {LP_MAX}")
     k = scale_exponent(mu.support, nu.support)
     if k:
-        mu, nu = mu.scale(2.0**-k), nu.scale(2.0**-k)
+        mu = Distribution(np.ldexp(mu.support, -k), mu.probs)
+        nu = Distribution(np.ldexp(nu.support, -k), nu.probs)
     if m <= EXACT_LP_MAX and n <= EXACT_LP_MAX:
         cost = _transport_simplex_exact(
             list(mu.support), list(mu.probs), list(nu.support), list(nu.probs)

@@ -36,7 +36,7 @@ class Observable:
             raise ValueError("observable needs at least one outcome")
         if not np.isfinite(outcomes).all():
             raise ValueError("outcomes must be finite")
-        if np.any(np.diff(outcomes) <= 0):
+        if np.any(outcomes[1:] <= outcomes[:-1]):
             raise ValueError("outcomes must be strictly increasing")
         self.outcomes = outcomes
         self.effects = effects

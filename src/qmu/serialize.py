@@ -142,8 +142,10 @@ _FIELD = r'(?:"(?:[^"]|"")*"(?!")[^,]*|[^,"][^,]*|)'
 _CLOSED_LINE = re.compile(rf"{_FIELD}(?:,{_FIELD})*")
 _QUOTED_FIRST_FIELD = re.compile(r'"((?:[^"]|"")*)"([^,]*)')
 _ROW_INDEX = re.compile(r" at row \d+")
-# Whitespace around a number to loadtxt, but not to float().
-_SEPARATOR_CONTROLS = re.compile("[\x1c-\x1f]")
+# Whitespace around a number to loadtxt, but not to float().  A file is
+# tested with one ``in`` per character: a regex class scans far slower.
+_SEPARATOR_CHARS = "\x1c\x1d\x1e\x1f"
+_SEPARATOR_CONTROLS = re.compile(f"[{_SEPARATOR_CHARS}]")
 
 
 def _first_field(line: str) -> str:
@@ -202,7 +204,7 @@ def _read_table(text: str) -> np.ndarray:
             lines[k] = ""
     if not any(lines):
         raise ValueError("distribution CSV is empty")
-    if _SEPARATOR_CONTROLS.search(text):
+    if any(c in text for c in _SEPARATOR_CHARS):
         for k, line in enumerate(lines):
             if _SEPARATOR_CONTROLS.search(",".join(line.split(",", 2)[:2])):
                 raise ValueError(f"line {k + 1}: control character U+001C-U+001F in a number")

@@ -220,6 +220,66 @@ def test_wasserstein_above_the_float_range_exits_2(tmp_path, capsys, extra):
     assert not coupling_path.exists()
 
 
+def test_wasserstein_oracle_agrees_on_far_out_supports(tmp_path, capsys):
+    # Values near 1e8 differ from the LP's in their last bits, beyond 1e-9.
+    rng = np.random.default_rng(8)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for _ in range(100):
+        m, n = rng.integers(2, 10, 2)
+        write_distribution_csv(
+            Distribution(np.sort(rng.uniform(-1e8, 1e8, m)), rng.dirichlet(np.ones(m))), a)
+        write_distribution_csv(
+            Distribution(np.sort(rng.uniform(-1e8, 1e8, n)), rng.dirichlet(np.ones(n))), b)
+        code, out, err = run_cli(capsys, "wasserstein", str(a), str(b), "--oracle")
+        assert code == 0, err
+        assert err.startswith("oracle agrees: ")
+
+
+@pytest.mark.parametrize("reach", [0.5, 1.0, 1e8, 1e-200])
+def test_wasserstein_oracle_mismatch_still_exits_3(tmp_path, capsys, monkeypatch, reach):
+    import qmu.cli
+
+    exact = qmu.cli.w2_lp_oracle
+    monkeypatch.setattr(qmu.cli, "w2_lp_oracle",
+                        lambda mu, nu: exact(mu, nu) + 1e-6 * max(1.0, reach))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution([-reach, 0.5 * reach], [0.5, 0.5]), a)
+    write_distribution_csv(Distribution([reach], [1.0]), b)
+    code, out, err = run_cli(capsys, "wasserstein", str(a), str(b), "--oracle")
+    assert code == 3
+    assert err.startswith("oracle mismatch: ")
+
+
+def test_wasserstein_on_the_float_range_ends_writes_no_warning(tmp_path):
+    # The gap between -1e308 and 1e308 overflows: no check may subtract them.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution([-1e308, 1e308], [0.5, 0.5]), a)
+    write_distribution_csv(Distribution([0.0], [1.0]), b)
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qmu", "wasserstein", str(a), str(b)],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1e+308\n", "")
+
+
+@pytest.mark.parametrize("mu, nu, expected", [
+    (([-1e-200, 1e-200], [0.5, 0.5]), ([0.0], [1.0]), "1e-200"),
+    # 5e-324, the least subnormal, in the CLI's 12-significant-digit format
+    (([5e-324], [1.0]), ([1e-323], [1.0]), "4.94065645841e-324"),
+])
+def test_wasserstein_tiny_supports(tmp_path, capsys, mu, nu, expected):
+    # Squared differences would underflow to 0; the kernel rescales by a power of two.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution(*mu), a)
+    write_distribution_csv(Distribution(*nu), b)
+    coupling_path = tmp_path / "coupling.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "wasserstein", str(a), str(b), "--oracle",
+                       "--coupling", str(coupling_path)) == (
+            0, f"{expected}\n", f"oracle agrees: {expected}\n")
+    assert coupling_path.exists()
+
+
 def test_wasserstein_probability_sum_message_is_a_plain_float(tmp_path, capsys):
     bad = tmp_path / "s.csv"
     bad.write_text("0,0.5\n1,0.6\n")
@@ -661,6 +721,18 @@ CSV_EDGE_CASES = {
     "not-utf-8": b"\xff1,1\n",
     "two-byte-order-marks": b"\xef\xbb\xbf\xef\xbb\xbf1,1\n",
 }
+# U+001C-U+001F: float() rejects them around a number, in the value or the
+# probability; in a # line or a third column the row is read as before.
+CSV_EDGE_CASES.update({
+    f"control-{where}-U+{ord(c):04X}-{ending}": text.format(c=c, end=end).encode()
+    for c in "\x1c\x1d\x1e\x1f"
+    for ending, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r"))
+    for where, text in (
+        ("in-value", "0.5,0.5{end}1{c},0.5{end}"),
+        ("in-probability", "0.5,0.5{end}1,{c}0.5{end}"),
+        ("in-comment-and-extra-column", "#{c}{end}1,1,{c}{end}"),
+    )
+})
 
 
 def _read_outcome(reader, path):

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from closed_forms import cauchy_schwarz_bounds, delta
 from qmu.distributions import (
@@ -15,6 +16,7 @@ from qmu.distributions import (
     merge_outcomes,
     quantile_cells,
     quantile_coupling,
+    scale_exponent,
     splits_from,
     w2_lp_oracle,
     w2_quantile,
@@ -396,11 +398,17 @@ def _random_row_pair(seed):
 
 
 # k >= 500 puts the supports past 2**510, where squared differences could
-# overflow and the kernel rescales them.
+# overflow, and k <= -500 below 2**-510, where they could underflow: the
+# kernel rescales both.  Scaled supports must stay normal, or scaling them
+# rounds; an in-range pair (reach at or above 2**-510) is not rescaled.
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(-60, 59) | st.integers(500, 1000))
+@given(st.integers(0, 2**32 - 1),
+       st.integers(-60, 59) | st.integers(500, 1000) | st.integers(-1000, -500))
 def test_property_row_kernel_scales_bitwise_by_powers_of_two(seed, k):
     x, y, p, q = _random_row_pair(seed)
+    if k <= -500:
+        both = np.abs(np.ldexp(np.concatenate([x, y]), k))
+        assume(np.finfo(float).tiny <= both.min() and both.max() < 2.0**-510)
     scaled = w2_quantile_rows(np.ldexp(x, k), np.ldexp(y, k), p, q)
     assert np.isfinite(scaled).all()
     assert scaled.tobytes() == np.ldexp(w2_quantile_rows(x, y, p, q), k).tobytes()
@@ -454,6 +462,29 @@ def test_std_minimizes_point_deviation():
 def test_distribution_rejects_non_finite_support(support):
     with pytest.raises(ValueError, match="finite"):
         Distribution(support, np.full(len(support), 1.0 / len(support)))
+
+
+def test_supports_at_the_float_range_ends_warn_of_nothing():
+    # The gap between the two points overflows: the check must not subtract.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = Distribution([-1e308, 1e308], [0.5, 0.5])
+        assert w2_quantile(mu, Distribution([0.0], [1.0])) == 1e308
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Distribution([1e308, -1e308], [0.5, 0.5])
+
+
+def test_scale_exponent_rescales_only_out_of_range_supports():
+    def k(x, y):
+        return scale_exponent(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+    assert k([0.0], [0.0]) == k([-0.0], [0.0]) == 0
+    assert k([-(2.0**-510)], [0.0]) == k([0.0], [np.nextafter(2.0**510, 0)]) == 0
+    assert k([1e-200], [0.0]) < 0 and k([5e-324], [1e-323]) < 0
+    # the scaled reach lands just below 2**510 from either side
+    for x in ([1e-200], [5e-324], [-3e-160, 0.0], [1e300]):
+        reach = np.ldexp(np.abs(x).max(), -k(x, [0.0]))
+        assert 2.0**509 <= reach < 2.0**510
 
 
 def test_distribution_rejects_a_nan_probability():

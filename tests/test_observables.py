@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,13 @@ def test_bloch_observable_rejects_non_finite_parameters():
     for c0, c in ((np.inf, [0.0, 0.0, 0.0]), (1.0, [0.0, -np.inf, 0.0])):
         with pytest.raises(ValueError, match="positivity"):
             BlochObservable(c0, c)
+
+
+def test_outcomes_at_the_float_range_ends_warn_of_nothing():
+    # The gap between the two outcomes overflows: the check must not subtract.
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Observable([-1e308, 1e308], effects)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Observable([1e308, -1e308], effects)
