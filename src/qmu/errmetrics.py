@@ -10,6 +10,7 @@ calibration as the eps -> 0 limit over near-eigenstate preparations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -179,9 +180,8 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     eigenbasis ill-conditioned; while every effect commutes with the
     combination, the next of ``SHARED_BASIS_TRIES`` weight vectors is tried.
     """
-    rng = np.random.default_rng(0)
-    for _ in range(SHARED_BASIS_TRIES):
-        combination = np.einsum("k,kij->ij", rng.uniform(1.0, 2.0, effects.shape[0]), effects)
+    for weights in _basis_weights(effects.shape[0]):
+        combination = np.einsum("k,kij->ij", weights, effects)
         _, basis = np.linalg.eigh(combination)
         rotated = basis.conj().T @ effects @ basis
         off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
@@ -191,6 +191,18 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
         if np.linalg.norm(commutators, axis=(1, 2)).max() > TOL_COMMUTE:
             return None
     return None
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_weights(n: int) -> np.ndarray:
+    """The ``SHARED_BASIS_TRIES`` weight vectors for n effects, as rows.
+
+    Drawn in turn from one generator seeded 0, and kept read-only.
+    """
+    rng = np.random.default_rng(0)
+    weights = np.stack([rng.uniform(1.0, 2.0, n) for _ in range(SHARED_BASIS_TRIES)])
+    weights.flags.writeable = False
+    return weights
 
 
 def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,6 +263,16 @@ def _tree_duals(cost: np.ndarray, is_down: np.ndarray) -> tuple[np.ndarray, np.n
     return u, v
 
 
+def _eigh_hermitian_built(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``opalg.eig_hermitian`` of operators made Hermitian as 0.5 (M + M^dag), unchecked.
+
+    Such operators are Hermitian by construction; on the small stacks of one
+    report the entrywise check would cost about as much as the eigh.
+    """
+    evals, evecs = np.linalg.eigh(ops)
+    return evals, opalg.fix_phases(evecs)
+
+
 def w2_born_rows(rho, x, a_effects, y, c_effects) -> np.ndarray:
     """W2 between the Born distributions of two effect lists in each state of a stack.
 
@@ -262,21 +284,9 @@ def w2_born_rows(rho, x, a_effects, y, c_effects) -> np.ndarray:
                             born_probabilities(rho, c_effects))
 
 
-def w2_worst_common_basis(a: Observable, c: Observable, basis: np.ndarray) -> WorstCaseResult:
-    """Exact worst case when every effect of a and c is diagonal in ``basis``.
-
-    Every dual operator sum u_i A_i + sum v_j C_j is then diagonal, so the sup
-    over states is the largest classical deviation over the basis states:
-    the rows of one Born table, one call of the row kernel.
-    """
-    values = w2_born_rows(pure_states(basis.T), a.outcomes, a.effects, c.outcomes, c.effects)
-    k = int(np.argmax(values))
-    return WorstCaseResult(value=float(values[k]), state=basis[:, k], exact=True)
-
-
-def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
-                     c_effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact worst cases of N pairs that share their outcome values, by duality.
+def staircase_winners(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
+                      c_effects: np.ndarray) -> np.ndarray:
+    """The winning dual operator of each of N pairs that share their outcome values.
 
     ``a_effects`` (N, m, d, d) and ``c_effects`` (N, n, d, d) are the pairs'
     effects on the outcome values ``x`` (m,) and ``y`` (n,).  W2^2 in state
@@ -284,10 +294,9 @@ def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
     M = sum u_i A_i + sum v_j C_j, so sup_rho W2^2 is the largest top
     eigenvalue of M over the staircase duals, which depend on x and y alone.
     The operators of every (pair, dual) go through stacked ``eigvalsh``
-    calls of at most ``EIG_CHUNK_ENTRIES`` entries; one stacked eigh of
-    each pair's winning operator gives its witness, and the reported value
-    is the deviation at the witness.  Returns (N,) values and (N, d)
-    witnesses.
+    calls of at most ``EIG_CHUNK_ENTRIES`` entries.  Returns the (N, d, d)
+    Hermitian operators of largest top eigenvalue; each top eigenvector is a
+    witness.
     """
     u, v = staircase_duals(x, y)
     coeffs = np.concatenate([u, v], axis=1)
@@ -307,7 +316,19 @@ def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
             best[block][better] = first + tops.argmax(axis=1)[better]
             top[block] = np.maximum(top[block], local)
     winners = (coeffs[best][:, None, :] @ effects)[:, 0].reshape(pairs, d, d)
-    psi = opalg.eig_hermitian(0.5 * (winners + opalg.dagger(winners)))[1][..., -1]
+    return 0.5 * (winners + opalg.dagger(winners))
+
+
+def w2_worst_stacked(x: np.ndarray, a_effects: np.ndarray, y: np.ndarray,
+                     c_effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact worst cases of N pairs that share their outcome values, by duality.
+
+    One stacked eigh of the ``staircase_winners`` gives each pair's witness,
+    and the reported value is the deviation at the witness.  Returns (N,)
+    values and (N, d) witnesses.
+    """
+    winners = staircase_winners(x, a_effects, y, c_effects)
+    psi = _eigh_hermitian_built(winners)[1][..., -1]
     return w2_born_rows(pure_states(psi), x, a_effects, y, c_effects), psi
 
 
@@ -318,19 +339,26 @@ def w2_worst_staircase(a: Observable, c: Observable) -> WorstCaseResult:
 
 
 def worst_case_deviation(a: Observable, c: Observable) -> WorstCaseResult:
-    """Lower bound on the worst case, with its witness, by alternating ascent.
+    """Lower bound on the worst case, with its witness: the deviation at ``ascent_witness``."""
+    witness = ascent_witness(a, c)
+    value = w2_quantile(distribution_of_pure(a, witness), distribution_of_pure(c, witness))
+    return WorstCaseResult(value=value, state=witness)
+
+
+def ascent_witness(a: Observable, c: Observable) -> np.ndarray:
+    """The best final state of alternating ascents on the worst case.
 
     The duals of the path that carries the quantile coupling in psi attain
     W2^2(psi) = <psi|M|psi> with M = sum u_i A_i + sum v_j C_j, and the top
     eigenvector of M does at least as well, so lambda_max(M) never falls.
     Each eigenvector of the first moment operators of a and c starts an
     ascent, which stops when lambda_max stops rising; a path never repeats,
-    so it ends.  The value is the deviation at the best final state.
+    so it ends.
     """
     cost = (a.outcomes[:, None] - c.outcomes[None, :]) ** 2
     effects = np.concatenate([a.effects, c.effects])
     m = a.n_outcomes
-    starts = [opalg.eig_hermitian(moment_operator(obs, 1))[1].T for obs in (a, c)]
+    starts = [_eigh_hermitian_built(moment_operator(obs, 1))[1].T for obs in (a, c)]
     best, witness = -np.inf, None
     for psi in np.concatenate(starts):
         top = -np.inf
@@ -343,8 +371,29 @@ def worst_case_deviation(a: Observable, c: Observable) -> WorstCaseResult:
             top, psi = evals[-1], evecs[:, -1]
         if top > best:
             best, witness = top, psi
-    value = w2_quantile(distribution_of_pure(a, witness), distribution_of_pure(c, witness))
-    return WorstCaseResult(value=value, state=witness)
+    return witness
+
+
+def worst_case_candidates(a: Observable, c: Observable):
+    """Candidate witnesses of the worst case, by the route its exactness allows.
+
+    Returns (states, winner, exact).  When the effects of a and c share an
+    eigenbasis, every dual operator sum u_i A_i + sum v_j C_j is diagonal
+    in it, so the sup is the largest deviation over its basis states:
+    ``states`` (d, d) are those states as rows.  With at most
+    ``STAIRCASE_TREE_LIMIT`` staircase duals, ``states`` is None and
+    ``winner`` (d, d) is the winning dual operator, whose top eigenvector is
+    the one exact candidate: a caller can add it to a stacked eigh of its
+    own.  Otherwise ``states`` (1, d) is the ascent's witness, a lower
+    bound.  ``winner`` is None on the other two routes.
+    """
+    basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
+    if basis is not None:
+        return basis.T, None, True
+    if math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) <= STAIRCASE_TREE_LIMIT:
+        winners = staircase_winners(a.outcomes, a.effects[None], c.outcomes, c.effects[None])
+        return None, winners[0], True
+    return ascent_witness(a, c)[None], None, False
 
 
 def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
@@ -352,16 +401,18 @@ def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
 
     Exact when the effects of a and c share an eigenbasis, or when there are
     at most ``STAIRCASE_TREE_LIMIT`` staircase duals; otherwise the ascent's
-    lower bound with its witness (``exact`` false).
+    lower bound with its witness (``exact`` false).  The value is the
+    largest deviation over the ``worst_case_candidates``, from one call of
+    the row kernel.
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
-    basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
-    if basis is not None:
-        return w2_worst_common_basis(a, c, basis)
-    if math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) <= STAIRCASE_TREE_LIMIT:
-        return w2_worst_staircase(a, c)
-    return worst_case_deviation(a, c)
+    states, winner, exact = worst_case_candidates(a, c)
+    if winner is not None:
+        states = _eigh_hermitian_built(winner)[1][None, :, -1]
+    values = w2_born_rows(pure_states(states), a.outcomes, a.effects, c.outcomes, c.effects)
+    k = int(np.argmax(values))
+    return WorstCaseResult(value=float(values[k]), state=states[k], exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +435,44 @@ def calibration_stacked(y: np.ndarray, projections: np.ndarray, x: np.ndarray,
     approximators' effects on the values ``x``.  As eps -> 0 the states with
     Delta(A_rho, delta_y) <= eps shrink onto P_y, so the limit is
     sqrt(max_y lambda_max of D_y on P_y) with D_y = sum_x (x - y)^2 C(x).
-    Every D_y comes from one einsum, and one stacked eigh of
-    P_y D_y P_y - (1 - P_y) gives its top eigenvector on P_y: D_y >= 0, so
-    the -1 block keeps that vector inside P_y even when the top value is 0,
-    and eigenspaces of any rank share the stack.  An outcome with P_y = 0
-    leaves only the -1 block, whose top value is -1; it has no states and
-    is skipped.  Each vector's value is its deviation <psi|D_y|psi>, which
-    rounds more tightly than the stacked eigenvalue.  Returns (N,) values
-    and (N, d) witnesses, each a unit vector in its P_y.
+    ``calibration_operators`` forms every D_y and its shifted operator, one
+    stacked eigh decomposes them, and ``calibration_from_eigh`` reads off
+    the values.  Returns (N,) values and (N, d) witnesses, each a unit
+    vector in its P_y.
+    """
+    deviation, shifted = calibration_operators(y, projections, x, effects)
+    return calibration_from_eigh(deviation, *_eigh_hermitian_built(shifted))
+
+
+def calibration_operators(y: np.ndarray, projections: np.ndarray, x: np.ndarray,
+                          effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation operators D_y and P_y D_y P_y - (1 - P_y), both (N, n_y, d, d).
+
+    Every D_y comes from one einsum.  The top eigenvector of the shifted
+    operator is that of D_y on P_y: D_y >= 0, so the -1 block keeps it
+    inside P_y even when the top value is 0, and eigenspaces of any rank
+    share the stack.  The shifted operators are returned Hermitian.
     """
     d = effects.shape[-1]
     deviation = np.einsum("yx,nxij->nyij", (x[None, :] - y[:, None]) ** 2, effects)
     shifted = projections @ deviation @ projections - (np.eye(d) - projections)
-    evals, evecs = opalg.eig_hermitian(0.5 * (shifted + opalg.dagger(shifted)))
+    return deviation, 0.5 * (shifted + opalg.dagger(shifted))
+
+
+def calibration_from_eigh(deviation: np.ndarray, evals: np.ndarray,
+                          evecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Calibration values and witnesses from the eigh of ``calibration_operators``.
+
+    An outcome with P_y = 0 leaves only the -1 block, whose top value is -1;
+    it has no states and is skipped.  Each top vector's value is its
+    deviation <psi|D_y|psi>, which rounds more tightly than the stacked
+    eigenvalue.
+    """
     psi = evecs[..., -1]
     tops = np.einsum("nyi,nyij,nyj->ny", psi.conj(), deviation, psi).real
     tops = np.where(evals[..., -1] > -0.5, tops, -np.inf)
     best = np.argmax(tops, axis=1)
-    rows = np.arange(effects.shape[0])
+    rows = np.arange(deviation.shape[0])
     return opalg.sqrt_clamped(tops[rows, best]), psi[rows, best]
 
 
@@ -448,29 +519,44 @@ class ErrorReport:
 def error_report(a, c: Observable, rho) -> ErrorReport:
     """Assemble the full error report for target operator a, approximator c.
 
-    ``spectral_measure`` checks a once; eps, the bias and the intrinsic noise
-    all come from one pair of moment operators of c.
+    ``spectral_measure`` checks a once and ``check_density`` checks rho.
+    eps, the bias and the intrinsic noise come from one noise term and one
+    M1 - A.  The worst case's staircase winner, if its route has one, joins
+    calibration's stacked eigh, and rho's Born row, stacked with the worst
+    case's candidate rows, goes through one call of the row kernel: row 0
+    is ``w2_state``, the largest of the others ``w2_worst``.
     """
     a_sharp = spectral_measure(a)
     a = np.asarray(a, dtype=complex)
     if c.dim != a.shape[0]:
         raise ValueError("target operator and approximator dimensions differ")
-    rho = np.asarray(rho, dtype=complex)
+    rho = opalg.check_density(rho)
     if rho.shape != a.shape:
         raise ValueError(f"state dimension {rho.shape} does not match observable dim {c.dim}")
     m1, m2 = moment_operator(c, 1), moment_operator(c, 2)
-    eps = moment_form_eps(a, m1, m2, rho)
-    w2_state = w2_born_rows(rho[None], a_sharp.outcomes, a_sharp.effects, c.outcomes, c.effects)
-    worst = w2_observables_worst(a_sharp, c)
-    calib = calibration_error(a_sharp, c)
+    noise = expectation(m2 - m1 @ m1, rho)
+    dev = m1 - a
+    states, winner, exact = worst_case_candidates(a_sharp, c)
+    deviation, shifted = calibration_operators(a_sharp.outcomes, a_sharp.effects[None],
+                                               c.outcomes, c.effects[None])
+    if winner is not None:
+        shifted = np.concatenate([shifted[0], winner[None]])[None]
+    evals, evecs = _eigh_hermitian_built(shifted)
+    if winner is not None:
+        states = evecs[:, -1, :, -1]
+        evals, evecs = evals[:, :-1], evecs[:, :-1]
+    calibration, calibration_witness = calibration_from_eigh(deviation, evals, evecs)
+    rows = np.concatenate([rho[None], pure_states(states)])
+    values = w2_born_rows(rows, a_sharp.outcomes, a_sharp.effects, c.outcomes, c.effects)
+    k = 1 + int(np.argmax(values[1:]))
     return ErrorReport(
-        eps_no=eps,
-        w2_state=float(w2_state[0]),
-        w2_worst=worst.value,
-        calibration=calib.value,
-        bias=expectation(m1 - a, rho),
-        intrinsic_noise_expectation=expectation(m2 - m1 @ m1, rho),
-        w2_worst_exact=worst.exact,
-        witness_state=worst.state,
-        calibration_witness=calib.state,
+        eps_no=opalg.sqrt_clamped(noise + expectation(dev @ dev, rho)),
+        w2_state=float(values[0]),
+        w2_worst=float(values[k]),
+        calibration=float(calibration[0]),
+        bias=expectation(dev, rho),
+        intrinsic_noise_expectation=noise,
+        w2_worst_exact=exact,
+        witness_state=states[k - 1],
+        calibration_witness=calibration_witness[0],
     )

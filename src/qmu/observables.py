@@ -222,7 +222,7 @@ def born_probabilities(rho, effects) -> np.ndarray:
     total = probs.sum(axis=-1)
     off = np.abs(total - 1.0)
     if off.max() > 1e-10:
-        raise ValueError(f"Born probabilities sum to {total.flat[off.argmax()]!r}")
+        raise ValueError(f"Born probabilities sum to {float(total.flat[off.argmax()])!r}")
     return probs
 
 

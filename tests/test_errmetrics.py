@@ -19,8 +19,8 @@ from qmu.errmetrics import (
     staircase_duals,
     three_state_eps,
     value_comparison_eps,
+    worst_case_candidates,
     w2_observables_worst,
-    w2_worst_common_basis,
     w2_worst_stacked,
     w2_worst_staircase,
     worst_case_deviation,
@@ -32,6 +32,7 @@ from qmu.observables import (
     SharpObservable,
     distribution_of,
     distribution_of_pure,
+    intrinsic_noise,
     moment_operator,
     qubit_triple,
     smear,
@@ -435,9 +436,9 @@ def test_worst_case_common_basis_matches_enumeration():
     a = spectral_measure(u @ np.diag([-1.3, 0.2, 1.1]) @ u.conj().T)
     mu = Distribution([-0.5, 0.1, 0.4], [0.2, 0.5, 0.3])
     c = smear(a, mu)
-    basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
-    assert basis is not None
-    common = w2_worst_common_basis(a, c, basis)
+    states, winner, _ = worst_case_candidates(a, c)
+    assert states.shape == (3, 3) and winner is None  # the common-basis route
+    common = w2_observables_worst(a, c)
     enumerated = w2_worst_staircase(a, c)
     assert common.exact and enumerated.exact
     assert abs(common.value - enumerated.value) < 1e-12
@@ -742,6 +743,64 @@ def test_error_report_fields_and_invariant():
     assert rep.w2_state >= 0
     assert rep.w2_worst_exact
     assert report_to_json(rep)["w2_worst_method"] == "exact"
+
+
+def report_triples():
+    """Seeded (route, target operator, approximator, state) triples on all three routes."""
+    rng = np.random.default_rng(61)
+    for d in (3, 4):
+        a = opalg.random_hermitian(d, rng)
+        c = smear(spectral_measure(a), Distribution([-0.4, 0.1, 0.3], rng.dirichlet(np.ones(3))))
+        yield "basis", a, c, opalg.random_density(d, rng)
+        # classical noise that differs between the eigenvalues of a: column y of
+        # the channel is a law on three outcome values
+        a = opalg.random_hermitian(d, rng)
+        channel = rng.dirichlet(np.ones(3), size=d).T
+        effects = np.einsum("xy,yij->xij", channel, spectral_measure(a).effects)
+        c = Observable(np.sort(rng.uniform(-2.0, 2.0, 3)), effects)
+        yield "basis", a, c, opalg.random_density(d, rng)
+    for d, n in ((2, 2), (2, 3), (3, 2), (3, 4), (2, 4), (3, 3)):
+        yield "staircase", opalg.random_hermitian(d, rng), random_povm(d, n, rng), opalg.random_density(d, rng)
+    for _ in range(2):  # 10 + 10 outcomes: C(18, 9) = 48,620 staircase duals
+        yield "ascent", opalg.random_hermitian(10, rng), random_povm(10, 10, rng), opalg.random_density(10, rng)
+
+
+def test_error_report_matches_its_parts_on_every_route():
+    for route, a_op, c, rho in report_triples():
+        a = spectral_measure(a_op)
+        _, winner, exact = worst_case_candidates(a, c)
+        assert route == ("staircase" if winner is not None else "basis" if exact else "ascent")
+        rep = error_report(a_op, c, rho)
+        worst = w2_observables_worst(a, c)
+        assert abs(rep.eps_no - eps_no_from_moments(a_op, c, rho)) < 1e-12
+        assert abs(rep.w2_state - w2_quantile(distribution_of(a, rho), distribution_of(c, rho))) < 1e-12
+        assert abs(rep.w2_worst - worst.value) < 1e-12
+        assert rep.w2_worst_exact == worst.exact == (route != "ascent")
+        assert abs(rep.calibration - calibration_error(a, c).value) < 1e-12
+        assert abs(rep.bias - opalg.expectation(moment_operator(c, 1) - a_op, rho)) < 1e-12
+        assert abs(rep.intrinsic_noise_expectation - opalg.expectation(intrinsic_noise(c), rho)) < 1e-12
+        psi = rep.witness_state
+        at_witness = w2_quantile(distribution_of_pure(a, psi), distribution_of_pure(c, psi))
+        assert abs(at_witness - rep.w2_worst) < 1e-12
+        psi = rep.calibration_witness
+        weights = np.einsum("i,kij,j->k", psi.conj(), a.effects, psi).real
+        k = int(np.argmax(weights))
+        assert abs(weights[k] - 1.0) < 1e-12
+        deviation = distribution_of_pure(c, psi).deviation_from_point(a.outcomes[k])
+        assert abs(deviation - rep.calibration) < 1e-12
+
+
+@pytest.mark.parametrize("rho, message", [
+    (np.array([[np.nan, 0.0], [0.0, 0.5]]), "non-finite"),
+    (np.array([[0.5, 0.4], [0.1, 0.5]]), "not Hermitian"),
+    (0.6 * np.eye(2), "trace"),
+    # Born rows (1, 0) in the eigenbasis of both observables, but an eigenvalue below 0
+    (np.array([[1.0, 0.6], [0.6, 0.0]]), "negative eigenvalue"),
+])
+def test_error_report_rejects_a_malformed_state(rho, message):
+    c = BlochObservable(1.0, np.array([0.0, 0.0, 0.7])).to_observable()
+    with pytest.raises(ValueError, match=message):
+        error_report(SIGMA_Z, c, rho)
 
 
 def test_large_finite_worst_case_is_reported_as_a_number():

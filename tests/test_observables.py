@@ -12,6 +12,7 @@ from qmu.observables import (
     QUBIT_TRIPLE_GAMMA,
     TOL_COMMUTE,
     SharpObservable,
+    born_probabilities,
     check_projections,
     distribution_of,
     intrinsic_noise,
@@ -315,6 +316,17 @@ def test_observable_validation():
         BlochObservable(1.0, np.array([1.2, 0, 0]))
     with pytest.raises(ValueError):
         distribution_of(spectral_measure(SIGMA_Z), np.eye(3) / 3)
+
+
+def test_born_sum_error_prints_a_plain_float():
+    effects = spectral_measure(SIGMA_Z).effects
+    with pytest.raises(ValueError) as err:
+        born_probabilities(np.eye(2, dtype=complex), effects)
+    assert str(err.value) == "Born probabilities sum to 2.0"
+    rows = np.stack([np.eye(2) / 2, 0.75 * np.eye(2)]).astype(complex)
+    with pytest.raises(ValueError) as err:
+        born_probabilities(rows, effects)
+    assert str(err.value) == "Born probabilities sum to 1.5"
 
 
 def test_bloch_observable_rejects_non_finite_parameters():
