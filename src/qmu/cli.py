@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -64,19 +65,6 @@ EXIT_UNWRITABLE = 4
 # times max(1, reach), reach the largest |support value| of the two inputs.
 ORACLE_TOL = 1e-9
 
-SWEEP_RELATIONS = ("qubit-error-bound", "naive-product", "branciard")
-CHECK_RELATIONS = (
-    "ozawa",
-    "branciard",
-    "naive-product",
-    "unbiased",
-    "qubit-error-sum",
-    "qubit-error-bound",
-    "phase-space",
-    "eps-forms",
-)
-
-
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
@@ -97,7 +85,8 @@ def _config_to_json(config: RunConfig) -> dict:
     }
 
 
-def _emit(payload: dict, args) -> int:
+def _emit(payload: dict, args, passed: bool = True) -> int:
+    """Write the JSON report; exit 0 when it passed, 3 when not, 4 when it cannot be written."""
     text = dumps_json(payload)
     if args.out:
         try:
@@ -108,7 +97,7 @@ def _emit(payload: dict, args) -> int:
             return EXIT_UNWRITABLE
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_NUMERIC
 
 
 def _outcome_to_json(outcome: ScenarioOutcome) -> dict:
@@ -213,55 +202,58 @@ def cmd_scenario(args) -> int:
         "scenarios": [_outcome_to_json(o) for o in outcomes],
         "passed": all(o.passed for o in outcomes),
     }
-    code = _emit(payload, args)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if payload["passed"] else EXIT_NUMERIC
+    return _emit(payload, args, payload["passed"])
 
 
-def _sweep_rows(relation: str, points: int, config: RunConfig) -> list[dict]:
+def _qubit_error_bound_rows(points: int, config: RunConfig) -> list[dict]:
     rows = []
-    if relation == "qubit-error-bound":
-        for theta in np.linspace(0.0, math.pi / 2, points):
-            b = math.cos(theta) * EZ + math.sin(theta) * EX
-            bound, achieved, _ = qubit_error_bound(EZ, b)
-            rows.append(
-                {"theta": theta, "lhs": achieved, "rhs": bound, "slack": achieved - bound}
-            )
-    elif relation == "naive-product":
-        for theta in np.linspace(0.0, math.pi, points):
-            r = np.array([0.0, math.sin(theta), math.cos(theta)])
-            rho = bloch_state(r)
-            scheme = swap_scheme(spectral_measure(SIGMA_Z), rho)
-            verdict = check_naive_heisenberg(scheme, SIGMA_Z, SIGMA_X, rho)
-            rows.append(
-                {"theta": theta, "lhs": verdict.lhs, "rhs": verdict.rhs,
-                 "slack": verdict.slack}
-            )
-    elif relation == "branciard":
-        c, d = feasible_models(np.random.default_rng(config.seed), points)
-        rho = np.broadcast_to(bloch_state(EY), (points, 2, 2))
-        verdict = branciard_joint(EZ, EX, c, d, rho)
-        columns = {
-            "c_x": c[:, 0], "c_y": c[:, 1], "c_z": c[:, 2],
-            "d_x": d[:, 0], "d_y": d[:, 1], "d_z": d[:, 2],
-            "lhs": verdict.lhs, "rhs": verdict.rhs, "slack": verdict.slack,
-        }
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
-    else:
-        raise KeyError(relation)
+    for theta in np.linspace(0.0, math.pi / 2, points):
+        b = math.cos(theta) * EZ + math.sin(theta) * EX
+        bound, achieved, _ = qubit_error_bound(EZ, b)
+        rows.append({"theta": theta, "lhs": achieved, "rhs": bound, "slack": achieved - bound})
     return rows
+
+
+def _naive_product_rows(points: int, config: RunConfig) -> list[dict]:
+    rows = []
+    for theta in np.linspace(0.0, math.pi, points):
+        rho = bloch_state(np.array([0.0, math.sin(theta), math.cos(theta)]))
+        scheme = swap_scheme(spectral_measure(SIGMA_Z), rho)
+        verdict = check_naive_heisenberg(scheme, SIGMA_Z, SIGMA_X, rho)
+        rows.append({"theta": theta, "lhs": verdict.lhs, "rhs": verdict.rhs,
+                     "slack": verdict.slack})
+    return rows
+
+
+def _branciard_rows(points: int, config: RunConfig) -> list[dict]:
+    c, d = feasible_models(np.random.default_rng(config.seed), points)
+    rho = np.broadcast_to(bloch_state(EY), (points, 2, 2))
+    verdict = branciard_joint(EZ, EX, c, d, rho)
+    columns = {
+        "c_x": c[:, 0], "c_y": c[:, 1], "c_z": c[:, 2],
+        "d_x": d[:, 0], "d_y": d[:, 1], "d_z": d[:, 2],
+        "lhs": verdict.lhs, "rhs": verdict.rhs, "slack": verdict.slack,
+    }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+# sweep relation -> rows(points, config): one dict per point, with a "slack" column.
+SWEEPS: dict[str, Callable[[int, RunConfig], list[dict]]] = {
+    "qubit-error-bound": _qubit_error_bound_rows,
+    "naive-product": _naive_product_rows,
+    "branciard": _branciard_rows,
+}
 
 
 def cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    if args.relation not in SWEEP_RELATIONS:
+    if args.relation not in SWEEPS:
         print(
-            f"unknown sweep relation {args.relation!r}; choose from {SWEEP_RELATIONS}",
+            f"unknown sweep relation {args.relation!r}; choose from {tuple(SWEEPS)}",
             file=sys.stderr,
         )
         return EXIT_UNKNOWN
-    rows = _sweep_rows(args.relation, args.points, config)
+    rows = SWEEPS[args.relation](args.points, config)
     fieldnames = list(rows[0].keys())
     try:
         with open(args.csv_out, "w", newline="") as handle:
@@ -325,56 +317,63 @@ def cmd_wasserstein(args) -> int:
     return EXIT_OK
 
 
-def _run_check(relation: str, config: RunConfig) -> tuple[dict, bool]:
-    if relation == "ozawa" or relation == "branciard":
-        summary = ozawa_branciard_suite(config.seed, config.budget)
-        key = "min_ozawa_slack" if relation == "ozawa" else "min_branciard_slack"
-        return summary, summary[key] >= -SLACK_TOL
-    if relation == "naive-product":
-        verdicts = naive_falsification_cases()
-        summary = {"cases": [verdict_to_json(v) for v in verdicts]}
-        return summary, all(not v.holds for v in verdicts)
-    if relation == "unbiased":
-        summary = unbiased_model_suite(config.seed, config.budget)
-        ok = all(v >= -SLACK_TOL for k, v in summary.items() if k.startswith("min_slack"))
-        return summary, ok
-    if relation == "qubit-error-sum":
-        summary = epsno_sum_suite(config.seed, config.budget)
-        return summary, summary["min_slack"] >= -SLACK_TOL
-    if relation == "qubit-error-bound":
-        rows = _sweep_rows("qubit-error-bound", 25, config)
-        worst_gap = max(r["slack"] for r in rows)
-        summary = {
-            "points": len(rows),
-            "min_slack": min(r["slack"] for r in rows),
-            "max_optimality_gap": worst_gap,
-        }
-        return summary, summary["min_slack"] >= -SLACK_TOL and worst_gap <= SLACK_TOL
-    if relation == "phase-space":
-        verdicts = [v for name in ("husimi-saturation", "husimi-squeezed", "husimi-displaced")
-                    for v in run_scenario(name, config).verdicts]
-        summary = {"verdicts": [verdict_to_json(v) for v in verdicts]}
-        return summary, all(v.holds for v in verdicts)
-    if relation == "eps-forms":
-        summary = eps_form_equivalence_suite(config.seed, config.budget)
-        return summary, summary["max_form_gap"] < FORM_TOL
-    raise KeyError(relation)
+def _ozawa_branciard_summary(config: RunConfig) -> dict:
+    return ozawa_branciard_suite(config.seed, config.budget)
+
+
+def _naive_product_summary(config: RunConfig) -> dict:
+    return {"cases": [verdict_to_json(v) for v in naive_falsification_cases()]}
+
+
+def _qubit_error_bound_summary(config: RunConfig) -> dict:
+    slacks = [row["slack"] for row in _qubit_error_bound_rows(25, config)]
+    return {"points": len(slacks), "min_slack": min(slacks), "max_optimality_gap": max(slacks)}
+
+
+def _phase_space_summary(config: RunConfig) -> dict:
+    verdicts = [v for name in ("husimi-saturation", "husimi-squeezed", "husimi-displaced")
+                for v in run_scenario(name, config).verdicts]
+    return {"verdicts": [verdict_to_json(v) for v in verdicts]}
+
+
+# check relation -> (summary(config), passes(summary)).  The runners look their
+# suite up by name on each call, so a patched suite is the one that runs.
+CHECKS: dict[str, tuple[Callable[[RunConfig], dict], Callable[[dict], bool]]] = {
+    "ozawa": (_ozawa_branciard_summary, lambda s: s["min_ozawa_slack"] >= -SLACK_TOL),
+    "branciard": (_ozawa_branciard_summary, lambda s: s["min_branciard_slack"] >= -SLACK_TOL),
+    "naive-product": (_naive_product_summary,
+                      lambda s: not any(case["holds"] for case in s["cases"])),
+    "unbiased": (
+        lambda config: unbiased_model_suite(config.seed, config.budget),
+        lambda s: all(v >= -SLACK_TOL for k, v in s.items() if k.startswith("min_slack")),
+    ),
+    "qubit-error-sum": (lambda config: epsno_sum_suite(config.seed, config.budget),
+                        lambda s: s["min_slack"] >= -SLACK_TOL),
+    "qubit-error-bound": (
+        _qubit_error_bound_summary,
+        lambda s: s["min_slack"] >= -SLACK_TOL and s["max_optimality_gap"] <= SLACK_TOL,
+    ),
+    "phase-space": (_phase_space_summary, lambda s: all(v["holds"] for v in s["verdicts"])),
+    "eps-forms": (lambda config: eps_form_equivalence_suite(config.seed, config.budget),
+                  lambda s: s["max_form_gap"] < FORM_TOL),
+}
 
 
 def cmd_check(args) -> int:
     config = _config_from_args(args)
-    if args.relation not in CHECK_RELATIONS:
+    if args.relation not in CHECKS:
         print(
-            f"unknown relation {args.relation!r}; choose from {CHECK_RELATIONS}",
+            f"unknown relation {args.relation!r}; choose from {tuple(CHECKS)}",
             file=sys.stderr,
         )
         return EXIT_UNKNOWN
+    summary_of, passes = CHECKS[args.relation]
     try:
-        summary, ok = _run_check(args.relation, config)
+        summary = summary_of(config)
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical failure in {args.relation}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    ok = bool(ok)
+    ok = bool(passes(summary))
     payload = {
         "schema": SCHEMA,
         "relation": args.relation,
@@ -382,10 +381,7 @@ def cmd_check(args) -> int:
         "summary": _encode_tree(summary),
         "passed": ok,
     }
-    code = _emit(payload, args)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if ok else EXIT_NUMERIC
+    return _emit(payload, args, ok)
 
 
 def _encode_tree(obj):
@@ -459,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="parameter sweep of a relation, CSV output")
     _add_global_flags(sweep, suppress=True)
-    sweep.add_argument("relation", help=f"one of {SWEEP_RELATIONS}")
+    sweep.add_argument("relation", help=f"one of {tuple(SWEEPS)}")
     sweep.add_argument("csv_out", help="CSV output path")
     sweep.add_argument("--points", type=int, default=50)
     sweep.set_defaults(func=cmd_sweep)
@@ -474,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a relation's bundled suite")
     _add_global_flags(check, suppress=True)
-    check.add_argument("relation", help=f"one of {CHECK_RELATIONS}")
+    check.add_argument("relation", help=f"one of {tuple(CHECKS)}")
     check.set_defaults(func=cmd_check)
     return parser
 

@@ -61,18 +61,6 @@ class Distribution:
     def std(self) -> float:
         return math.sqrt(max(self.variance, 0.0))
 
-    def deviation_from_point(self, y: float) -> float:
-        """Root-mean-square deviation from the point measure at y."""
-        return math.sqrt(float(np.sum((self.support - y) ** 2 * self.probs)))
-
-    def translate(self, t: float) -> "Distribution":
-        return Distribution(self.support + t, self.probs)
-
-    def scale(self, lam: float) -> "Distribution":
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
-        return Distribution(self.support * lam, self.probs)
-
 
 def _check_finite(values, probs) -> None:
     if not (np.isfinite(values).all() and np.isfinite(probs).all()):
@@ -207,10 +195,6 @@ class Coupling:
             raise ValueError("row sums do not reproduce the first marginal")
         if np.max(np.abs(self.col_marginal() - nu.probs)) > tol:
             raise ValueError("column sums do not reproduce the second marginal")
-
-    def cost(self) -> float:
-        diff = self.row_support[self.rows] - self.col_support[self.cols]
-        return float(np.dot(self.weights, diff * diff))
 
 
 def quantile_cells(p: np.ndarray, q: np.ndarray):

@@ -58,7 +58,7 @@ def coupling_error(lam, dx_object, dx_probe) -> str | None:
     lam must be positive, with lam dx_object an integer multiple (at least 1)
     of dx_probe to 1e-9, so that pointer labels land on the convolution lattice.
     """
-    ratio = lam * dx_object / dx_probe
+    ratio = lam * dx_object / dx_probe if dx_probe else math.inf  # dx_probe may round to 0
     if not (lam > 0 and math.isfinite(ratio) and round(ratio) >= 1
             and abs(ratio - round(ratio)) <= 1e-9):
         return ("coupling strength must be positive, with lam * dx_object an integer "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opalg
-from .distributions import Distribution, make_distribution, merge_outcomes
+from .distributions import Distribution, merge_outcomes
 
 TOL_EFFECT = 1e-12        # effect eigenvalue window [-tol, 1+tol]
 TOL_SUM = 1e-10           # effects must sum to identity within this
@@ -257,12 +257,6 @@ class BiProbabilityTable:
     @property
     def has_negative_entry(self) -> bool:
         return self.min_entry < -1e-10
-
-    def row_marginal(self) -> Distribution:
-        return make_distribution(self.row_outcomes, self.values.sum(axis=1))
-
-    def col_marginal(self) -> Distribution:
-        return make_distribution(self.col_outcomes, self.values.sum(axis=0))
 
     def value_deviation_squared(self) -> float:
         diff = self.row_outcomes[:, None] - self.col_outcomes[None, :]

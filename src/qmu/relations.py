@@ -262,9 +262,6 @@ class QubitJointModel:
                 raise ValueError(f"target vector {name} must be a unit vector")
         check_joint_effects(self.c, self.d, self.gamma0)
 
-    def effects(self) -> np.ndarray:
-        return joint_effects(self.c, self.d, self.gamma0)
-
 
 def qubit_joint_feasible(c, d, a=None, b=None) -> QubitJointModel | None:
     """Feasible covariant joint model for marginals (c, d), or None.

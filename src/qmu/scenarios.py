@@ -5,7 +5,8 @@ verdicts, and checks them against expected values whose targets are
 closed-form functions of the (overridable) parameters.  Provenance strings
 record how each target was obtained: "closed-form" (algebraic identity),
 "derived-oracle" (frozen from an independent computation), "known-value"
-(plain threshold), or "high-precision" (mpmath evaluation of exact data).
+(plain threshold), or "high-precision" (exact integer arithmetic on the
+model's algebraic data).
 """
 
 from __future__ import annotations
@@ -87,8 +88,6 @@ EZ = np.array([0.0, 0.0, 1.0])
 
 # Frozen from the exact quantile/LP route on the three-outcome POVM scenario.
 TRIPLE_W2_AT_NULL_STATE = 0.448341529167965
-# Working precision (decimal digits) of the exact evaluation of that scenario.
-HIGHPREC_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -177,36 +176,39 @@ class Scenario:
 
 def _pure_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    n = np.linalg.norm(r)
-    if n == 0:
+    if not r.any():
         raise ValueError("pure Bloch state needs a nonzero direction")
-    return bloch_state(r / n)
+    r = r / np.abs(r).max()  # so that the norm neither overflows nor underflows
+    return bloch_state(r / np.linalg.norm(r))
+
+
+# Numbers a + b√2 of Z[√2] as pairs (a, b) of ints.
+def _r2mul(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _r2dot(xs, ys):
+    """The sum of x * y over paired entries of xs and ys."""
+    return tuple(map(sum, zip(*map(_r2mul, xs, ys))))
 
 
 def triple_eps_highprec() -> float:
-    """Noise error of the three-outcome POVM at its null state, exact data.
+    """Noise error of the three-outcome POVM at its null state, in exact arithmetic.
 
-    The scenario data is algebraic in sqrt(2); evaluating the moment form
-    with ``HIGHPREC_DPS``-digit arithmetic removes the double-rounding floor
-    and exposes the exact zero.
+    The POVM is unbiased, so eps^2 = tr(rho0 N) with N = M[2] - M[1]^2.  Scaled
+    by 4, the data lie in Z[√2, i], and a Hermitian 2x2 matrix X = x0 + x.sigma
+    has its coordinates (x0, x) in Z[√2]: tr XY = 2(x0 y0 + x.y) and
+    X^2 = (x0^2 + |x|^2) + 2 x0 x.sigma.  So 16 eps^2 = tr(4 rho0 4N) is
+    computed with integers alone: no rounding floor, and the zero is exact.
     """
-    from mpmath import matrix, mp, mpc, sqrt
-
-    with mp.workdps(HIGHPREC_DPS):
-        s2 = sqrt(2)
-        g = 2 - s2
-        sx = matrix([[0, 1], [1, 0]])
-        sy = matrix([[0, mpc(0, -1)], [mpc(0, 1), 0]])
-        eye = matrix([[1, 0], [0, 1]])
-        c1 = (eye + sx) * (g / 2)
-        c2 = (eye + sy) * (g / 2)
-        m1 = c1 - c2
-        m2 = c1 + c2
-        rho0 = (eye - (sx + sy) / s2) * (mp.mpf(1) / 2)
-        noise = m2 - m1 * m1
-        prod = rho0 * noise  # unbiased: C[x] equals the target exactly
-        eps2 = prod[0, 0] + prod[1, 1]
-        return float(abs(complex(eps2))) ** 0.5
+    g, zero = (2, -1), (0, 0)  # g = 2 - √2
+    four_rho0 = [(2, 0), (0, -1), (0, -1), zero]  # 2 - √2 (sx + sy)
+    two_m1 = [zero, g, (-2, 1), zero]  # g (sx - sy)
+    four_m2 = [_r2mul((4, 0), g), _r2mul((2, 0), g), _r2mul((2, 0), g), zero]  # 2g (2 + sx + sy)
+    square = [_r2dot(two_m1, two_m1), *(_r2mul((2, 0), _r2mul(two_m1[0], x)) for x in two_m1[1:])]
+    four_n = [(p[0] - q[0], p[1] - q[1]) for p, q in zip(four_m2, square)]
+    a, b = _r2mul((2, 0), _r2dot(four_rho0, four_n))
+    return math.sqrt(abs(a + b * math.sqrt(2))) / 4
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +508,30 @@ GRID_OVERRIDE_CHECKS = {
 }
 
 
+def _state_limits(p: dict) -> str | None:
+    """Why the state and smearing parameters among ``p`` name no model, or None.
+
+    A Bloch direction must be nonzero, a Gaussian width positive, and a
+    smearing strength gamma within [-1, 1], where the smeared effects stay positive.
+    """
+    for key in ("rho_bloch", "sigma_bloch"):
+        if key in p and not any(p[key]):
+            return f"{key} must be a nonzero Bloch direction, got {p[key]!r}"
+    for key in ("width", "probe_width"):
+        if key in p and not p[key] > 0:
+            return f"{key} must be positive, got {p[key]!r}"
+    if "gamma" in p and not abs(p["gamma"]) <= 1:
+        return f"gamma must lie in [-1, 1], got {p['gamma']!r}"
+    return None
+
+
 def _von_neumann_limits(p: dict) -> str | None:
-    """Dense size and coupling lattice; pointer shifts lam * x must stay within +-L_probe.
+    """Widths, dense size, coupling lattice; pointer shifts lam * x must stay within +-L_probe.
 
     Past L_probe the periodic probe grid wraps the shifted pointer around.
     """
     dx_obj, dx_probe = (2.0 * p[f"L_{side}"] / p[f"n_{side}"] for side in ("obj", "probe"))
-    error = (dense_scheme_error(p["n_obj"], p["n_probe"])
+    error = (_state_limits(p) or dense_scheme_error(p["n_obj"], p["n_probe"])
              or coupling_error(p["lam"], dx_obj, dx_probe))
     if error is None and p["lam"] * p["L_obj"] > p["L_probe"]:
         error = ("pointer shifts must stay on the probe grid, lam * L_obj at most L_probe, "
@@ -583,6 +602,7 @@ SCENARIOS: dict[str, Scenario] = {
         "calibration deviations coincide and match the noise error.",
         {"gamma": 0.75, "rho_bloch": [0.0, 1.0, 0.0]},
         _run_qubit_smearing,
+        limits=_state_limits,
     ),
     "trivial-approximator": Scenario(
         "qubit-approx",
@@ -590,6 +610,7 @@ SCENARIOS: dict[str, Scenario] = {
         "noise error sqrt(2) times the preparation spread.",
         {"rho_bloch": [0.0, 1.0, 0.0]},
         _run_trivial_approximator,
+        limits=_state_limits,
     ),
     "identity-scheme": Scenario(
         "scheme",
@@ -597,6 +618,7 @@ SCENARIOS: dict[str, Scenario] = {
         "measured observable; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
         partial(_run_scheme, swap=False),
+        limits=_state_limits,
     ),
     "swap-scheme": Scenario(
         "scheme",
@@ -604,6 +626,7 @@ SCENARIOS: dict[str, Scenario] = {
         "state replaced by the probe; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
         partial(_run_scheme, swap=True),
+        limits=_state_limits,
     ),
     "position-flip": Scenario(
         "grid",
@@ -652,6 +675,7 @@ SCENARIOS: dict[str, Scenario] = {
         partial(_run_husimi, extra=(
             ExpectedValue("second_moment_product", 0.25, 1e-3, "closed-form"),
         )),
+        limits=_state_limits,
     ),
     "husimi-squeezed": Scenario(
         "grid",
@@ -659,6 +683,7 @@ SCENARIOS: dict[str, Scenario] = {
         "stay above the bound.",
         {"n": None, "L": None, "center": 0.0, "width": 2.0},
         _run_husimi,
+        limits=_state_limits,
     ),
     "husimi-displaced": Scenario(
         "grid",
@@ -667,6 +692,7 @@ SCENARIOS: dict[str, Scenario] = {
         partial(_run_husimi, extra=(
             ExpectedValue("second_moment_slack", 0.1, 0.0, "derived-oracle", mode="at_least"),
         )),
+        limits=_state_limits,
     ),
     "covariant-qubit-pair": Scenario(
         "qubit-joint",
@@ -674,6 +700,7 @@ SCENARIOS: dict[str, Scenario] = {
         "reaches the incompatibility bound.",
         {"angle": math.pi / 2, "rho_bloch": [0.0, 1.0, 0.0]},
         _run_covariant_pair,
+        limits=_state_limits,
     ),
 }
 

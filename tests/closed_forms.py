@@ -5,12 +5,23 @@ import math
 import numpy as np
 
 from qmu import opalg
-from qmu.distributions import Distribution
+from qmu.distributions import Coupling, Distribution
 from qmu.observables import Observable
 
 
 def delta(y: float) -> Distribution:
     return Distribution(np.array([y]), np.array([1.0]))
+
+
+def point_deviation(mu: Distribution, y: float) -> float:
+    """Root-mean-square deviation of mu from the point measure at y."""
+    return math.sqrt(float(np.sum((mu.support - y) ** 2 * mu.probs)))
+
+
+def coupling_cost(coupling: Coupling) -> float:
+    """Transport cost: the sum over the coupling's cells of weight * (x - y)^2."""
+    diff = coupling.row_support[coupling.rows] - coupling.col_support[coupling.cols]
+    return float(np.dot(coupling.weights, diff * diff))
 
 
 def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, float]:

@@ -42,7 +42,7 @@ from qmu.observables import (
     spectral_measure,
 )
 from qmu.opalg import SIGMA_Z, bloch_state, expectation
-from qmu.relations import qubit_error_bound
+from qmu.relations import joint_effects, qubit_error_bound
 from qmu.scenarios import (
     eps_form_equivalence_suite,
     naive_falsification_cases,
@@ -219,13 +219,14 @@ def test_criterion_6_joint_error_bound_tightness():
         assert achieved >= bound - 1e-9
         np.testing.assert_allclose(model.c, ez / math.sqrt(2), atol=1e-3)
         np.testing.assert_allclose(model.d, ex / math.sqrt(2), atol=1e-3)
-        for g in model.effects():
+        for g in joint_effects(model.c, model.d, model.gamma0):
             assert np.linalg.eigvalsh(g).min() >= -1e-10
         for theta in np.linspace(0.0, math.pi / 2, 50):
             b = math.cos(theta) * ez + math.sin(theta) * ex
             bnd, ach, opt = qubit_error_bound(ez, b)
             assert abs(ach - bnd) <= 1e-9
-            assert min(np.linalg.eigvalsh(g).min() for g in opt.effects()) >= -1e-10
+            effects = joint_effects(opt.c, opt.d, opt.gamma0)
+            assert min(np.linalg.eigvalsh(g).min() for g in effects) >= -1e-10
 
 
 def test_criterion_7_phase_space_saturation():

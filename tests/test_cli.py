@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmu.cli import CHECK_RELATIONS, build_parser, main
+from qmu.cli import CHECKS, SWEEPS, build_parser, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling
 from qmu.grid import VonNeumannModel
+from qmu.scenarios import SCENARIOS
 from qmu.serialize import (
     decode_matrix,
     dumps_json,
@@ -311,6 +314,43 @@ def test_sweep_naive_has_negative_slack(tmp_path, capsys):
     assert json.loads(out)["negative_slack_rows"] > 0
 
 
+SWEEP_HEADERS = {
+    "qubit-error-bound": "theta,lhs,rhs,slack",
+    "naive-product": "theta,lhs,rhs,slack",
+    "branciard": "c_x,c_y,c_z,d_x,d_y,d_z,lhs,rhs,slack",
+}
+
+
+@pytest.mark.parametrize("relation", SWEEPS)
+def test_every_sweep_writes_one_row_per_point(tmp_path, capsys, relation):
+    csv_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(capsys, "sweep", relation, str(csv_path), "--points", "7")
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADERS[relation]
+    slacks = [float(row["slack"]) for row in csv.DictReader(lines)]
+    assert len(slacks) == 7 and all(map(math.isfinite, slacks))
+    summary = json.loads(out)
+    assert (summary["relation"], summary["points"]) == (relation, 7)
+    assert (summary["min_slack"], summary["max_slack"]) == (min(slacks), max(slacks))
+
+
+@pytest.mark.parametrize("command, table", [("check", CHECKS), ("sweep", SWEEPS)])
+def test_unknown_relation_message_lists_every_table_key(tmp_path, capsys, command, table):
+    argv = [command, "nope"] + ([str(tmp_path / "x.csv")] if command == "sweep" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert all(repr(name) in err for name in table)
+
+
+def test_the_readme_names_every_check_and_sweep():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [f"{command} {name}" for command, table in (("check", CHECKS), ("sweep", SWEEPS))
+               for name in table if f"`{command} {name}`" not in readme]
+    assert not missing
+
+
 def test_sweep_unknown_relation_and_unwritable(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", "nope", str(tmp_path / "x.csv"))
     assert code == 2
@@ -326,7 +366,7 @@ def test_check_commands(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("relation", CHECK_RELATIONS)
+@pytest.mark.parametrize("relation", CHECKS)
 def test_every_check_relation_passes(capsys, relation):
     code, out, _ = run_cli(capsys, "--budget", "50", "check", relation)
     assert code == 0
@@ -363,6 +403,21 @@ assert "scipy.optimize" not in sys.modules
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=_src_env(), timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_no_command_needs_mpmath(tmp_path):
+    script = f"""
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from qmu.cli import main
+sys.exit(main(["scenario", "run", "--all", "--out", {str(tmp_path / "out.json")!r}]))
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=_src_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "out.json").read_text())
+    triple = next(s for s in report["scenarios"] if s["name"] == "qubit-triple-unbiased-zero")
+    assert triple["values"]["eps_no_highprec"] == 0.0
 
 
 def test_von_neumann_scenario_reads_the_shifts_not_the_dense_scheme(capsys, monkeypatch):
@@ -469,6 +524,7 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "von-neumann-position", "--set", "L_obj=16", "--set", "n_obj=64",
          "--set", "n_probe=64"),
         ("scenario", "run", "--all", "--set", "rho_bloch=[1,0,0]"),
+        ("scenario", "run", "von-neumann-position", "--set", "L_probe=5e-324"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
          "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
@@ -480,7 +536,7 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
          "set-angle-nan", "set-angle-not-a-number", "set-gamma-null", "set-alpha-list",
          "set-sigma_bloch-short", "set-lam-negative", "set-lam-off-lattice",
          "set-lam-vanishing", "set-lam-wraps-probe-grid", "set-L_obj-wraps-probe-grid",
-         "set-key-unknown-to-a-scenario"],
+         "set-key-unknown-to-a-scenario", "set-L_probe-spacing-rounds-to-zero"],
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"
@@ -489,6 +545,34 @@ def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("name, override", [
+    ("qubit-approx-smearing", "gamma=1.5"),
+    ("qubit-approx-smearing", "gamma=-1e300"),
+    ("qubit-approx-smearing", "rho_bloch=[0,0,0]"),
+    ("trivial-approximator", "rho_bloch=[0,-0.0,0]"),
+    ("identity-scheme", "sigma_bloch=[0,0,0]"),
+    ("swap-scheme", "rho_bloch=[0,0,0]"),
+    ("covariant-qubit-pair", "rho_bloch=[0,0,0]"),
+    ("husimi-saturation", "width=0"),
+    ("husimi-squeezed", "width=-0.0"),
+    ("husimi-displaced", "width=-1"),
+    ("von-neumann-position", "width=-0.0"),
+    ("von-neumann-position", "probe_width=0"),
+])
+def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatch, name,
+                                                              override):
+    def refuse(params, config):
+        raise AssertionError("a runner ran on malformed parameters")
+
+    for key, scenario in SCENARIOS.items():
+        monkeypatch.setitem(SCENARIOS, key, dataclasses.replace(scenario, run=refuse))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "scenario", "run", name, "--set", override)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"--set {override.split('=')[0]}: ")
 
 
 @pytest.mark.parametrize("target, argv", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from closed_forms import bloch_parameters, qubit_worst_case_closed_form
+from closed_forms import bloch_parameters, point_deviation, qubit_worst_case_closed_form
 from qmu import opalg
 from qmu.distributions import Distribution, w2_quantile
 from qmu import errmetrics
@@ -130,7 +130,7 @@ def test_eps_eigenstate_gives_point_deviation():
     rho = opalg.projector(evecs[:, 0])
     c = induced_observable(scheme)
     eps = eps_no_from_scheme(scheme, a, rho)
-    point_dev = distribution_of(c, rho).deviation_from_point(evals[0])
+    point_dev = point_deviation(distribution_of(c, rho), evals[0])
     assert abs(eps - point_dev) < 1e-9
 
 
@@ -575,7 +575,7 @@ def test_calibration_closed_form_on_random_pairs():
             for _ in range(200):
                 z = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
                 psi = basis @ (z / np.linalg.norm(z))
-                sampled = max(sampled, distribution_of_pure(c, psi).deviation_from_point(y))
+                sampled = max(sampled, point_deviation(distribution_of_pure(c, psi), y))
         assert abs(res.value - math.sqrt(top)) < 1e-12
         assert sampled <= res.value + 1e-12
 
@@ -591,7 +591,7 @@ def test_calibration_witness_attains_the_value():
         k = int(np.argmax(weights))
         assert abs(weights[k] - 1.0) < 1e-12
         rho = np.outer(psi, psi.conj())
-        deviation = distribution_of(c, rho).deviation_from_point(a.outcomes[k])
+        deviation = point_deviation(distribution_of(c, rho), a.outcomes[k])
         assert abs(deviation - rep.calibration) < 1e-12
         encoded = report_to_json(rep)["calibration_witness_state"]
         np.testing.assert_array_equal(np.array(encoded) @ [1, 1j], psi)
@@ -669,7 +669,7 @@ def test_stacked_sups_match_the_scalar_routes():
         weights = np.einsum("i,kij,j->k", psi.conj(), a.effects, psi).real
         y = int(np.argmax(weights))
         assert abs(weights[y] - 1.0) < 1e-12
-        deviation = distribution_of_pure(c, psi).deviation_from_point(a.outcomes[y])
+        deviation = point_deviation(distribution_of_pure(c, psi), a.outcomes[y])
         assert abs(deviation**2 - calib[k] ** 2) < 1e-12
         if k % 3 == 2:
             assert worst[k] < 1e-12 and calib[k] ** 2 < 1e-12
@@ -688,7 +688,7 @@ def test_calibration_skips_a_target_outcome_with_zero_projection():
         weights = np.einsum("i,kij,j->k", result.state.conj(), a.effects, result.state).real
         y = int(np.argmax(weights))
         assert y != 1 and abs(weights[y] - 1.0) < 1e-12
-        deviation = distribution_of_pure(c, result.state).deviation_from_point(a.outcomes[y])
+        deviation = point_deviation(distribution_of_pure(c, result.state), a.outcomes[y])
         assert abs(deviation**2 - result.value**2) < 1e-12
     assert calibration_error(a, a).value < 1e-7
 
@@ -786,7 +786,7 @@ def test_error_report_matches_its_parts_on_every_route():
         weights = np.einsum("i,kij,j->k", psi.conj(), a.effects, psi).real
         k = int(np.argmax(weights))
         assert abs(weights[k] - 1.0) < 1e-12
-        deviation = distribution_of_pure(c, psi).deviation_from_point(a.outcomes[k])
+        deviation = point_deviation(distribution_of_pure(c, psi), a.outcomes[k])
         assert abs(deviation - rep.calibration) < 1e-12
 
 

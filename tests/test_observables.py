@@ -222,10 +222,10 @@ def test_product_biobservable_matches_lueders_sequence():
             seq = np.trace(ck @ pj @ rho @ pj).real
             assert abs(table.values[j, k] - seq) < 1e-12
     np.testing.assert_allclose(
-        table.col_marginal().probs, distribution_of(c, rho).probs, atol=1e-12
+        table.values.sum(axis=0), distribution_of(c, rho).probs, atol=1e-12
     )
     np.testing.assert_allclose(
-        table.row_marginal().probs, distribution_of(a, rho).probs, atol=1e-12
+        table.values.sum(axis=1), distribution_of(a, rho).probs, atol=1e-12
     )
 
 

@@ -25,6 +25,7 @@ from qmu.relations import (
     check_ozawa,
     check_unbiased_tradeoffs,
     commutator_expectation,
+    joint_effects,
     phase_space_relation_check,
     qubit_epsno_sum_check,
     qubit_epsno_sum_verdict,
@@ -271,12 +272,12 @@ def test_scalar_covariant_checkers_are_the_stacked_kernels_on_one_row():
 def test_qubit_joint_feasibility_cases():
     model = qubit_joint_feasible(np.zeros(3), np.zeros(3))
     assert model is not None and abs(model.gamma0) < 1e-12
-    for g in model.effects():
+    for g in joint_effects(model.c, model.d, model.gamma0):
         np.testing.assert_allclose(g, 0.25 * np.eye(2), atol=1e-12)
     assert qubit_joint_feasible(EZ, EX) is None  # 2 sqrt 2 > 2
     model = qubit_joint_feasible(EZ / math.sqrt(2), EX / math.sqrt(2))
     assert model is not None and abs(model.gamma0) < 1e-12
-    for g in model.effects():
+    for g in joint_effects(model.c, model.d, model.gamma0):
         evals = np.linalg.eigvalsh(g)
         assert abs(evals[0]) < 1e-12 and abs(evals[1] - 0.5) < 1e-12
 
@@ -354,7 +355,7 @@ def test_qubit_error_bound_closed_form_matches_the_slsqp_oracle():
     pairs += [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(24)]
     for a, b in pairs:
         bound, achieved, model = qubit_error_bound(a, b)
-        assert np.linalg.eigvalsh(model.effects()).min() >= -1e-10
+        assert np.linalg.eigvalsh(joint_effects(model.c, model.d, model.gamma0)).min() >= -1e-10
         assert achieved >= bound - SLACK_TOL
         oracle, _, _ = slsqp_joint_optimum(model.a, model.b)
         assert abs(achieved - oracle) <= 1e-9

@@ -27,6 +27,7 @@ from qmu.scenarios import (
     SCENARIOS,
     TRIPLE_W2_AT_NULL_STATE,
     _eps_form_draws,
+    _r2mul,
     _ozawa_draws,
     eps_form_equivalence_suite,
     eps_form_routes,
@@ -92,7 +93,34 @@ def test_unknown_scenario_and_override():
 
 
 def test_triple_highprec_zero():
-    assert triple_eps_highprec() < 1e-10
+    assert triple_eps_highprec() == 0.0
+
+
+def test_exact_products_over_z_sqrt2_match_floats():
+    def value(z):
+        return z[0] + z[1] * math.sqrt(2)
+
+    rng = np.random.default_rng(4)
+    for x, y in rng.integers(-9, 10, (50, 2, 2)).tolist():
+        assert abs(value(_r2mul(x, y)) - value(x) * value(y)) < 1e-9
+
+
+@pytest.mark.parametrize("direction, unit", [
+    ([1e300, 1e300, 1e300], [1.0, 1.0, 1.0]),
+    ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0]),
+])
+def test_bloch_directions_at_any_finite_scale(direction, unit):
+    # The norm of the first overflows and that of the second underflows.
+    far = run_scenario("identity-scheme", overrides={"rho_bloch": direction})
+    near = run_scenario("identity-scheme", overrides={"rho_bloch": unit})
+    assert far.passed
+    assert far.values == pytest.approx(near.values, abs=1e-12)
+
+
+def test_runners_still_reject_a_zero_bloch_direction():
+    # run_scenario does not apply the limits that the CLI checks first.
+    with pytest.raises(ValueError, match="nonzero direction"):
+        run_scenario("qubit-approx-smearing", overrides={"rho_bloch": [0.0, 0.0, 0.0]})
 
 
 def test_triple_frozen_w2_matches():
