@@ -137,7 +137,7 @@ def _print_outcome_table(outcome: ScenarioOutcome):
     print("\n".join(lines), file=sys.stderr)
 
 
-def _parse_overrides(pairs, names) -> dict:
+def _parse_overrides(pairs, names, config: RunConfig) -> dict:
     overrides = {}
     for pair in pairs or ():
         if "=" not in pair:
@@ -147,8 +147,10 @@ def _parse_overrides(pairs, names) -> dict:
             overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
-    for name in names:
-        error = override_error(name, overrides)
+    # Checked for every name before any runs.  Defaults need no check here;
+    # run_scenario reports a configured grid that does not resolve one.
+    for name in names if overrides else ():
+        error = override_error(name, overrides, config)
         if error:
             raise ValueError(f"--set {error}")
     return overrides
@@ -182,14 +184,14 @@ def cmd_scenario(args) -> int:
         print("scenario run needs a NAME or --all", file=sys.stderr)
         return EXIT_UNKNOWN
     try:
-        overrides = _parse_overrides(args.set, names)
+        overrides = _parse_overrides(args.set, names, config)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_UNKNOWN
     outcomes = []
     for name in names:
         try:
-            outcome = run_scenario(name, config, overrides or None)
+            outcome = run_scenario(name, config, overrides)
         except (ValueError, ArithmeticError) as exc:
             print(f"numerical failure in {name}: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

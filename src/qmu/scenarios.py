@@ -12,6 +12,7 @@ model's algebraic data).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -163,21 +164,20 @@ class Scenario:
     """One bundled scenario, named by its key in ``SCENARIOS``.
 
     ``run(params, config)`` reads exactly the keys of ``parameters``, where
-    every default lives; ``limits(params)`` says why overridden parameters
-    exceed the model, or returns None.
+    every default lives, and trusts them.  A value's own domain is its name's
+    entry in ``PARAMETER_ERRORS``; ``limits(params, config)`` holds only the
+    cross-parameter rules, and says why they fail, or returns None.
     """
 
     kind: str  # qubit-approx | qubit-joint | scheme | grid
     description: str
     parameters: dict
     run: Callable[[dict, RunConfig], ScenarioOutcome]
-    limits: Callable[[dict], str | None] | None = None
+    limits: Callable[[dict, RunConfig], str | None] | None = None
 
 
 def _pure_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if not r.any():
-        raise ValueError("pure Bloch state needs a nonzero direction")
     r = r / np.abs(r).max()  # so that the norm neither overflows nor underflows
     return bloch_state(r / np.linalg.norm(r))
 
@@ -453,9 +453,14 @@ def _run_double_zero(params: dict, config: RunConfig) -> ScenarioOutcome:
     return ScenarioOutcome(values, [verdict], expected)
 
 
+def _husimi_grid(params: dict, config: RunConfig) -> GridSystem:
+    """The grid a husimi-* generator is sampled on: a null n or L is the configured one."""
+    return GridSystem(int(params["n"] or config.grid_n), float(params["L"] or config.grid_l))
+
+
 def _run_husimi(params: dict, config: RunConfig, extra: tuple = ()) -> ScenarioOutcome:
-    """Phase-space marginals of a Gaussian generator; a null n or L is the configured grid."""
-    grid = GridSystem(int(params["n"] or config.grid_n), float(params["L"] or config.grid_l))
+    """Phase-space marginals of a Gaussian generator on ``_husimi_grid``."""
+    grid = _husimi_grid(params, config)
     tau = gaussian_state(grid, center=float(params["center"]), width=float(params["width"]))
     first, second = phase_space_relation_check(grid, tau)
     values = {
@@ -501,91 +506,87 @@ def _run_covariant_pair(params: dict, config: RunConfig) -> ScenarioOutcome:
     return ScenarioOutcome(values, verdicts, expected)
 
 
-# Grid-size and half-width parameters of the runners, with GridSystem's checks.
-GRID_OVERRIDE_CHECKS = {
-    "n": grid_size_error, "n_obj": grid_size_error, "n_probe": grid_size_error,
-    "L": half_width_error, "L_obj": half_width_error, "L_probe": half_width_error,
+def _finite_number(value) -> bool:
+    """An int or float of magnitude at most the largest float (so not a bool, NaN or inf)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _domain(holds: Callable[[object], bool], text: str) -> Callable[[object], str | None]:
+    """A domain check: None where ``holds(value)``, else "takes <text>, got <value>"."""
+    return lambda value: None if holds(value) else f"takes {text}, got {value!r}"
+
+
+# Parameter name -> why a value lies outside its domain, or None.  A name means the
+# same in every scenario that takes it; an unlisted name takes a finite number.  A
+# smearing strength gamma past [-1, 1] makes the smeared effects non-positive.
+PARAMETER_ERRORS: dict[str, Callable[[object], str | None]] = {
+    **dict.fromkeys(("n", "n_obj", "n_probe"), grid_size_error),
+    **dict.fromkeys(("L", "L_obj", "L_probe"), half_width_error),
+    **dict.fromkeys(("width", "probe_width"), _domain(
+        lambda v: _finite_number(v) and v > 0, "a positive finite number")),
+    "gamma": _domain(lambda v: _finite_number(v) and abs(v) <= 1, "a number in [-1, 1]"),
+    **dict.fromkeys(("rho_bloch", "sigma_bloch"), _domain(
+        lambda v: isinstance(v, list) and len(v) == 3 and all(map(_finite_number, v)) and any(v),
+        "a nonzero list of 3 finite numbers")),
 }
+_number_error = _domain(_finite_number, "a finite number")
 
 
-def _state_limits(p: dict) -> str | None:
-    """Why the state and smearing parameters among ``p`` name no model, or None.
+def _gaussian_error(grid: GridSystem, key: str, width: float, center: float = 0.0) -> str | None:
+    """Why the Gaussian ``key`` of this width and center does not fit ``grid``, or None.
 
-    A Bloch direction must be nonzero, a Gaussian width positive, and a
-    smearing strength gamma within [-1, 1], where the smeared effects stay positive.
+    Narrower than the spacing dx it falls within one cell, where its spreads
+    read 0 or its square underflows; a center outside [-L, L) is off the grid.
     """
-    for key in ("rho_bloch", "sigma_bloch"):
-        if key in p and not any(p[key]):
-            return f"{key} must be a nonzero Bloch direction, got {p[key]!r}"
-    for key in ("width", "probe_width"):
-        if key in p and not p[key] > 0:
-            return f"{key} must be positive, got {p[key]!r}"
-    if "gamma" in p and not abs(p["gamma"]) <= 1:
-        return f"gamma must lie in [-1, 1], got {p['gamma']!r}"
+    if width < grid.dx:
+        return f"{key} must be at least the grid spacing {grid.dx!r}, got {width!r}"
+    if not -grid.half_width <= center < grid.half_width:
+        return f"center must lie in [-L, L) with L = {grid.half_width!r}, got {center!r}"
     return None
 
 
-def _von_neumann_limits(p: dict) -> str | None:
-    """Widths, dense size, coupling lattice; pointer shifts lam * x must stay within +-L_probe.
+def _husimi_limits(p: dict, config: RunConfig) -> str | None:
+    return _gaussian_error(_husimi_grid(p, config), "width", p["width"], p["center"])
+
+
+def _von_neumann_limits(p: dict, config: RunConfig) -> str | None:
+    """Dense size, coupling lattice, both Gaussians on their grids; pointer
+    shifts lam * x must stay within +-L_probe.
 
     Past L_probe the periodic probe grid wraps the shifted pointer around.
     """
-    dx_obj, dx_probe = (2.0 * p[f"L_{side}"] / p[f"n_{side}"] for side in ("obj", "probe"))
-    error = (_state_limits(p) or dense_scheme_error(p["n_obj"], p["n_probe"])
-             or coupling_error(p["lam"], dx_obj, dx_probe))
+    obj, probe = (GridSystem(p[f"n_{side}"], p[f"L_{side}"]) for side in ("obj", "probe"))
+    error = (dense_scheme_error(p["n_obj"], p["n_probe"])
+             or coupling_error(p["lam"], obj.dx, probe.dx))
     if error is None and p["lam"] * p["L_obj"] > p["L_probe"]:
         error = ("pointer shifts must stay on the probe grid, lam * L_obj at most L_probe, "
                  f"got lam * L_obj = {p['lam'] * p['L_obj']!r} > L_probe = {p['L_probe']!r}")
-    return error
+    return (error or _gaussian_error(obj, "width", p["width"], p["center"])
+            or _gaussian_error(probe, "probe_width", p["probe_width"]))
 
 
-def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+def override_error(name: str, overrides: dict, config: RunConfig) -> str | None:
+    """Why overrides are malformed input for scenario ``name`` under ``config``, or None.
 
-
-def _shape_error(default, value) -> str | None:
-    """Why ``value`` does not have the shape of a non-grid default, or None."""
-    if isinstance(default, list):
-        if (not isinstance(value, list) or len(value) != len(default)
-                or not all(map(_finite_number, value))):
-            return f"takes a list of {len(default)} finite numbers, got {value!r}"
-    elif not _finite_number(value):
-        return f"takes a finite number, got {value!r}"
-    return None
-
-
-def override_error(name: str, overrides: dict) -> str | None:
-    """Why overrides are malformed input for scenario ``name``, or None.
-
-    Checks the grid sizes and half widths the scenario takes, null only where
-    the default is null, and the scenario's ``limits``; every other parameter
-    must have its default's shape (a finite number, or a list of as many
-    finite numbers).  A key the scenario does not take is malformed too.
-    Cheap enough to run before any work.
+    A key must be a parameter of the scenario, and its value must lie in
+    its name's domain in ``PARAMETER_ERRORS`` (a finite number where the
+    name has no entry); a null is kept only where the default is null.
+    Then the scenario's ``limits`` check the parameters together.  Cheap
+    enough to run before any work.
     """
     scenario = SCENARIOS[name]
     params = scenario.parameters
     for key, value in overrides.items():
         if key not in params:
             return f"{key}: not a parameter of {name}"
-        check = GRID_OVERRIDE_CHECKS.get(key)
-        if check is None:
-            error = _shape_error(params[key], value)
-        elif value is None:
-            if params[key] is not None:
-                return f"{key}: {name} takes no null grid parameter"
+        if value is None and params[key] is None:
             continue
-        else:
-            error = check(value)
+        error = PARAMETER_ERRORS.get(key, _number_error)(value)
         if error:
             return f"{key}: {error}"
-    error = scenario.limits({**params, **overrides}) if scenario.limits else None
-    return f"{', '.join(sorted(overrides))}: {error}" if error else None
+    error = scenario.limits({**params, **overrides}, config) if scenario.limits else None
+    return f"{', '.join(sorted(overrides))}: {error}" if error and overrides else error
 
 
 SCENARIOS: dict[str, Scenario] = {
@@ -602,7 +603,6 @@ SCENARIOS: dict[str, Scenario] = {
         "calibration deviations coincide and match the noise error.",
         {"gamma": 0.75, "rho_bloch": [0.0, 1.0, 0.0]},
         _run_qubit_smearing,
-        limits=_state_limits,
     ),
     "trivial-approximator": Scenario(
         "qubit-approx",
@@ -610,7 +610,6 @@ SCENARIOS: dict[str, Scenario] = {
         "noise error sqrt(2) times the preparation spread.",
         {"rho_bloch": [0.0, 1.0, 0.0]},
         _run_trivial_approximator,
-        limits=_state_limits,
     ),
     "identity-scheme": Scenario(
         "scheme",
@@ -618,7 +617,6 @@ SCENARIOS: dict[str, Scenario] = {
         "measured observable; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
         partial(_run_scheme, swap=False),
-        limits=_state_limits,
     ),
     "swap-scheme": Scenario(
         "scheme",
@@ -626,7 +624,6 @@ SCENARIOS: dict[str, Scenario] = {
         "state replaced by the probe; falsifies the plain product relation.",
         {"sigma_bloch": [0.0, 1.0, 0.0], "rho_bloch": [0.0, 1.0, 0.0]},
         partial(_run_scheme, swap=True),
-        limits=_state_limits,
     ),
     "position-flip": Scenario(
         "grid",
@@ -634,7 +631,7 @@ SCENARIOS: dict[str, Scenario] = {
         "comparison sees the anticorrelation, distributions coincide.",
         {"n": 32, "L": 8.0},
         _run_position_flip,
-        limits=lambda p: dense_position_error(p["n"]),
+        limits=lambda p, config: dense_position_error(p["n"]),
     ),
     "von-neumann-position": Scenario(
         "scheme",
@@ -675,7 +672,7 @@ SCENARIOS: dict[str, Scenario] = {
         partial(_run_husimi, extra=(
             ExpectedValue("second_moment_product", 0.25, 1e-3, "closed-form"),
         )),
-        limits=_state_limits,
+        limits=_husimi_limits,
     ),
     "husimi-squeezed": Scenario(
         "grid",
@@ -683,7 +680,7 @@ SCENARIOS: dict[str, Scenario] = {
         "stay above the bound.",
         {"n": None, "L": None, "center": 0.0, "width": 2.0},
         _run_husimi,
-        limits=_state_limits,
+        limits=_husimi_limits,
     ),
     "husimi-displaced": Scenario(
         "grid",
@@ -692,7 +689,7 @@ SCENARIOS: dict[str, Scenario] = {
         partial(_run_husimi, extra=(
             ExpectedValue("second_moment_slack", 0.1, 0.0, "derived-oracle", mode="at_least"),
         )),
-        limits=_state_limits,
+        limits=_husimi_limits,
     ),
     "covariant-qubit-pair": Scenario(
         "qubit-joint",
@@ -700,20 +697,19 @@ SCENARIOS: dict[str, Scenario] = {
         "reaches the incompatibility bound.",
         {"angle": math.pi / 2, "rho_bloch": [0.0, 1.0, 0.0]},
         _run_covariant_pair,
-        limits=_state_limits,
     ),
 }
 
 
 def run_scenario(name: str, config: RunConfig = RunConfig(), overrides: dict | None = None) -> ScenarioOutcome:
+    """Run scenario ``name``; ``ValueError`` with the fault ``override_error`` finds, if any."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}")
-    params = dict(SCENARIOS[name].parameters)
-    if overrides:
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise KeyError(f"unknown parameters for {name}: {sorted(unknown)}")
-        params.update(overrides)
+    overrides = overrides or {}
+    error = override_error(name, overrides, config)
+    if error:
+        raise ValueError(error)
+    params = {**SCENARIOS[name].parameters, **overrides}
     outcome = SCENARIOS[name].run(params, config)
     outcome.name, outcome.parameters = name, params
     return outcome

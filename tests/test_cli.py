@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qmu.cli import CHECKS, SWEEPS, build_parser, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling
 from qmu.grid import VonNeumannModel
-from qmu.scenarios import SCENARIOS
+from qmu.scenarios import SCENARIOS, run_scenario
 from qmu.serialize import (
     decode_matrix,
     dumps_json,
@@ -540,7 +540,9 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
 )
 def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     csv_path = tmp_path / "out.csv"
-    code, out, err = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *(arg.format(csv=csv_path) for arg in argv))
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
@@ -560,6 +562,11 @@ def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     ("husimi-displaced", "width=-1"),
     ("von-neumann-position", "width=-0.0"),
     ("von-neumann-position", "probe_width=0"),
+    ("husimi-squeezed", "width=1e-320"),
+    ("von-neumann-position", "width=1e-170"),
+    ("von-neumann-position", "center=1e300"),
+    ("husimi-displaced", "center=1e300"),
+    ("husimi-displaced", "n=16"),
 ])
 def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatch, name,
                                                               override):
@@ -573,6 +580,11 @@ def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatc
         code, out, err = run_cli(capsys, "scenario", "run", name, "--set", override)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(f"--set {override.split('=')[0]}: ")
+    # The library refuses the same override with the same text.
+    key, raw = override.split("=", 1)
+    with pytest.raises(ValueError) as refused:
+        run_scenario(name, overrides={key: json.loads(raw)})
+    assert f"--set {refused.value}" == err.rstrip("\n")
 
 
 @pytest.mark.parametrize("target, argv", [

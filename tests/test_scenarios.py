@@ -22,6 +22,7 @@ from qmu.relations import (
 from qmu.scenarios import (
     EX,
     EZ,
+    PARAMETER_ERRORS,
     SUITE_BLOCK,
     RunConfig,
     SCENARIOS,
@@ -34,6 +35,7 @@ from qmu.scenarios import (
     epsno_sum_suite,
     feasible_models,
     naive_falsification_cases,
+    override_error,
     ozawa_branciard_suite,
     random_qubit_schemes,
     run_scenario,
@@ -88,8 +90,18 @@ def test_runners_read_exactly_their_parameters(name):
 def test_unknown_scenario_and_override():
     with pytest.raises(KeyError):
         run_scenario("no-such-scenario")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="not a parameter"):
         run_scenario("qubit-approx-smearing", overrides={"bogus": 1})
+
+
+def test_the_parameter_table_is_total():
+    # Every default lies in its domain, and no list-valued or null default
+    # falls through to the finite-number rule unnoticed.
+    for name, scenario in SCENARIOS.items():
+        assert override_error(name, scenario.parameters, RunConfig()) is None, name
+        for key, default in scenario.parameters.items():
+            assert key in PARAMETER_ERRORS or (
+                isinstance(default, (int, float)) and math.isfinite(default)), (name, key)
 
 
 def test_triple_highprec_zero():
@@ -117,10 +129,12 @@ def test_bloch_directions_at_any_finite_scale(direction, unit):
     assert far.values == pytest.approx(near.values, abs=1e-12)
 
 
-def test_runners_still_reject_a_zero_bloch_direction():
-    # run_scenario does not apply the limits that the CLI checks first.
-    with pytest.raises(ValueError, match="nonzero direction"):
+def test_run_scenario_checks_the_overrides_and_the_configured_grid():
+    with pytest.raises(ValueError, match="^rho_bloch: takes a nonzero list"):
         run_scenario("qubit-approx-smearing", overrides={"rho_bloch": [0.0, 0.0, 0.0]})
+    # A width-1 Gaussian inside one cell of a wide configured grid: no override to name.
+    with pytest.raises(ValueError, match="^width must be at least the grid spacing"):
+        run_scenario("husimi-saturation", RunConfig(grid_l=6e153))
 
 
 def test_triple_frozen_w2_matches():
