@@ -193,8 +193,7 @@ def cmd_scenario(args) -> int:
         try:
             outcome = run_scenario(name, config, overrides)
         except (ValueError, ArithmeticError) as exc:
-            print(f"numerical failure in {name}: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+            return _numerical_failure(name, exc)
         outcomes.append(outcome)
     for outcome in outcomes:  # only once all have run: a failure prints its line alone
         _print_outcome_table(outcome)
@@ -373,8 +372,7 @@ def cmd_check(args) -> int:
     try:
         summary = summary_of(config)
     except (ValueError, ArithmeticError) as exc:
-        print(f"numerical failure in {args.relation}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _numerical_failure(args.relation, exc)
     ok = bool(passes(summary))
     payload = {
         "schema": SCHEMA,
@@ -492,6 +490,17 @@ def _input_error(args) -> str | None:
     if args.command == "check" and args.budget < 1:
         return f"--budget must be at least 1, got {args.budget}"
     return None
+
+
+def _numerical_failure(where: str, exc: Exception) -> int:
+    """Print the one line of a numerical failure in ``where``; returns ``EXIT_NUMERIC``.
+
+    Python's float arithmetic reports an overflow with an errno tuple, such as
+    (34, 'Numerical result out of range'), so an overflow prints its text.
+    """
+    text = f"float overflow ({exc.args[-1]})" if isinstance(exc, OverflowError) else exc
+    print(f"numerical failure in {where}: {text}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def main(argv=None) -> int:

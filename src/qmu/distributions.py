@@ -83,12 +83,18 @@ def merge_groups(values, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray
     Returns ``order``, the stable ascending argsort of ``values``, and
     ``starts``, the positions in ``values[order]`` where each group begins.  A
     value is compared with its group's *first* value, so a chain of small
-    gaps still splits once it drifts ``tol`` away from where it began.
+    gaps still splits once it drifts ``tol`` away from where it began.  When
+    every value splits from its sorted neighbour, each is compared with its
+    own group's first value, so every value starts a group without the loop.
     """
     values = np.asarray(values, dtype=float)
     order = values.argsort(kind="stable")
+    ordered = values[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan gaps, as Python floats give
+        if splits_from(ordered[1:], ordered[:-1], tol).all():
+            return order, np.arange(order.size)
     starts = []
-    for k, v in enumerate(values[order].tolist()):
+    for k, v in enumerate(ordered.tolist()):
         if not starts or splits_from(v, first, tol):
             starts.append(k)
             first = v
@@ -104,6 +110,8 @@ def merge_outcomes(values, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray,
     """
     order, starts = merge_groups(values, tol)
     values, weights = np.asarray(values, dtype=float)[order], np.asarray(weights)[order]
+    if starts.size == order.size:
+        return values, weights
     sums = weights[starts]
     sizes = np.diff(starts, append=order.size)
     for k in range(1, sizes.max(initial=1)):
@@ -212,26 +220,28 @@ def quantile_cells(p: np.ndarray, q: np.ndarray):
     """
     rows, m = p.shape
     n = q.shape[1]
+    t = np.empty((rows, 1 + m + n))
+    t[:, 0] = 0.0
+    np.add.accumulate(p, axis=1, out=t[:, 1:m + 1])  # cumsum, without its wrapper's cost
+    np.add.accumulate(q, axis=1, out=t[:, m + 1:])
     # Clamped to at most 1, so that a partial sum rounding above 1 cannot
     # become a breakpoint past the other side's last one.
-    a, b = np.minimum(p.cumsum(axis=1), 1.0), np.minimum(q.cumsum(axis=1), 1.0)
-    a[:, -1] = b[:, -1] = 1.0
-    t = np.concatenate([np.zeros((rows, 1)), a, b], axis=1)
+    np.minimum(t, 1.0, out=t)
+    t[:, m] = t[:, -1] = 1.0
     order = t.argsort(axis=1, kind="stable")[:, :-1]
     # Sorting t again (a merge of its sorted runs) is faster than gathering
     # it by the permutation, both for one short row and for stacks.
     t.sort(axis=1, kind="stable")
     w = t[:, 1:] - t[:, :-1]
-    # The leading 0 sorts first, so the k breakpoints before t[k] are it,
-    # j of q's and k-1-j of p's; a q breakpoint at k-1 is q's (order-m)-th,
-    # a p breakpoint there p's order-th.  Only zero-length intervals reach
-    # i = m.
-    k = np.arange(m + n)
-    j = np.where(order > m, order - m, k - order)
-    i = np.minimum(k - j, m - 1)
+    # The stable sort keeps each side's breakpoints in order after the
+    # leading 0, so j, the number of q's breakpoints among the first k+1, is
+    # the running count of them, and the other k+1-j are the 0 and k-j of
+    # p's.  Only zero-length intervals reach i = m.
+    j = np.add.accumulate(order > m, axis=1, dtype=np.intp)
+    i = np.minimum(np.arange(m + n) - j, m - 1)
     keep = w > 0
-    cells = np.argsort(~keep, axis=1, kind="stable")[:, :np.count_nonzero(keep, axis=1).max()]
-    cells += (m + n) * np.arange(rows)[:, None]
+    cells = (~keep).argsort(axis=1, kind="stable")[:, :keep.sum(axis=1).max()]
+    cells += np.arange(0, rows * (m + n), m + n)[:, None]
     return i.ravel()[cells], j.ravel()[cells], w.ravel()[cells]
 
 

@@ -37,6 +37,7 @@ from .schemes import MeasurementScheme
 FORM_TOL = 1e-9           # agreement tolerance between the eps_NO routes
 SHARED_BASIS_TRIES = 4  # weight vectors tried on effects that commute
 STAIRCASE_TREE_LIMIT = 20_000  # staircase duals enumerated exactly; above, the ascent
+WITNESS_TIE = 2.0**-42  # relative gap below the largest deviation within which candidates tie
 EIG_CHUNK_ENTRIES = 2**18  # matrix entries per stacked eigvalsh call (4 MB complex)
 
 
@@ -183,14 +184,20 @@ def shared_eigenbasis(effects: np.ndarray) -> np.ndarray | None:
     for weights in _basis_weights(effects.shape[0]):
         combination = np.einsum("k,kij->ij", weights, effects)
         _, basis = np.linalg.eigh(combination)
-        rotated = basis.conj().T @ effects @ basis
-        off_diagonal = rotated * (1.0 - np.eye(basis.shape[0]))
-        if np.linalg.norm(off_diagonal, axis=(1, 2)).max() <= TOL_COMMUTE:
+        off_diagonal = basis.conj().T @ effects @ basis
+        off_diagonal.reshape(effects.shape[0], -1)[:, ::basis.shape[0] + 1] = 0.0
+        if _largest_square_norm(off_diagonal) <= TOL_COMMUTE**2:
             return basis
         commutators = effects @ combination - combination @ effects
-        if np.linalg.norm(commutators, axis=(1, 2)).max() > TOL_COMMUTE:
+        if _largest_square_norm(commutators) > TOL_COMMUTE**2:
             return None
     return None
+
+
+def _largest_square_norm(mats: np.ndarray) -> float:
+    """The largest squared Frobenius norm of a stack (k, d, d) of complex matrices."""
+    parts = mats.view(float)
+    return np.einsum("kij,kij->k", parts, parts).max()
 
 
 @functools.lru_cache(maxsize=64)
@@ -215,7 +222,15 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for every pair of marginals one of them is optimal.  Returns ``u`` of
     shape (T, m) and ``v`` of shape (T, n), normalised by u_0 = 0.
     """
-    m, n = x.size, y.size
+    return _tree_duals((x[:, None] - y[None, :]) ** 2, *_staircase_entries(x.size, y.size))
+
+
+@functools.lru_cache(maxsize=16)
+def _staircase_entries(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_entries`` of every monotone path on an m x n table, kept read-only.
+
+    The paths depend on the shape alone, so each shape is enumerated once.
+    """
     steps = m + n - 2
     trees = math.comb(steps, m - 1)
     down_at = np.fromiter(
@@ -224,7 +239,10 @@ def staircase_duals(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ).reshape(trees, m - 1)
     is_down = np.zeros((trees, steps), dtype=bool)
     is_down[np.arange(trees)[:, None], down_at] = True
-    return _tree_duals((x[:, None] - y[None, :]) ** 2, is_down)
+    entries = _path_entries(is_down, m, n)
+    for entry in entries:
+        entry.flags.writeable = False
+    return entries
 
 
 def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,29 +253,39 @@ def path_duals(cost: np.ndarray, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarr
     W2^2 = sum u_i p_i + sum v_j q_j.  Ties step right first: the stable
     merge puts the breakpoints of q before equal ones of p.
     """
-    n = cost.shape[1]
+    m, n = cost.shape
     breakpoints = np.concatenate([np.cumsum(q)[:-1], np.cumsum(p)[:-1]])
     is_down = np.argsort(breakpoints, kind="stable") >= n - 1
-    u, v = _tree_duals(cost, is_down[None])
+    u, v = _tree_duals(cost, *_path_entries(is_down[None], m, n))
     return u[0], v[0]
 
 
-def _tree_duals(cost: np.ndarray, is_down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Duals (u, v) of the monotone paths whose steps are ``is_down`` (T, m+n-2)."""
+def _path_entries(is_down: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the monotone paths with steps ``is_down`` (T, m+n-2) enter each row and column.
+
+    Row k is entered down column entry_col[:, k-1]; column j is entered
+    along row entry_row[:, j-1].
+    """
     trees, steps = is_down.shape
-    m, n = cost.shape
     rows_before = np.cumsum(is_down, axis=1) - is_down
     cols_before = np.arange(steps) - rows_before
-    # Row k is entered down column entry_col[:, k-1]; column j is entered
-    # along row entry_row[:, j-1].  The two path cells of each step share a
-    # potential, so the other one changes by the difference of their costs.
-    entry_col = cols_before[is_down].reshape(trees, m - 1)
-    entry_row = rows_before[~is_down].reshape(trees, n - 1)
+    return (cols_before[is_down].reshape(trees, m - 1),
+            rows_before[~is_down].reshape(trees, n - 1))
+
+
+def _tree_duals(cost: np.ndarray, entry_col: np.ndarray,
+                entry_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Duals (u, v) of the monotone paths with entries ``_path_entries``.
+
+    The two path cells of each step share a potential, so the other one
+    changes by the difference of their costs.
+    """
+    m, n = cost.shape
     rows = np.arange(1, m)
     cols = np.arange(1, n)
     du = cost[rows, entry_col] - cost[rows - 1, entry_col]
     dv = cost[entry_row, cols] - cost[entry_row, cols - 1]
-    zero = np.zeros((trees, 1))
+    zero = np.zeros((entry_col.shape[0], 1))
     u = np.concatenate([zero, np.cumsum(du, axis=1)], axis=1)
     v = cost[0, 0] + np.concatenate([zero, np.cumsum(dv, axis=1)], axis=1)
     return u, v
@@ -377,9 +405,10 @@ def ascent_witness(a: Observable, c: Observable) -> np.ndarray:
 def worst_case_candidates(a: Observable, c: Observable):
     """Candidate witnesses of the worst case, by the route its exactness allows.
 
-    Returns (states, winner, exact).  When the effects of a and c share an
-    eigenbasis, every dual operator sum u_i A_i + sum v_j C_j is diagonal
-    in it, so the sup is the largest deviation over its basis states:
+    Returns (states, winner, exact); every state has its phases fixed by
+    ``opalg.fix_phases``.  When the effects of a and c share an eigenbasis,
+    every dual operator sum u_i A_i + sum v_j C_j is diagonal in it, so the
+    sup is the largest deviation over its basis states:
     ``states`` (d, d) are those states as rows.  With at most
     ``STAIRCASE_TREE_LIMIT`` staircase duals, ``states`` is None and
     ``winner`` (d, d) is the winning dual operator, whose top eigenvector is
@@ -389,11 +418,23 @@ def worst_case_candidates(a: Observable, c: Observable):
     """
     basis = shared_eigenbasis(np.concatenate([a.effects, c.effects]))
     if basis is not None:
-        return basis.T, None, True
+        return opalg.fix_phases(basis).T, None, True
     if math.comb(a.n_outcomes + c.n_outcomes - 2, a.n_outcomes - 1) <= STAIRCASE_TREE_LIMIT:
         winners = staircase_winners(a.outcomes, a.effects[None], c.outcomes, c.effects[None])
         return None, winners[0], True
-    return ascent_witness(a, c)[None], None, False
+    return opalg.fix_phases(ascent_witness(a, c)[:, None]).T, None, False
+
+
+def first_of_largest(values: np.ndarray):
+    """Index of the first value within ``WITNESS_TIE`` (relative) of the last axis's largest.
+
+    Candidates that tie up to rounding, such as the basis states of a
+    smearing, then give the same witness whichever of them rounds highest.
+    On random smearings at d = 3-6, tied deviations were seen up to 730
+    ulps apart, so the window, 2^-42 relative, is at least 2^10 ulps.
+    """
+    top = values.max(axis=-1, keepdims=True)
+    return (values >= top - abs(top) * WITNESS_TIE).argmax(axis=-1)
 
 
 def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
@@ -402,8 +443,8 @@ def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
     Exact when the effects of a and c share an eigenbasis, or when there are
     at most ``STAIRCASE_TREE_LIMIT`` staircase duals; otherwise the ascent's
     lower bound with its witness (``exact`` false).  The value is the
-    largest deviation over the ``worst_case_candidates``, from one call of
-    the row kernel.
+    deviation of the first of the ``worst_case_candidates`` to tie for the
+    largest (``first_of_largest``), from one call of the row kernel.
     """
     if a.dim != c.dim:
         raise ValueError("observables act on different dimensions")
@@ -411,7 +452,7 @@ def w2_observables_worst(a: Observable, c: Observable) -> WorstCaseResult:
     if winner is not None:
         states = _eigh_hermitian_built(winner)[1][None, :, -1]
     values = w2_born_rows(pure_states(states), a.outcomes, a.effects, c.outcomes, c.effects)
-    k = int(np.argmax(values))
+    k = int(first_of_largest(values))
     return WorstCaseResult(value=float(values[k]), state=states[k], exact=exact)
 
 
@@ -466,12 +507,13 @@ def calibration_from_eigh(deviation: np.ndarray, evals: np.ndarray,
     An outcome with P_y = 0 leaves only the -1 block, whose top value is -1;
     it has no states and is skipped.  Each top vector's value is its
     deviation <psi|D_y|psi>, which rounds more tightly than the stacked
-    eigenvalue.
+    eigenvalue.  Outcomes whose values tie (on a smearing, all of them) give
+    the first one's witness (``first_of_largest``).
     """
     psi = evecs[..., -1]
     tops = np.einsum("nyi,nyij,nyj->ny", psi.conj(), deviation, psi).real
     tops = np.where(evals[..., -1] > -0.5, tops, -np.inf)
-    best = np.argmax(tops, axis=1)
+    best = first_of_largest(tops)
     rows = np.arange(deviation.shape[0])
     return opalg.sqrt_clamped(tops[rows, best]), psi[rows, best]
 
@@ -524,7 +566,8 @@ def error_report(a, c: Observable, rho) -> ErrorReport:
     M1 - A.  The worst case's staircase winner, if its route has one, joins
     calibration's stacked eigh, and rho's Born row, stacked with the worst
     case's candidate rows, goes through one call of the row kernel: row 0
-    is ``w2_state``, the largest of the others ``w2_worst``.
+    is ``w2_state``, and the first of the others to tie for the largest
+    (``first_of_largest``) is the witness of ``w2_worst``.
     """
     a_sharp = spectral_measure(a)
     a = np.asarray(a, dtype=complex)
@@ -548,7 +591,7 @@ def error_report(a, c: Observable, rho) -> ErrorReport:
     calibration, calibration_witness = calibration_from_eigh(deviation, evals, evecs)
     rows = np.concatenate([rho[None], pure_states(states)])
     values = w2_born_rows(rows, a_sharp.outcomes, a_sharp.effects, c.outcomes, c.effects)
-    k = 1 + int(np.argmax(values[1:]))
+    k = 1 + int(first_of_largest(values[1:]))
     return ErrorReport(
         eps_no=opalg.sqrt_clamped(noise + expectation(dev @ dev, rho)),
         w2_state=float(values[0]),

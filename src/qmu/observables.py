@@ -164,9 +164,10 @@ def spectral_measure(op) -> SharpObservable:
     """Spectral measure of a Hermitian operator.
 
     Eigenvalues merged by ``merge_outcomes`` form one outcome, their
-    eigenprojections summed.
+    eigenprojections summed.  Only the projections |v><v| are returned, and
+    they do not depend on the eigenvector phases, so the phases are not fixed.
     """
-    evals, evecs = opalg.eig_hermitian(op)
+    evals, evecs = np.linalg.eigh(opalg.check_hermitian(op))
     projections = evecs.T[:, :, None] * evecs.T.conj()[:, None, :]
     return SharpObservable._trusted(*merge_outcomes(evals, projections))
 

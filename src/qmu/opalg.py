@@ -26,20 +26,33 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, or a stack of them, with finite entries."""
+def _square_complex(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a square complex matrix, or a stack of them, with finite entries."""
+    m = _square_complex(a)
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
-    m = as_complex_matrix(a)
-    dev = np.max(np.abs(m - dagger(m))) if m.size else 0.0
-    if dev > tol:
+    """Validate a Hermitian matrix, or a stack of them, with finite entries.
+
+    One pass: a non-finite entry makes its own deviation from the conjugate
+    transpose non-finite, so finiteness is tested only when that fails.
+    """
+    m = _square_complex(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.abs(m - m.conj().swapaxes(-1, -2)).max() if m.size else 0.0
+    if not dev <= tol:
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
 
@@ -47,13 +60,13 @@ def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
 def check_density(rho) -> np.ndarray:
     """Validate a density operator, or a stack of them: Hermitian, trace one, positive."""
     m = check_hermitian(rho)
-    tr = np.trace(m, axis1=-2, axis2=-1).real.reshape(-1)
-    worst = float(tr[np.argmax(np.abs(tr - 1.0))])
-    if abs(worst - 1.0) > TOL_TRACE:
-        raise ValueError(f"density operator has trace {worst!r}, expected 1")
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -TOL_PSD:
-        raise ValueError(f"density operator has negative eigenvalue {evals.min():.3e}")
+    tr = m.trace(axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0)
+    if off.max() > TOL_TRACE:
+        raise ValueError(f"density operator has trace {float(tr.flat[off.argmax()])!r}, expected 1")
+    lowest = np.linalg.eigvalsh(m).min()
+    if lowest < -TOL_PSD:
+        raise ValueError(f"density operator has negative eigenvalue {lowest:.3e}")
     return m
 
 

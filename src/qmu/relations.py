@@ -164,16 +164,23 @@ def error_disturbance_figures(u, sigma, zf, a, b, rho) -> tuple[np.ndarray, ...]
     the verdict cores' arguments.  Nothing is checked here: ``scheme_figures``
     checks the targets of one scheme, and the suites draw valid stacks.
     """
-    dim_o, dim_p = a.shape[-1], sigma.shape[-1]
-    u_dag = opalg.dagger(u)
-    eye_o, eye_p = np.eye(dim_o), np.eye(dim_p)
-    state = opalg.tensor(rho, sigma)
-    b_total = opalg.tensor(b, eye_p)
-    noise = u_dag @ opalg.tensor(eye_o, zf) @ u - opalg.tensor(a, eye_p)
-    disturbance = u_dag @ b_total @ u - b_total
-    eps = opalg.sqrt_clamped(expectation(opalg.dagger(noise) @ noise, state))
-    eta = opalg.sqrt_clamped(expectation(opalg.dagger(disturbance) @ disturbance, state))
-    return eps, eta, spread(a, rho), spread(b, rho), commutator_expectation(a, b, rho)
+    b_total = opalg.tensor(b, np.eye(sigma.shape[-1]))
+    disturbance = opalg.dagger(u) @ b_total @ u - b_total
+    return (scheme_noise_error(u, sigma, zf, a, rho),
+            _rms(disturbance, opalg.tensor(rho, sigma)),
+            spread(a, rho), spread(b, rho), commutator_expectation(a, b, rho))
+
+
+def scheme_noise_error(u, sigma, zf, a, rho) -> np.ndarray:
+    """eps of n stacked schemes alone: the first of ``error_disturbance_figures``."""
+    noise = (opalg.dagger(u) @ opalg.tensor(np.eye(a.shape[-1]), zf) @ u
+             - opalg.tensor(a, np.eye(sigma.shape[-1])))
+    return _rms(noise, opalg.tensor(rho, sigma))
+
+
+def _rms(op, state):
+    """sqrt <op^dag op> in each state of a stack."""
+    return opalg.sqrt_clamped(expectation(opalg.dagger(op) @ op, state))
 
 
 def scheme_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:

@@ -72,6 +72,7 @@ from .relations import (
     qubit_error_bound,
     qubit_incompatibility_bound,
     scheme_figures,
+    scheme_noise_error,
     unbiased_tradeoffs,
 )
 from .schemes import (
@@ -538,12 +539,23 @@ def _gaussian_error(grid: GridSystem, key: str, width: float, center: float = 0.
 
     Narrower than the spacing dx it falls within one cell, where its spreads
     read 0 or its square underflows; a center outside [-L, L) is off the grid.
+    Its momentum spread is 1/width, so wider than L/pi it falls within one
+    cell of the momentum spacing pi/L; a width of 1e300 would overflow
+    when squared.
     """
     if width < grid.dx:
         return f"{key} must be at least the grid spacing {grid.dx!r}, got {width!r}"
     if not -grid.half_width <= center < grid.half_width:
         return f"center must lie in [-L, L) with L = {grid.half_width!r}, got {center!r}"
+    if not math.pi * width <= grid.half_width:
+        return (f"{key} must be at most L/pi = {grid.half_width / math.pi!r}, "
+                f"where the momentum spacing pi/L resolves it, got {width!r}")
     return None
+
+
+def _ground_state_limits(p: dict, config: RunConfig) -> str | None:
+    """``_gaussian_error`` of the width-1 ground state on the grid of ``n`` and ``L``."""
+    return _gaussian_error(GridSystem(p["n"], p["L"]), "the ground-state width", 1.0)
 
 
 def _husimi_limits(p: dict, config: RunConfig) -> str | None:
@@ -631,7 +643,7 @@ SCENARIOS: dict[str, Scenario] = {
         "comparison sees the anticorrelation, distributions coincide.",
         {"n": 32, "L": 8.0},
         _run_position_flip,
-        limits=lambda p, config: dense_position_error(p["n"]),
+        limits=lambda p, config: dense_position_error(p["n"]) or _ground_state_limits(p, config),
     ),
     "von-neumann-position": Scenario(
         "scheme",
@@ -656,6 +668,7 @@ SCENARIOS: dict[str, Scenario] = {
         "zero noise error on the ground state despite distinct statistics.",
         {"n": 256, "L": 10.0, "alpha": 0.5},
         _run_oscillator_shift,
+        limits=_ground_state_limits,
     ),
     "double-zero-approximators": Scenario(
         "grid",
@@ -663,6 +676,7 @@ SCENARIOS: dict[str, Scenario] = {
         "noise error on the ground state: the tight relation holds at 0 = 0.",
         {"n": 256, "L": 10.0, "alpha": 0.5, "beta": 1.0},
         _run_double_zero,
+        limits=_ground_state_limits,
     ),
     "husimi-saturation": Scenario(
         "grid",
@@ -805,9 +819,7 @@ def eps_form_routes(u, sigma, values, vectors, effects, a, rho) -> tuple[np.ndar
     """
     induced = induced_effects(u, sigma, vectors)
     m1, m2 = (effect_moment(values, induced, k) for k in (1, 2))
-    scheme_route = error_disturbance_figures(
-        u, sigma, pointer_operator(values, effects), a, a, rho
-    )[0]
+    scheme_route = scheme_noise_error(u, sigma, pointer_operator(values, effects), a, rho)
     return scheme_route, moment_form_eps(a, m1, m2, rho), three_state_form_eps(a, m1, m2, rho)
 
 

@@ -567,6 +567,11 @@ def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     ("von-neumann-position", "center=1e300"),
     ("husimi-displaced", "center=1e300"),
     ("husimi-displaced", "n=16"),
+    ("husimi-saturation", "width=1e300"),
+    ("position-flip", "L=1e-320"),
+    ("position-flip", "L=100"),
+    ("oscillator-shift-zero-error", "L=1e-300"),
+    ("double-zero-approximators", "L=2"),
 ])
 def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatch, name,
                                                               override):
@@ -585,6 +590,16 @@ def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatc
     with pytest.raises(ValueError) as refused:
         run_scenario(name, overrides={key: json.loads(raw)})
     assert f"--set {refused.value}" == err.rstrip("\n")
+
+
+def test_float_overflow_prints_one_readable_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "scenario", "run", "double-zero-approximators",
+                                 "--set", "alpha=1e300")
+    assert (code, out) == (3, "")
+    assert err == ("numerical failure in double-zero-approximators: "
+                   "float overflow (Numerical result out of range)\n")
 
 
 @pytest.mark.parametrize("target, argv", [

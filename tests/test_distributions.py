@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from closed_forms import cauchy_schwarz_bounds, coupling_cost, delta, point_deviation
 from qmu.distributions import (
@@ -184,6 +184,53 @@ def test_merge_splits_chains_at_the_first_value():
     mats = np.arange(4.0)[:, None, None] * np.eye(2)
     _, summed = merge_outcomes(values, mats)
     np.testing.assert_array_equal(summed, np.array([4.0, 0.0, 2.0])[:, None, None] * np.eye(2))
+
+
+def merge_groups_by_the_loop(values):
+    """The merge rule value by value, each value against its group's first one."""
+    values = np.asarray(values, dtype=float)
+    order = values.argsort(kind="stable")
+    starts = []
+    for k, v in enumerate(values[order].tolist()):
+        if not starts or splits_from(v, first):
+            starts.append(k)
+            first = v
+    return order, np.array(starts, dtype=np.intp)
+
+
+@st.composite
+def merge_inputs(draw):
+    """Unsorted values in chains of steps of up to 1.5 merge tolerances from each base."""
+    bases = draw(st.lists(st.one_of(
+        st.floats(-1e300, 1e300),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308]),
+    ), min_size=1, max_size=5))
+    values = []
+    for base in bases:
+        value, scale = base, MERGE_TOL * max(1.0, abs(base))
+        values.append(value)
+        for step in draw(st.lists(st.floats(0.0, 1.5), max_size=4)):
+            value += step * scale
+            values.append(value)
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_inputs())
+@example([1.7e308, -1.7e308])  # a gap above the float range
+@example([0.0, -0.0, 1.0])
+def test_property_merge_fast_path_equals_the_loop(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order, starts = merge_groups(values)
+        outcomes, sums = merge_outcomes(values, np.arange(len(values), dtype=float))
+    loop_order, loop_starts = merge_groups_by_the_loop(values)
+    np.testing.assert_array_equal(order, loop_order)
+    assert starts.dtype == loop_starts.dtype and starts.tolist() == loop_starts.tolist()
+    ordered = np.asarray(values, dtype=float)[order]
+    assert outcomes.tobytes() == ordered[starts].tobytes()
+    groups = np.split(order.astype(float), starts[1:])
+    np.testing.assert_array_equal(sums, [g.sum() for g in groups])
 
 
 def test_merge_rule_takes_floats_and_arrays_alike():

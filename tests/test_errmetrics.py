@@ -15,6 +15,7 @@ from qmu.errmetrics import (
     eps_no_from_scheme,
     error_report,
     eta_no_from_scheme,
+    first_of_largest,
     shared_eigenbasis,
     staircase_duals,
     three_state_eps,
@@ -384,6 +385,32 @@ def test_staircase_duals_match_path_walk():
             i, j = (i + 1, j) if step in downs else (i, j + 1)
             assert abs(u[t, i] + v[t, j] - cost[i, j]) < 1e-12
     assert np.all(u[:, :, None] + v[:, None, :] <= cost + 1e-12)
+
+
+def test_staircase_entries_are_cached_read_only_and_match_a_fresh_enumeration():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            entry_col, entry_row = errmetrics._staircase_entries(m, n)
+            assert errmetrics._staircase_entries(m, n)[0] is entry_col
+            assert not entry_col.flags.writeable and not entry_row.flags.writeable
+            cols, rows = [], []
+            for downs in itertools.combinations(range(m + n - 2), m - 1):
+                i = j = 0
+                cols.append([])
+                rows.append([])
+                for step in range(m + n - 2):
+                    if step in downs:  # row i + 1 entered down column j
+                        i += 1
+                        cols[-1].append(j)
+                    else:  # column j + 1 entered along row i
+                        j += 1
+                        rows[-1].append(i)
+            trees = math.comb(m + n - 2, m - 1)
+            assert entry_col.tolist() == np.reshape(cols, (trees, m - 1)).tolist()
+            assert entry_row.tolist() == np.reshape(rows, (trees, n - 1)).tolist()
+            if entry_col.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    entry_col[0, 0] = 0
 
 
 def test_worst_case_exact_on_random_noncommuting_pairs():
@@ -788,6 +815,39 @@ def test_error_report_matches_its_parts_on_every_route():
         assert abs(weights[k] - 1.0) < 1e-12
         deviation = point_deviation(distribution_of_pure(c, psi), a.outcomes[k])
         assert abs(deviation - rep.calibration) < 1e-12
+
+
+def assert_phase_convention(psi):
+    """The first largest-magnitude component is real positive, to rounding."""
+    k = int(np.argmax(np.abs(psi) >= np.abs(psi).max() * (1 - 1e-12)))
+    assert psi[k].real > 0 and abs(psi[k].imag) <= 1e-15
+
+
+def test_every_route_reports_witnesses_in_the_phase_convention():
+    for route, a_op, c, rho in report_triples():
+        a = spectral_measure(a_op)
+        rep = error_report(a_op, c, rho)
+        for psi in (rep.witness_state, rep.calibration_witness, w2_observables_worst(a, c).state):
+            assert_phase_convention(psi)
+
+
+def test_tied_candidates_give_the_first_witness():
+    top = 0.7
+    tied = top + np.spacing(top) * np.array([0.0, 3.0, -5.0, 900.0])  # within 2**10 ulps
+    values = np.array([0.2, *tied, 0.69])
+    for perm in itertools.permutations(range(1, 5)):
+        assert first_of_largest(values[[0, *perm, 5]]) == 1
+    assert first_of_largest(np.array([0.7, 0.7 * (1 + 1e-12)])) == 1  # a real gap is no tie
+    assert first_of_largest(np.zeros(3)) == 0
+    assert first_of_largest(np.array([-np.inf, -1e-17, -2e-17])) == 1  # a top below 0
+    assert first_of_largest(np.array([[0.3, 0.3 * (1 + 1e-15)], [0.2, 0.1]])).tolist() == [0, 0]
+    # On a smearing every basis state ties: the first candidate is the witness.
+    for route, a_op, c, rho in itertools.islice(report_triples(), 0, 4, 2):
+        a = spectral_measure(a_op)
+        states = worst_case_candidates(a, c)[0]
+        assert route == "basis"
+        assert error_report(a_op, c, rho).witness_state.tobytes() == states[0].tobytes()
+        assert w2_observables_worst(a, c).state.tobytes() == states[0].tobytes()
 
 
 @pytest.mark.parametrize("rho, message", [

@@ -346,3 +346,30 @@ def test_outcomes_at_the_float_range_ends_warn_of_nothing():
         Observable([-1e308, 1e308], effects)
         with pytest.raises(ValueError, match="strictly increasing"):
             Observable([1e308, -1e308], effects)
+
+
+def test_spectral_measure_projections_match_the_phase_fixed_ones():
+    rng = np.random.default_rng(12)
+    u = opalg.haar_unitary(4, rng)
+    degenerate = (u * np.array([-1.0, 0.5, 0.5, 2.0])) @ u.conj().T
+    for op in [opalg.random_hermitian(d, rng) for d in (2, 3, 4, 6)] + [degenerate]:
+        evals, evecs = opalg.eig_hermitian(op)
+        projections = evecs.T[:, :, None] * evecs.T.conj()[:, None, :]
+        sharp = spectral_measure(op)
+        groups = np.searchsorted(sharp.outcomes, evals + 1e-9, side="right") - 1
+        expected = np.stack([projections[groups == k].sum(axis=0) for k in range(sharp.n_outcomes)])
+        np.testing.assert_allclose(sharp.effects, expected, rtol=0, atol=1e-15)
+    assert spectral_measure(degenerate).n_outcomes == 3
+
+
+@pytest.mark.parametrize("op, message", [
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+    (np.ones(3), "square"),
+])
+def test_spectral_measure_still_checks_its_operator(op, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            spectral_measure(op)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,24 @@ def test_fix_phases_equals_the_per_column_loop_bitwise():
         assert got.tobytes() == phases_by_column(vecs).tobytes()
     evals, evecs = eig_hermitian(opalg.random_hermitian(3, rng, n=7))
     assert evals.shape == (7, 3) and evecs.shape == (7, 3, 3)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 0): np.inf}, "non-finite"),
+    ({(0, 1): np.inf}, "non-finite"),
+    ({(0, 1): np.inf, (1, 0): np.inf}, "non-finite"),
+    ({(1, 1): complex(np.nan, 0.0)}, "non-finite"),
+    ({(0, 1): complex(0.0, -np.inf), (1, 0): complex(0.0, np.inf)}, "non-finite"),
+    ({(0, 1): 1.7e308, (1, 0): -1.7e308}, "not Hermitian"),
+    ({(0, 1): 1e-11}, "not Hermitian"),
+])
+def test_hermitian_check_in_one_pass_names_each_fault(entries, message):
+    m = np.eye(2, dtype=complex) * 0.5
+    for index, value in entries.items():
+        m[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            check_hermitian(m)
+        with pytest.raises(ValueError, match=message):
+            check_density(np.stack([0.5 * np.eye(2), m]))

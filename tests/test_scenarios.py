@@ -18,6 +18,7 @@ from qmu.relations import (
     gamma0_interval,
     ozawa_verdict,
     qubit_epsno_sum_verdict,
+    scheme_noise_error,
 )
 from qmu.scenarios import (
     EX,
@@ -209,6 +210,13 @@ def test_ozawa_branciard_suite_is_the_min_over_per_draw_checks():
     assert suite["min_ozawa_slack"] == ozawa.min()
     assert suite["min_branciard_slack"] == branciard.min()
     assert suite["violations"] == 0
+
+
+def test_scheme_noise_error_is_the_first_scheme_figure():
+    u, sigma, values, effects, a, b, rho = _ozawa_draws(np.random.default_rng(5), 40)
+    zf = pointer_operator(values, effects)
+    figures = error_disturbance_figures(u, sigma, zf, a, b, rho)
+    assert scheme_noise_error(u, sigma, zf, a, rho).tobytes() == figures[0].tobytes()
 
 
 def test_stacked_eps_routes_match_the_scalar_routes():
