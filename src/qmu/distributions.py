@@ -3,9 +3,8 @@
 Two independent routes to the 2-deviation are kept deliberately separate:
 ``w2_quantile`` evaluates the comonotone (quantile) closed form exactly by
 merging cumulative breakpoints (``quantile_coupling`` returns the coupling
-itself), while ``w2_lp_oracle`` solves the coupling linear program — with
-exact rational arithmetic up to 16 support points, a floating-point LP above
-that.
+itself), while ``w2_lp_oracle`` solves the coupling linear program exactly,
+by a rational transportation simplex, up to ``LP_MAX`` support points a side.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 PROB_TOL = 1e-10          # total-probability tolerance
 MARGINAL_TOL = 1e-9       # coupling marginal tolerance
 MERGE_TOL = 1e-9          # relative support-merge tolerance
-EXACT_LP_MAX = 16         # largest support size for the exact rational simplex
 LP_MAX = 64               # oracle scale
 
 
@@ -67,48 +65,49 @@ def _check_finite(values, probs) -> None:
         raise ValueError("support and probabilities must be finite")
 
 
-def splits_from(v, first, tol: float = MERGE_TOL):
+def splits_from(v, first):
     """The outcome-merge rule: whether v starts a new group after the one begun at first.
 
-    v joins when |v - first| <= tol * max(1, |v|, |first|).  Written as three
-    comparisons so that it takes floats and, elementwise, arrays alike.
+    v joins when |v - first| <= MERGE_TOL * max(1, |v|, |first|).  Written as
+    three comparisons so that it takes floats and, elementwise, arrays alike.
     """
     gap = abs(v - first)
-    return (gap > tol) & (gap > tol * abs(v)) & (gap > tol * abs(first))
+    return (gap > MERGE_TOL) & (gap > MERGE_TOL * abs(v)) & (gap > MERGE_TOL * abs(first))
 
 
-def merge_groups(values, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def merge_groups(values) -> tuple[np.ndarray, np.ndarray]:
     """Sort real values and group the nearly equal ones by ``splits_from``.
 
     Returns ``order``, the stable ascending argsort of ``values``, and
     ``starts``, the positions in ``values[order]`` where each group begins.  A
     value is compared with its group's *first* value, so a chain of small
-    gaps still splits once it drifts ``tol`` away from where it began.  When
-    every value splits from its sorted neighbour, each is compared with its
-    own group's first value, so every value starts a group without the loop.
+    gaps still splits once it drifts ``MERGE_TOL`` away from where it began.
+    When every value splits from its sorted neighbour, each is compared with
+    its own group's first value, so every value starts a group without the
+    loop.
     """
     values = np.asarray(values, dtype=float)
     order = values.argsort(kind="stable")
     ordered = values[order]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan gaps, as Python floats give
-        if splits_from(ordered[1:], ordered[:-1], tol).all():
+        if splits_from(ordered[1:], ordered[:-1]).all():
             return order, np.arange(order.size)
     starts = []
     for k, v in enumerate(ordered.tolist()):
-        if not starts or splits_from(v, first, tol):
+        if not starts or splits_from(v, first):
             starts.append(k)
             first = v
     return order, np.array(starts, dtype=np.intp)
 
 
-def merge_outcomes(values, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def merge_outcomes(values, weights) -> tuple[np.ndarray, np.ndarray]:
     """Each group's first value (ascending) and its weights summed along axis 0.
 
     Groups come from ``merge_groups`` and are summed left to right in sorted
     order; ``np.add.reduceat`` would sum groups of nine or more pairwise and
     move the last bits of analytically zero figures.
     """
-    order, starts = merge_groups(values, tol)
+    order, starts = merge_groups(values)
     values, weights = np.asarray(values, dtype=float)[order], np.asarray(weights)[order]
     if starts.size == order.size:
         return values, weights
@@ -120,7 +119,7 @@ def merge_outcomes(values, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray,
     return values[starts], sums
 
 
-def make_distribution(values, probs, merge_tol: float = MERGE_TOL) -> Distribution:
+def make_distribution(values, probs) -> Distribution:
     """Build a Distribution, sorting and merging nearby support points.
 
     Support points are merged by ``merge_outcomes``, their probabilities
@@ -131,7 +130,7 @@ def make_distribution(values, probs, merge_tol: float = MERGE_TOL) -> Distributi
     values = np.asarray(values, dtype=float).reshape(-1)
     probs = np.asarray(probs, dtype=float).reshape(-1)
     _check_finite(values, probs)
-    v_arr, p_arr = merge_outcomes(values, probs, merge_tol)
+    v_arr, p_arr = merge_outcomes(values, probs)
     keep = p_arr > 0
     if keep.any():
         v_arr, p_arr = v_arr[keep], p_arr[keep]
@@ -333,46 +332,25 @@ def w2_quantile_with_coupling(mu: Distribution, nu: Distribution) -> tuple[float
 
 
 def w2_lp_oracle(mu: Distribution, nu: Distribution) -> float:
-    """Wasserstein 2-deviation by solving the coupling linear program.
+    """Wasserstein 2-deviation by solving the coupling linear program exactly.
 
-    Supports up to 16 points per side are solved with an exact rational
-    transportation simplex; larger instances (up to 64) with scipy's HiGHS
-    solver. Deliberately independent of the quantile construction; only the
-    power-of-two scaling of far-out supports (``scale_exponent``) is shared.
+    An exact rational transportation simplex, for supports of up to
+    ``LP_MAX`` points per side.  Deliberately independent of the quantile
+    construction; only the power-of-two scaling of far-out supports
+    (``scale_exponent``) is shared.  The scaled supports go to the simplex as
+    lists, not as Distributions: scaling far-out supports down may round tiny
+    values beside them to one value, which the simplex takes as the quantile
+    kernel does.
     """
     m, n = mu.support.size, nu.support.size
     if m > LP_MAX or n > LP_MAX:
         raise ValueError(f"oracle scale exceeded: supports {m}x{n} > {LP_MAX}")
     k = scale_exponent(mu.support, nu.support)
-    if k:
-        mu = Distribution(np.ldexp(mu.support, -k), mu.probs)
-        nu = Distribution(np.ldexp(nu.support, -k), nu.probs)
-    if m <= EXACT_LP_MAX and n <= EXACT_LP_MAX:
-        cost = _transport_simplex_exact(
-            list(mu.support), list(mu.probs), list(nu.support), list(nu.probs)
-        )
-        value = math.sqrt(max(float(cost), 0.0))
-    else:
-        value = _transport_lp_float(mu, nu)
-    return math.ldexp(value, k)
-
-
-def _transport_lp_float(mu: Distribution, nu: Distribution) -> float:
-    from scipy.optimize import linprog
-
-    m, n = mu.support.size, nu.support.size
-    diff = mu.support[:, None] - nu.support[None, :]
-    c = (diff**2).reshape(-1)
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([mu.probs, nu.probs * (mu.probs.sum() / nu.probs.sum())])
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    return math.sqrt(max(res.fun, 0.0))
+    cost = _transport_simplex_exact(
+        np.ldexp(mu.support, -k).tolist(), mu.probs.tolist(),
+        np.ldexp(nu.support, -k).tolist(), nu.probs.tolist(),
+    )
+    return math.ldexp(math.sqrt(cost), k)
 
 
 def _transport_simplex_exact(row_vals, row_probs, col_vals, col_probs) -> Fraction:
@@ -394,17 +372,15 @@ def _transport_simplex_exact(row_vals, row_probs, col_vals, col_probs) -> Fracti
     demand = [d / td for d in demand]
     cost = [[(Fraction(x) - Fraction(y)) ** 2 for y in col_vals] for x in row_vals]
 
+    # Each step moves one row or one column on, so the m+n-1 cells differ.
     oi = list(range(m))[::-1]
     oj = list(range(n))[::-1]
     weight: dict[tuple[int, int], Fraction] = {}
-    basis: set[tuple[int, int]] = set()
     i = j = 0
     s, d = supply[oi[0]], demand[oj[0]]
     while True:
         t = min(s, d)
-        cell = (oi[i], oj[j])
-        weight[cell] = weight.get(cell, Fraction(0)) + t
-        basis.add(cell)
+        weight[oi[i], oj[j]] = t
         s -= t
         d -= t
         if i == m - 1 and j == n - 1:
@@ -416,42 +392,40 @@ def _transport_simplex_exact(row_vals, row_probs, col_vals, col_probs) -> Fracti
             j += 1
             d = demand[oj[j]]
 
+    # ``weight`` holds exactly the basis cells, degenerate ones at zero.
     while True:
-        u, v = _transport_potentials(m, n, basis, cost)
-        entering = None
-        for ii in range(m):
-            for jj in range(n):
-                if (ii, jj) in basis:
-                    continue
-                if cost[ii][jj] - u[ii] - v[jj] < 0:
-                    entering = (ii, jj)
-                    break
-            if entering:
-                break
+        by_row: dict[int, list[int]] = {}
+        by_col: dict[int, list[int]] = {}
+        for i, j in weight:
+            by_row.setdefault(i, []).append(j)
+            by_col.setdefault(j, []).append(i)
+        u, v = _transport_potentials(m, n, by_row, by_col, cost)
+        entering = next(
+            ((ii, jj) for ii in range(m) for jj in range(n)
+             if cost[ii][jj] < u[ii] + v[jj]),
+            None,
+        )
         if entering is None:
-            return sum(weight.get((ii, jj), Fraction(0)) * cost[ii][jj] for ii, jj in basis)
-        cycle = _transport_cycle(basis, entering)
+            return sum(w * cost[ii][jj] for (ii, jj), w in weight.items())
+        cycle = _transport_cycle(by_row, by_col, entering)
         minus = cycle[1::2]
-        theta = min(weight.get(c, Fraction(0)) for c in minus)
-        leaving = min(c for c in minus if weight.get(c, Fraction(0)) == theta)
+        theta = min(weight[c] for c in minus)
+        leaving = min(c for c in minus if weight[c] == theta)
+        weight[entering] = Fraction(0)
         for k, cell in enumerate(cycle):
-            cur = weight.get(cell, Fraction(0))
-            weight[cell] = cur + theta if k % 2 == 0 else cur - theta
-        basis.remove(leaving)
-        weight.pop(leaving, None)
-        basis.add(entering)
+            weight[cell] += theta if k % 2 == 0 else -theta
+        del weight[leaving]
 
 
-def _transport_potentials(m, n, basis, cost):
-    """Dual potentials u_i + v_j = c_ij on the basis tree (u_0 = 0)."""
+def _transport_potentials(m, n, by_row, by_col, cost):
+    """Dual potentials u_i + v_j = c_ij on the basis tree (u_0 = 0).
+
+    ``by_row`` and ``by_col`` list the basis tree's columns of each row and
+    rows of each column.
+    """
     u = [None] * m
     v = [None] * n
     u[0] = Fraction(0)
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for i, j in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
     stack = [("r", 0)]
     while stack:
         kind, idx = stack.pop()
@@ -470,18 +444,14 @@ def _transport_potentials(m, n, basis, cost):
     return u, v
 
 
-def _transport_cycle(basis, entering):
+def _transport_cycle(by_row, by_col, entering):
     """Unique alternating cycle formed by the basis tree plus the entering cell.
 
-    Returned as a cell list starting at the entering cell; even positions gain
-    mass, odd positions lose it.
+    ``by_row`` and ``by_col`` are the basis tree's adjacency, as for
+    ``_transport_potentials``.  Returned as a cell list starting at the
+    entering cell; even positions gain mass, odd positions lose it.
     """
     i0, j0 = entering
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for i, j in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
     # Path in the basis tree from column j0 back to row i0.
     parent: dict[tuple[str, int], tuple[str, int]] = {}
     start, goal = ("c", j0), ("r", i0)

@@ -59,3 +59,21 @@ def qubit_worst_case_closed_form(a: Observable, c: Observable) -> float | None:
         return None
     c0, cvec = pc
     return math.sqrt(2 * abs(1 - c0) + 2 * np.linalg.norm(avec - cvec))
+
+
+def wide_random_pairs(count: int) -> list[tuple[Distribution, Distribution]]:
+    """Seeded pairs of 17-64 support points at scales from 1e-3 to 1e8.
+
+    Atoms are Dirichlet draws of a random concentration in [0.1, 3], so some
+    pairs carry many near-zero atoms.
+    """
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(count):
+        m, n = rng.integers(17, 65, 2)
+        scale = 10.0 ** rng.uniform(-3, 8)
+        pairs.append(tuple(
+            Distribution(np.sort(rng.uniform(-scale, scale, k)),
+                         rng.dirichlet(np.ones(k) * rng.uniform(0.1, 3)))
+            for k in (m, n)))
+    return pairs

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closed_forms import wide_random_pairs
 from qmu.cli import CHECKS, SWEEPS, build_parser, main
-from qmu.distributions import Coupling, Distribution, quantile_coupling
+from qmu.distributions import Coupling, Distribution, quantile_coupling, w2_quantile
 from qmu.grid import VonNeumannModel
 from qmu.scenarios import SCENARIOS, run_scenario
 from qmu.serialize import (
@@ -238,6 +239,38 @@ def test_wasserstein_oracle_agrees_on_far_out_supports(tmp_path, capsys):
         assert err.startswith("oracle agrees: ")
 
 
+def narrow_pair(seed):
+    """26 against 30 points within [-0.004, 0.004]."""
+    rng = np.random.default_rng(seed)
+    return tuple(Distribution(np.sort(rng.uniform(-0.004, 0.004, k)), rng.dirichlet(np.ones(k)))
+                 for k in (26, 30))
+
+
+# A float LP called the third wide pair infeasible (exit 1 with a traceback)
+# and missed the 1e-9 gate by about 1e-6 on the fourth and the narrow pairs.
+@pytest.mark.parametrize("kind, k", [*(("wide", k) for k in (2, 3)),
+                                     *(("narrow", seed) for seed in range(12))])
+def test_wasserstein_oracle_agrees_above_16_points(tmp_path, capsys, kind, k):
+    mu, nu = wide_random_pairs(k + 1)[k] if kind == "wide" else narrow_pair(k)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(mu, a)
+    write_distribution_csv(nu, b)
+    code, out, err = run_cli(capsys, "wasserstein", str(a), str(b), "--oracle")
+    assert (code, out) == (0, f"{w2_quantile(mu, nu):.12g}\n"), err
+    assert err.startswith("oracle agrees: ")
+
+
+def test_wasserstein_oracle_takes_tiny_values_beside_far_out_ones(tmp_path, capsys):
+    # Scaling ±1e300 down rounds 1e-300 and 2e-300 to one value.
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_distribution_csv(Distribution([-1e300, 1e-300, 2e-300], [0.5, 0.25, 0.25]), a)
+    write_distribution_csv(Distribution([1e300], [1.0]), b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, "wasserstein", str(a), str(b), "--oracle") == (
+            0, "1.58113883008e+300\n", "oracle agrees: 1.58113883008e+300\n")
+
+
 @pytest.mark.parametrize("reach", [0.5, 1.0, 1e8, 1e-200])
 def test_wasserstein_oracle_mismatch_still_exits_3(tmp_path, capsys, monkeypatch, reach):
     import qmu.cli
@@ -374,16 +407,27 @@ def test_every_check_relation_passes(capsys, relation):
 
 
 def test_no_local_optimiser_is_imported(tmp_path):
+    rng = np.random.default_rng(9)
+    pair = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in pair:
+        write_distribution_csv(
+            Distribution(np.sort(rng.uniform(-1.0, 1.0, 64)), rng.dirichlet(np.ones(64))), path)
     script = f"""
 import sys
 from qmu.cli import main
-lazy = [m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "scipy"]
-assert not lazy, lazy
+
+def assert_none_imported(after):
+    lazy = [m for m in sys.modules if m == "mpmath" or m.split(".")[0] == "scipy"]
+    assert not lazy, (after, lazy)
+
+assert_none_imported("import")
 runs = [["scenario", "run", "--all"], ["check", "qubit-error-bound"]]
 runs += [["sweep", r, {str(tmp_path / "sweep.csv")!r}, "--points", "5"]
          for r in ("qubit-error-bound", "naive-product", "branciard")]
-codes = [main([*argv, "--out", {str(tmp_path / "out.json")!r}]) for argv in runs]
-assert codes == [0] * len(runs), codes
+runs += [["wasserstein", *{[str(path) for path in pair]!r}, "--oracle"]]
+for argv in runs:
+    assert main([*argv, "--out", {str(tmp_path / "out.json")!r}]) == 0, argv
+    assert_none_imported(argv)
 # A d=6 sharp target against a 20-outcome POVM has C(24, 5) = 42,504
 # staircase duals, above the enumeration limit, and d <= 8.
 import numpy as np
@@ -398,7 +442,7 @@ inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
 effects = np.stack([inv_sqrt @ g @ inv_sqrt for g in grams])
 c = Observable(np.sort(rng.uniform(-2.0, 2.0, 20)), 0.5 * (effects + effects.conj().transpose(0, 2, 1)))
 assert not error_report(a, c, np.eye(6) / 6).w2_worst_exact
-assert "scipy.optimize" not in sys.modules
+assert_none_imported("error_report")
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, env=_src_env(), timeout=120)

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from closed_forms import cauchy_schwarz_bounds, coupling_cost, delta, point_deviation
+from closed_forms import (
+    cauchy_schwarz_bounds,
+    coupling_cost,
+    delta,
+    point_deviation,
+    wide_random_pairs,
+)
 from qmu.distributions import (
     MERGE_TOL,
     Coupling,
@@ -18,6 +24,7 @@ from qmu.distributions import (
     quantile_coupling,
     scale_exponent,
     splits_from,
+    support_reach,
     w2_lp_oracle,
     w2_quantile,
     w2_quantile_rows,
@@ -78,7 +85,7 @@ def test_quantile_matches_exact_lp():
         assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
 
 
-def test_lp_oracle_float_path():
+def test_lp_oracle_exact_above_16_points():
     rng = np.random.default_rng(4)
     for _ in range(5):
         mu = random_distribution(rng, max_support=30)
@@ -86,7 +93,14 @@ def test_lp_oracle_float_path():
         if mu.support.size <= 16 and nu.support.size <= 16:
             continue
         val = w2_quantile(mu, nu)
-        assert abs(val - w2_lp_oracle(mu, nu)) < 1e-8
+        assert abs(val - w2_lp_oracle(mu, nu)) < 1e-9
+
+
+def test_lp_oracle_agrees_on_wide_random_pairs_up_to_64_points():
+    # A float LP called the third pair infeasible and missed the gate on nine.
+    for mu, nu in wide_random_pairs(60):
+        gap = abs(w2_lp_oracle(mu, nu) - w2_quantile(mu, nu))
+        assert gap <= 1e-9 * max(1.0, support_reach(mu.support, nu.support))
 
 
 def test_lp_oracle_scale_guard():
@@ -471,14 +485,13 @@ def finite_distributions(draw):
             st.floats(min_value=-10, max_value=10, allow_nan=False),
             min_size=k,
             max_size=k,
-            unique_by=lambda x: round(x, 3),
         )
     )
     weights = draw(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k)
     )
     total = sum(weights)
-    return make_distribution(vals, [w / total for w in weights], merge_tol=1e-3)
+    return make_distribution(vals, [w / total for w in weights])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
