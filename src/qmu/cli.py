@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -65,24 +66,18 @@ EXIT_UNWRITABLE = 4
 # times max(1, reach), reach the largest |support value| of the two inputs.
 ORACLE_TOL = 1e-9
 
+
+def _config_fields() -> list[tuple[dataclasses.Field, str]]:
+    """Each RunConfig field and its key: the parsed flag's attribute and the config key."""
+    return [(f, f.metadata.get("key", f.name)) for f in dataclasses.fields(RunConfig)]
+
+
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        grid_n=args.grid_n,
-        grid_l=args.grid_L,
-        budget=args.budget,
-        hbar_scale=args.hbar_scale,
-    )
+    return RunConfig(**{f.name: getattr(args, key) for f, key in _config_fields()})
 
 
 def _config_to_json(config: RunConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "grid_n": config.grid_n,
-        "grid_L": config.grid_l,
-        "budget": config.budget,
-        "hbar_scale": config.hbar_scale,
-    }
+    return {key: getattr(config, f.name) for f, key in _config_fields()}
 
 
 def _emit(payload: dict, args, passed: bool = True) -> int:
@@ -147,12 +142,13 @@ def _parse_overrides(pairs, names, config: RunConfig) -> dict:
             overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
             overrides[key] = raw
-    # Checked for every name before any runs.  Defaults need no check here;
-    # run_scenario reports a configured grid that does not resolve one.
-    for name in names if overrides else ():
+    # Checked for every name before any runs, also with no overrides: the
+    # configured grid may not resolve a scenario's defaults.
+    for name in names:
         error = override_error(name, overrides, config)
         if error:
-            raise ValueError(f"--set {error}")
+            raise ValueError(f"--set {error}" if overrides
+                             else f"{name} on the configured grid: {error}")
     return overrides
 
 
@@ -331,8 +327,12 @@ def _qubit_error_bound_summary(config: RunConfig) -> dict:
     return {"points": len(slacks), "min_slack": min(slacks), "max_optimality_gap": max(slacks)}
 
 
+# check relation -> the bundled scenarios its summary runs, on the configured grid
+CHECK_SCENARIOS = {"phase-space": ("husimi-saturation", "husimi-squeezed", "husimi-displaced")}
+
+
 def _phase_space_summary(config: RunConfig) -> dict:
-    verdicts = [v for name in ("husimi-saturation", "husimi-squeezed", "husimi-displaced")
+    verdicts = [v for name in CHECK_SCENARIOS["phase-space"]
                 for v in run_scenario(name, config).verdicts]
     return {"verdicts": [verdict_to_json(v) for v in verdicts]}
 
@@ -367,6 +367,11 @@ def cmd_check(args) -> int:
             f"unknown relation {args.relation!r}; choose from {tuple(CHECKS)}",
             file=sys.stderr,
         )
+        return EXIT_UNKNOWN
+    try:
+        _parse_overrides((), CHECK_SCENARIOS.get(args.relation, ()), config)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return EXIT_UNKNOWN
     summary_of, passes = CHECKS[args.relation]
     try:
@@ -408,19 +413,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool):
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--seed", type=int, default=default(0), help="RNG seed (default 0)")
-    parser.add_argument(
-        "--hbar-scale", type=float, default=default(1.0),
-        help="unit annotation for reports; computations stay dimensionless",
-    )
-    parser.add_argument("--grid-n", type=int, default=default(1024), help="default grid points")
-    parser.add_argument(
-        "--grid-L", type=float, default=default(12.0), help="default grid half width"
-    )
-    parser.add_argument(
-        "--budget", type=int, default=default(10000),
-        help="draws of a randomized relation suite",
-    )
+    for f, key in _config_fields():
+        parser.add_argument("--" + key.replace("_", "-"), type=type(f.default),
+                            default=default(f.default), help=f.metadata["help"])
     parser.add_argument(
         "--out", default=default(None), help="write the JSON report here instead of stdout"
     )

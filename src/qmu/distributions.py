@@ -183,7 +183,7 @@ class Coupling:
     def col_marginal(self) -> np.ndarray:
         return np.bincount(self.cols, self.weights, self.col_support.size)
 
-    def check_marginals(self, mu: Distribution, nu: Distribution, tol: float = MARGINAL_TOL):
+    def check_marginals(self, mu: Distribution, nu: Distribution):
         if self.rows.size and (
             min(self.rows.min(), self.cols.min()) < 0
             or self.rows.max() >= self.row_support.size
@@ -198,9 +198,9 @@ class Coupling:
             self.col_support, nu.support
         ):
             raise ValueError("column support does not match second marginal")
-        if np.max(np.abs(self.row_marginal() - mu.probs)) > tol:
+        if np.max(np.abs(self.row_marginal() - mu.probs)) > MARGINAL_TOL:
             raise ValueError("row sums do not reproduce the first marginal")
-        if np.max(np.abs(self.col_marginal() - nu.probs)) > tol:
+        if np.max(np.abs(self.col_marginal() - nu.probs)) > MARGINAL_TOL:
             raise ValueError("column sums do not reproduce the second marginal")
 
 

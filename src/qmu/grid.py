@@ -22,6 +22,7 @@ from .observables import Observable, SharpObservable
 from .schemes import MeasurementScheme
 
 ALIASING_TOL = 1e-8
+BOUNDARY_CELLS = 2  # cells at each grid end whose mass check_aliasing bounds
 NORM_TOL = 1e-8
 DENSE_POSITION_MAX_N = 128   # grid points of the dense position observable
 DENSE_SCHEME_MAX_DIM = 4096  # object (x) probe dimension of a dense von Neumann scheme
@@ -167,9 +168,9 @@ def parity_flip(psi) -> np.ndarray:
     return np.roll(psi[::-1], 1)
 
 
-def boundary_mass(grid: GridSystem, psi, cells: int = 2) -> float:
+def boundary_mass(grid: GridSystem, psi) -> float:
     prob = np.abs(np.asarray(psi).reshape(-1)) ** 2 * grid.dx
-    return float(prob[:cells].sum() + prob[-cells:].sum())
+    return float(prob[:BOUNDARY_CELLS].sum() + prob[-BOUNDARY_CELLS:].sum())
 
 
 def check_aliasing(grid: GridSystem, psi):

@@ -41,7 +41,7 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     """Validate a Hermitian matrix, or a stack of them, with finite entries.
 
     One pass: a non-finite entry makes its own deviation from the conjugate
@@ -50,7 +50,7 @@ def check_hermitian(a, tol: float = TOL_HERM) -> np.ndarray:
     m = _square_complex(a)
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m - m.conj().swapaxes(-1, -2)).max() if m.size else 0.0
-    if not dev <= tol:
+    if not dev <= TOL_HERM:
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -151,10 +151,7 @@ def tensor(a, b) -> np.ndarray:
 def projector(vec) -> np.ndarray:
     """|v><v| / <v|v> of a vector, or of each row of a stack (n, d) of vectors."""
     v = np.asarray(vec, dtype=complex)
-    if v.ndim < 2:  # one vector keeps the rounding of its plain norm
-        v = v.reshape(-1) / np.linalg.norm(v)
-    else:
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     return v[..., :, None] * v[..., None, :].conj()
 
 
@@ -165,17 +162,32 @@ def bloch_operator(v) -> np.ndarray:
 
 
 def bloch_state(r) -> np.ndarray:
-    """Qubit density operator (1 + r.sigma)/2, ||r|| <= 1."""
+    """Qubit density operator (1 + r.sigma)/2 of a finite r with ||r|| <= 1."""
     r = np.asarray(r, dtype=float)
-    if np.linalg.norm(r) > 1 + 1e-12:
-        raise ValueError("Bloch vector lies outside the unit ball")
+    if not np.linalg.norm(r) <= 1 + 1e-12:
+        raise ValueError(f"Bloch vector must be finite and lie in the unit ball, got {r!r}")
     return 0.5 * (np.eye(2, dtype=complex) + bloch_operator(r))
 
 
+def unit_vector(v) -> np.ndarray:
+    """v / ||v|| for a real vector v of any finite nonzero scale.
+
+    v is first scaled by the power of two that brings its largest |entry|
+    into [1/2, 1), so the norm neither overflows nor underflows.  That
+    scaling is exact for every entry it keeps in the normal range, so a
+    vector whose plain norm does neither normalises bit for bit as
+    v / ||v||.  Raises ValueError on a zero or non-finite vector.
+    """
+    v = np.asarray(v, dtype=float)
+    peak = np.abs(v).max()
+    if not 0 < peak < math.inf:
+        raise ValueError(f"a direction needs a nonzero finite vector, got {v!r}")
+    v = np.ldexp(v, -math.frexp(peak)[1])
+    return v / np.linalg.norm(v)
+
+
 # The random draws below return one draw, or a stack of n draws along a new
-# leading axis when n is given.  One draw (n = None) reads the stream and
-# rounds exactly as before stacks existed: a vector's norm rounds differently
-# from the norm along an axis, hence the separate branches.
+# leading axis when n is given; both take the stacked normalisation.
 
 
 def _stack(n: int | None, *shape: int) -> tuple[int, ...]:
@@ -185,8 +197,6 @@ def _stack(n: int | None, *shape: int) -> tuple[int, ...]:
 def haar_state(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Haar-random pure state vector."""
     v = rng.standard_normal(_stack(n, dim)) + 1j * rng.standard_normal(_stack(n, dim))
-    if n is None:
-        return v / np.linalg.norm(v)
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
@@ -211,8 +221,7 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None,
     return 0.5 * (rho + dagger(rho))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0,
-                     n: int | None = None) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     shape = _stack(n, dim, dim)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return scale * 0.5 * (z + dagger(z))
+    return 0.5 * (z + dagger(z))

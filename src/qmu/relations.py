@@ -23,6 +23,7 @@ from .schemes import MeasurementScheme
 
 SLACK_TOL = 1e-9
 PSD_TOL = 1e-10
+PURITY_TOL = 1e-8   # |tr rho^2 - 1| of a pure state
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,10 @@ def commutator_expectation(a, b, rho):
     return value if value.ndim else float(value)
 
 
-def check_purity(rho, tol: float = 1e-8) -> np.ndarray:
+def check_purity(rho) -> np.ndarray:
     rho = opalg.check_density(rho)
     purity = float(np.trace(rho @ rho).real)
-    if abs(purity - 1.0) > tol:
+    if abs(purity - 1.0) > PURITY_TOL:
         raise ValueError(f"pure state required (tr rho^2 = {purity!r})")
     return rho
 
@@ -218,22 +219,17 @@ def check_branciard_scheme(scheme: MeasurementScheme, a, b, rho) -> RelationVerd
 # ---------------------------------------------------------------------------
 
 
-def joint_effects(c, d, gamma0) -> np.ndarray:
-    """G_jk = [(1 + j*k*gamma0) 1 + (j c + k d).sigma]/4 for (j, k) = (+,+), (+,-), (-,+), (-,-).
-
-    Bloch vectors c, d (..., 3) and gamma0 (...) give effects (..., 4, 2, 2).
-    """
-    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
-    signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-    vecs = signs[:, 0, None] * c[..., None, :] + signs[:, 1, None] * d[..., None, :]
-    scale = 1 + signs[:, 0] * signs[:, 1] * np.asarray(gamma0)[..., None]
-    return 0.25 * (scale[..., None, None] * np.eye(2, dtype=complex) + opalg.bloch_operator(vecs))
-
-
 def check_joint_effects(c, d, gamma0) -> None:
-    """Raise unless every joint effect of every (c, d, gamma0) row is positive."""
-    worst = np.linalg.eigvalsh(joint_effects(c, d, gamma0)).min()
-    if worst < -PSD_TOL:
+    """Raise unless every joint effect of every (c, d, gamma0) row is positive.
+
+    Rows are c, d (..., 3) and gamma0 (...).  G_jk has the smallest
+    eigenvalue (1 + j*k*gamma0 - ||j c + k d||)/4, so the smallest over the
+    four effects of a row is min(gamma0 - lo, hi - gamma0)/4 with [lo, hi]
+    its ``gamma0_interval``.  A NaN anywhere fails the check.
+    """
+    lo, hi = gamma0_interval(c, d)
+    worst = np.min(np.minimum(gamma0 - lo, hi - gamma0)) / 4
+    if not worst >= -PSD_TOL:
         raise ValueError(f"joint effect not positive (min eigenvalue {worst:.3e})")
 
 
@@ -242,6 +238,7 @@ def gamma0_interval(c, d) -> tuple[np.ndarray, np.ndarray]:
 
     The interval is nonempty exactly when ||c + d|| + ||c - d|| <= 2.
     """
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
     return np.linalg.norm(c + d, axis=-1) - 1.0, 1.0 - np.linalg.norm(c - d, axis=-1)
 
 
@@ -251,8 +248,10 @@ class QubitJointModel:
 
     Joint effects G_jk = [(1 + j*k*gamma0) 1 + (j c + k d).sigma]/4 for
     j, k = +/-1; the marginals are the covariant approximators with Bloch
-    vectors c and d.  Positivity of all four effects is verified numerically
-    at construction, never trusted.
+    vectors c and d of the unit targets a and b.  Construction rejects a
+    non-finite field, a non-unit target, and a gamma0 more than 4 PSD_TOL
+    outside ``gamma0_interval(c, d)``, where some effect has an eigenvalue
+    below -PSD_TOL (``check_joint_effects``).
     """
 
     a: np.ndarray
@@ -264,36 +263,27 @@ class QubitJointModel:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
+        if not np.isfinite([*self.a, *self.b, *self.c, *self.d, self.gamma0]).all():
+            raise ValueError("joint model fields must be finite")
         for name in ("a", "b"):
-            if abs(np.linalg.norm(getattr(self, name)) - 1.0) > 1e-9:
+            if not abs(np.linalg.norm(getattr(self, name)) - 1.0) <= 1e-9:
                 raise ValueError(f"target vector {name} must be a unit vector")
         check_joint_effects(self.c, self.d, self.gamma0)
 
 
-def qubit_joint_feasible(c, d, a=None, b=None) -> QubitJointModel | None:
-    """Feasible covariant joint model for marginals (c, d), or None.
+def qubit_joint_feasible(c, d, a, b) -> QubitJointModel | None:
+    """The covariant joint model of marginals (c, d) for targets (a, b), or None.
 
-    gamma0 is the midpoint of ``gamma0_interval``.  Feasibility is exactly
-    ||c+d|| + ||c-d|| <= 2.
+    None means (c, d) is not jointly measurable: ``gamma0_interval`` is empty,
+    that is ||c+d|| + ||c-d|| > 2, which covers ||c|| > 1 or ||d|| > 1 since
+    the sum is at least 2 max(||c||, ||d||).  Otherwise gamma0 is the
+    interval's midpoint.  Invalid input raises ValueError.
     """
-    c = np.asarray(c, dtype=float).reshape(3)
-    d = np.asarray(d, dtype=float).reshape(3)
-    if np.linalg.norm(c) > 1 + 1e-12 or np.linalg.norm(d) > 1 + 1e-12:
-        return None
+    c, d = (np.asarray(v, dtype=float).reshape(3) for v in (c, d))
     lo, hi = gamma0_interval(c, d)
     if lo > hi + 1e-12:
         return None
-    gamma0 = 0.5 * (lo + hi)
-    a = c / np.linalg.norm(c) if a is None and np.linalg.norm(c) > 0 else a
-    b = d / np.linalg.norm(d) if b is None and np.linalg.norm(d) > 0 else b
-    if a is None:
-        a = np.array([0.0, 0.0, 1.0])
-    if b is None:
-        b = np.array([1.0, 0.0, 0.0])
-    try:
-        return QubitJointModel(a=a, b=b, c=c, d=d, gamma0=float(gamma0))
-    except ValueError:
-        return None
+    return QubitJointModel(a=a, b=b, c=c, d=d, gamma0=float(0.5 * (lo + hi)))
 
 
 def branciard_joint(a, b, c, d, rho) -> RelationVerdict:
@@ -379,14 +369,13 @@ def qubit_error_bound(a, b) -> tuple[float, float, QubitJointModel]:
     alpha = (p - q + 2)/2 and beta = (q - p + 2)/2: the nearest point of the
     feasible boundary alpha + beta = 2 to (p, q), where a = (p e+ + q e-)/2
     and b = (p e+ - q e-)/2 (Busch-Heinosaari, QIC 8 (2008) 797).  Where p or
-    q vanishes (a = -b or a = b), so does its coefficient.  Returns (bound,
-    achieved, model); the model is PSD-verified and its objective never
+    q vanishes (a = -b or a = b), so does its coefficient.  The targets count
+    by direction only, ``opalg.unit_vector`` of a and b, so any finite nonzero
+    scale gives the same result.  Returns (bound, achieved, model); the model
+    is checked as ``QubitJointModel`` checks it, and its objective never
     undercuts the bound.
     """
-    a = np.asarray(a, dtype=float).reshape(3)
-    b = np.asarray(b, dtype=float).reshape(3)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
+    a, b = (opalg.unit_vector(np.reshape(v, 3)) for v in (a, b))
     bound = qubit_incompatibility_bound(a, b)
     plus, minus = a + b, a - b
     p, q = np.linalg.norm(plus), np.linalg.norm(minus)
@@ -396,7 +385,7 @@ def qubit_error_bound(a, b) -> tuple[float, float, QubitJointModel]:
     # covariant marginals: Delta(A, M1)^2 = 2 ||a - c||
     achieved = 2.0 * np.linalg.norm(a - c) + 2.0 * np.linalg.norm(b - d)
 
-    model = qubit_joint_feasible(c, d, a=a, b=b)
+    model = qubit_joint_feasible(c, d, a, b)
     if model is None:
         raise RuntimeError("closed-form joint model is not jointly measurable")
     if achieved < bound - SLACK_TOL:

@@ -94,13 +94,20 @@ TRIPLE_W2_AT_NULL_STATE = 0.448341529167965
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One reproducibility surface for every scenario and suite."""
+    """One reproducibility surface for every scenario and suite.
 
-    seed: int = 0
-    grid_n: int = 1024
-    grid_l: float = 12.0
-    budget: int = 10000
-    hbar_scale: float = 1.0
+    Each field is the global CLI flag ``--key`` (dashes for underscores) with
+    its default and the help in its metadata; ``key``, the field's name unless
+    the metadata gives one, also names the field in a report's config.
+    """
+
+    seed: int = field(default=0, metadata={"help": "RNG seed (default 0)"})
+    grid_n: int = field(default=1024, metadata={"help": "default grid points"})
+    grid_l: float = field(default=12.0, metadata={"help": "default grid half width",
+                                                  "key": "grid_L"})
+    budget: int = field(default=10000, metadata={"help": "draws of a randomized relation suite"})
+    hbar_scale: float = field(default=1.0, metadata={
+        "help": "unit annotation for reports; computations stay dimensionless"})
 
 
 @dataclass(frozen=True)
@@ -178,9 +185,7 @@ class Scenario:
 
 
 def _pure_bloch(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    r = r / np.abs(r).max()  # so that the norm neither overflows nor underflows
-    return bloch_state(r / np.linalg.norm(r))
+    return bloch_state(opalg.unit_vector(r))
 
 
 # Numbers a + b√2 of Z[√2] as pairs (a, b) of ints.

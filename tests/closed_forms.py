@@ -32,6 +32,19 @@ def cauchy_schwarz_bounds(mu: Distribution, nu: Distribution) -> tuple[float, fl
     return lower, upper
 
 
+def joint_effects(c, d, gamma0) -> np.ndarray:
+    """G_jk = [(1 + j*k*gamma0) 1 + (j c + k d).sigma]/4 for (j, k) = (+,+), (+,-), (-,+), (-,-).
+
+    Bloch vectors c, d (..., 3) and gamma0 (...) give effects (..., 4, 2, 2):
+    the eigenvalue reference of ``relations.check_joint_effects``.
+    """
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+    signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+    vecs = signs[:, 0, None] * c[..., None, :] + signs[:, 1, None] * d[..., None, :]
+    scale = 1 + signs[:, 0] * signs[:, 1] * np.asarray(gamma0)[..., None]
+    return 0.25 * (scale[..., None, None] * np.eye(2, dtype=complex) + opalg.bloch_operator(vecs))
+
+
 def bloch_parameters(obs: Observable) -> tuple[float, np.ndarray] | None:
     """(c0, c) for a two-outcome qubit POVM with outcomes (-1, +1), else None."""
     if obs.dim != 2 or obs.n_outcomes != 2:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from closed_forms import cauchy_schwarz_bounds, qubit_worst_case_closed_form
+from closed_forms import cauchy_schwarz_bounds, joint_effects, qubit_worst_case_closed_form
 from qmu import opalg
 from qmu.cli import main as cli_main
 from qmu.distributions import (
@@ -42,7 +42,7 @@ from qmu.observables import (
     spectral_measure,
 )
 from qmu.opalg import SIGMA_Z, bloch_state, expectation
-from qmu.relations import joint_effects, qubit_error_bound
+from qmu.relations import qubit_error_bound
 from qmu.scenarios import (
     eps_form_equivalence_suite,
     naive_falsification_cases,

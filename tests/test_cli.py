@@ -17,7 +17,7 @@ from closed_forms import wide_random_pairs
 from qmu.cli import CHECKS, SWEEPS, build_parser, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling, w2_quantile
 from qmu.grid import VonNeumannModel
-from qmu.scenarios import SCENARIOS, run_scenario
+from qmu.scenarios import SCENARIOS, RunConfig, run_scenario
 from qmu.serialize import (
     decode_matrix,
     dumps_json,
@@ -476,8 +476,9 @@ def test_von_neumann_scenario_reads_the_shifts_not_the_dense_scheme(capsys, monk
 
 
 def test_check_numerical_failure_exits_3(capsys):
-    # A grid far narrower than the Gaussian states raises GridAliasingError.
-    code, out, err = run_cli(capsys, "--grid-L", "1e-300", "check", "phase-space")
+    # The width-2 Gaussian of husimi-squeezed fits this grid's resolution
+    # limits, but too much of its mass lies at the boundary: GridAliasingError.
+    code, out, err = run_cli(capsys, "--grid-L", "6.5", "check", "phase-space")
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "phase-space" in err
@@ -486,7 +487,7 @@ def test_check_numerical_failure_exits_3(capsys):
 def test_scenario_run_all_late_failure_prints_one_line(capsys):
     # The first husimi-* scenario fails after earlier scenarios have run:
     # their tables must not come before the failure line.
-    code, out, err = run_cli(capsys, "--grid-L", "1e-300", "scenario", "run", "--all")
+    code, out, err = run_cli(capsys, "--grid-L", "6.5", "scenario", "run", "--all")
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure in husimi-")
@@ -538,6 +539,11 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("--grid-n", "0", "scenario", "run", "husimi-saturation"),
         ("--grid-L", "0", "check", "phase-space"),
         ("--grid-L", "1e300", "check", "phase-space"),
+        ("--grid-n", "8", "check", "phase-space"),
+        ("--grid-L", "1", "check", "phase-space"),
+        ("--grid-L", "6e153", "check", "phase-space"),
+        ("--grid-L", "1e-300", "check", "phase-space"),
+        ("--grid-n", "8", "scenario", "run", "husimi-saturation"),
         ("scenario", "run", "husimi-saturation", "--set", "L=1e300"),
         ("scenario", "run", "husimi-saturation", "--set", "n=1000"),
         ("scenario", "run", "husimi-squeezed", "--set", "n=abc"),
@@ -571,7 +577,10 @@ def test_check_rejects_nonpositive_budget(capsys, relation, budget):
         ("scenario", "run", "von-neumann-position", "--set", "L_probe=5e-324"),
     ],
     ids=["points-zero", "points-negative", "grid-n-not-power-of-two", "grid-n-zero",
-         "grid-L-zero", "grid-L-squared-overflows", "set-L-squared-overflows", "set-n-husimi",
+         "grid-L-zero", "grid-L-squared-overflows", "grid-n-coarser-than-husimi-width",
+         "grid-L-narrower-than-husimi-width", "grid-L-spacing-above-husimi-width",
+         "grid-L-far-narrower-than-husimi-width", "grid-n-coarser-than-husimi-width-scenario",
+         "set-L-squared-overflows", "set-n-husimi",
          "set-n-not-a-number", "set-L-husimi",
          "set-n-position-flip", "set-L-position-flip", "set-n-oscillator", "set-L-oscillator",
          "set-n_obj-von-neumann", "set-n-null-position-flip", "set-n-dense-position-flip",
@@ -634,6 +643,32 @@ def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatc
     with pytest.raises(ValueError) as refused:
         run_scenario(name, overrides={key: json.loads(raw)})
     assert f"--set {refused.value}" == err.rstrip("\n")
+
+
+@pytest.mark.parametrize("argv, name, config", [
+    (("--grid-n", "8", "check", "phase-space"), "husimi-saturation", RunConfig(grid_n=8)),
+    (("--grid-L", "1", "check", "phase-space"), "husimi-saturation", RunConfig(grid_l=1.0)),
+    (("--grid-L", "6e153", "check", "phase-space"), "husimi-saturation",
+     RunConfig(grid_l=6e153)),
+    (("--grid-n", "8", "scenario", "run", "husimi-saturation"), "husimi-saturation",
+     RunConfig(grid_n=8)),
+    (("--grid-n", "8", "scenario", "run", "--all"), "husimi-displaced", RunConfig(grid_n=8)),
+])
+def test_a_configured_grid_that_resolves_no_state_exits_2_before_any_work(
+        capsys, monkeypatch, argv, name, config):
+    def refuse(params, config):
+        raise AssertionError("a runner ran on a malformed grid")
+
+    for key, scenario in SCENARIOS.items():
+        monkeypatch.setitem(SCENARIOS, key, dataclasses.replace(scenario, run=refuse))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    prefix = f"{name} on the configured grid: "
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+    # The library refuses the same grid with the same text.
+    with pytest.raises(ValueError) as refused:
+        run_scenario(name, config)
+    assert prefix + str(refused.value) == err.rstrip("\n")
 
 
 def test_float_overflow_prints_one_readable_line(capsys):

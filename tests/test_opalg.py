@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -191,3 +192,29 @@ def test_hermitian_check_in_one_pass_names_each_fault(entries, message):
             check_hermitian(m)
         with pytest.raises(ValueError, match=message):
             check_density(np.stack([0.5 * np.eye(2), m]))
+
+
+@pytest.mark.parametrize("r", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 0.0, 0.1]])
+def test_bloch_state_rejects_a_non_finite_or_outside_vector(r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="unit ball"):
+            opalg.bloch_state(r)
+
+
+def test_unit_vector_normalises_at_any_finite_scale():
+    rng = np.random.default_rng(30)
+    for v in rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-100, 100, (200, 1)):
+        unit = opalg.unit_vector(v)
+        assert unit.tobytes() == (v / np.linalg.norm(v)).tobytes()
+        # exact power-of-two scalings to peaks of 2^e, most past the plain norm's range
+        for e in (-960, -540, 540, 1020):
+            scaled = np.ldexp(v, e - math.frexp(np.abs(v).max())[1])
+            assert opalg.unit_vector(scaled).tobytes() == unit.tobytes()
+    for tiny in (1e-320, 5e-324):
+        assert opalg.unit_vector([0.0, -tiny, 0.0]).tolist() == [0.0, -1.0, 0.0]
+    for bad in ([0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonzero finite"):
+                opalg.unit_vector(bad)

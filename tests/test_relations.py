@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from closed_forms import joint_effects
 from qmu import opalg
 from qmu.grid import GridSystem, gaussian_state, ground_state
 from qmu.errmetrics import eps_no_from_moments
@@ -15,17 +17,19 @@ from qmu.observables import (
 )
 from qmu.opalg import SIGMA_X, SIGMA_Z, bloch_state, projector
 from qmu.relations import (
+    PSD_TOL,
     SLACK_TOL,
     QubitJointModel,
     branciard_joint,
     branciard_verdict,
     check_branciard_joint,
     check_branciard_scheme,
+    check_joint_effects,
     check_naive_heisenberg,
     check_ozawa,
     check_unbiased_tradeoffs,
     commutator_expectation,
-    joint_effects,
+    gamma0_interval,
     phase_space_relation_check,
     qubit_epsno_sum_check,
     qubit_epsno_sum_verdict,
@@ -169,14 +173,14 @@ def test_unbiased_tradeoffs_hold():
             assert v.holds, v
     # closed forms: <V(C)> = 1 - ||c||^2
     c, d = 0.5 * EZ, 0.5 * EX
-    model = qubit_joint_feasible(c, d)
+    model = qubit_joint_feasible(c, d, a=EZ, b=EX)
     verdicts = check_unbiased_tradeoffs(model, bloch_state(0.9 * EY))
     assert abs(verdicts["unbiased-intrinsic-noise"].witnesses["noise_c"] - 0.75) < 1e-10
     assert verdicts["unbiased-output-spread"].note is not None
 
 
 def test_unbiased_optimal_orthogonal_saturates_noise_product():
-    model = qubit_joint_feasible(EZ / math.sqrt(2), EX / math.sqrt(2))
+    model = qubit_joint_feasible(EZ / math.sqrt(2), EX / math.sqrt(2), a=EZ, b=EX)
     rho = bloch_state(EY)  # r along a x b
     verdicts = check_unbiased_tradeoffs(model, rho)
     v = verdicts["unbiased-intrinsic-noise"]
@@ -270,12 +274,12 @@ def test_scalar_covariant_checkers_are_the_stacked_kernels_on_one_row():
 
 
 def test_qubit_joint_feasibility_cases():
-    model = qubit_joint_feasible(np.zeros(3), np.zeros(3))
+    model = qubit_joint_feasible(np.zeros(3), np.zeros(3), a=EZ, b=EX)
     assert model is not None and abs(model.gamma0) < 1e-12
     for g in joint_effects(model.c, model.d, model.gamma0):
         np.testing.assert_allclose(g, 0.25 * np.eye(2), atol=1e-12)
-    assert qubit_joint_feasible(EZ, EX) is None  # 2 sqrt 2 > 2
-    model = qubit_joint_feasible(EZ / math.sqrt(2), EX / math.sqrt(2))
+    assert qubit_joint_feasible(EZ, EX, a=EZ, b=EX) is None  # 2 sqrt 2 > 2
+    model = qubit_joint_feasible(EZ / math.sqrt(2), EX / math.sqrt(2), a=EZ, b=EX)
     assert model is not None and abs(model.gamma0) < 1e-12
     for g in joint_effects(model.c, model.d, model.gamma0):
         evals = np.linalg.eigvalsh(g)
@@ -285,6 +289,92 @@ def test_qubit_joint_feasibility_cases():
 def test_qubit_joint_model_psd_enforced():
     with pytest.raises(ValueError):
         QubitJointModel(a=EZ, b=EX, c=EZ, d=EX, gamma0=0.0)
+
+
+def _passes_joint_effects(c, d, gamma0) -> bool:
+    try:
+        check_joint_effects(c, d, gamma0)
+    except ValueError as exc:
+        assert str(exc).startswith("joint effect not positive (min eigenvalue ")
+        return False
+    return True
+
+
+def test_check_joint_effects_passes_exactly_where_the_effects_are_positive():
+    """The closed form against ``eigvalsh`` of the four effects, row by row."""
+    rng = np.random.default_rng(30)
+    c, d = rng.uniform(-0.8, 0.8, (2, 10_000, 3))  # about a third jointly measurable
+    lo, hi = gamma0_interval(c, d)
+    gamma0 = lo + rng.uniform(-0.25, 1.25, lo.shape) * (hi - lo)
+    # Each end of feasible intervals, 3e-10 past it (smallest eigenvalue -7.5e-11,
+    # which passes) and 5e-10 past it (-1.25e-10, which fails).
+    edge_c, edge_d = feasible_models(rng, 100)
+    edge_lo, edge_hi = gamma0_interval(edge_c, edge_d)
+    edges = [edge_lo, edge_hi, edge_lo - 3e-10, edge_hi + 3e-10, edge_lo - 5e-10,
+             edge_hi + 5e-10]
+    c = np.concatenate([c, *[edge_c] * len(edges)])
+    d = np.concatenate([d, *[edge_d] * len(edges)])
+    gamma0 = np.concatenate([gamma0, *edges])
+    smallest = np.linalg.eigvalsh(joint_effects(c, d, gamma0)).min(axis=(-2, -1))
+    expected = smallest >= -PSD_TOL
+    assert 0.2 < expected[:10_000].mean() < 0.8
+    assert expected[10_000:10_400].all() and not expected[10_400:].any()
+    assert [_passes_joint_effects(*row) for row in zip(c, d, gamma0)] == expected.tolist()
+    assert _passes_joint_effects(c[expected], d[expected], gamma0[expected])
+    assert not _passes_joint_effects(c, d, gamma0)
+    # A NaN anywhere in a row fails it, alone or in a stack of valid rows.
+    valid = [edge_c[:3], edge_d[:3], 0.5 * (edge_lo + edge_hi)[:3]]
+    assert _passes_joint_effects(*valid)
+    for k, field in ((0, "c"), (1, "d"), (2, "gamma0")):
+        rows = [v.copy() for v in valid]
+        rows[k][1] = np.nan
+        assert not _passes_joint_effects(*rows), field
+        assert not _passes_joint_effects(*(r[1] for r in rows)), field
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", [np.nan, 0.0, 0.0]), ("gamma0", np.nan), ("gamma0", np.inf), ("a", [np.nan, 0.0, 0.0]),
+    ("d", [np.inf, 0.0, 0.0]),
+])
+def test_qubit_joint_model_rejects_non_finite_fields(field, value):
+    fields = {"a": EZ, "b": EX, "c": 0.5 * EZ, "d": 0.5 * EX, "gamma0": 0.0, field: value}
+    with pytest.raises(ValueError):
+        QubitJointModel(**fields)
+
+
+@pytest.mark.parametrize("c, d, a, b", [
+    (0.5 * EZ, 0.5 * EX, 2 * EZ, EX),
+    (0.5 * EZ, 0.5 * EX, EZ, [np.nan, 0.0, 0.0]),
+    ([np.nan, 0.0, 0.0], 0.5 * EX, EZ, EX),
+])
+def test_qubit_joint_feasible_rejects_invalid_input(c, d, a, b):
+    with pytest.raises(ValueError):
+        qubit_joint_feasible(c, d, a, b)
+
+
+def test_qubit_joint_feasible_returns_none_only_past_the_interval():
+    assert qubit_joint_feasible(1.5 * EZ, np.zeros(3), a=EZ, b=EX) is None  # ||c|| > 1
+    # ||c + d|| + ||c - d|| = 2 (1 + 1e-13): empty by less than 1e-12, so feasible
+    model = qubit_joint_feasible((1 + 1e-13) * EZ, np.zeros(3), a=EZ, b=EX)
+    assert model is not None and model.gamma0 == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-170, 1e-320])
+def test_qubit_error_bound_takes_targets_at_any_finite_scale(scale):
+    bound, achieved, model = qubit_error_bound(scale * EZ, EX)
+    ref_bound, ref_achieved, ref_model = qubit_error_bound(EZ, EX)
+    assert (bound, achieved) == (ref_bound, ref_achieved)
+    assert abs(bound - (4 - 2 * math.sqrt(2))) < 1e-15
+    for name in ("a", "b", "c", "d", "gamma0"):
+        np.testing.assert_array_equal(getattr(model, name), getattr(ref_model, name))
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]])
+def test_qubit_error_bound_rejects_a_target_with_no_direction(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            qubit_error_bound(a, EX)
 
 
 def slsqp_joint_optimum(a, b, grid_points: int = 41):
