@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import opalg
-from .distributions import w2_quantile, w2_quantile_rows
+from .distributions import SQUARE_SAFE, support_reach, w2_quantile, w2_quantile_rows
 from .observables import (
     TOL_COMMUTE,
     Observable,
@@ -54,6 +54,7 @@ def eps_no_from_moments(a, c: Observable, rho) -> float:
     a = opalg.check_hermitian(a)
     if c.dim != a.shape[0]:
         raise ValueError("target operator and approximator dimensions differ")
+    rho = opalg.check_density(rho)
     return moment_form_eps(a, moment_operator(c, 1), moment_operator(c, 2), rho)
 
 
@@ -114,7 +115,7 @@ def eta_no_from_scheme(scheme: MeasurementScheme, b, rho) -> float:
 def three_state_eps(a, c: Observable, rho) -> float:
     """Noise-operator error from statistics on rho, A rho A and (A+1) rho (A+1)."""
     a = opalg.check_hermitian(a)
-    rho = np.asarray(rho, dtype=complex)
+    rho = opalg.check_density(rho)
     return three_state_form_eps(a, moment_operator(c, 1), moment_operator(c, 2), rho)
 
 
@@ -562,6 +563,8 @@ def error_report(a, c: Observable, rho) -> ErrorReport:
     """Assemble the full error report for target operator a, approximator c.
 
     ``spectral_measure`` checks a once and ``check_density`` checks rho.
+    Outcomes of a and c reaching 2**510 (``SQUARE_SAFE``) or beyond raise
+    ValueError: the squared deviations of the sups would overflow.
     eps, the bias and the intrinsic noise come from one noise term and one
     M1 - A.  The worst case's staircase winner, if its route has one, joins
     calibration's stacked eigh, and rho's Born row, stacked with the worst
@@ -573,6 +576,10 @@ def error_report(a, c: Observable, rho) -> ErrorReport:
     a = np.asarray(a, dtype=complex)
     if c.dim != a.shape[0]:
         raise ValueError("target operator and approximator dimensions differ")
+    reach = support_reach(a_sharp.outcomes, c.outcomes)
+    if reach >= SQUARE_SAFE:
+        raise ValueError("outcomes of the target and approximator must have magnitude "
+                         f"below 2**510, got {float(reach)!r}")
     rho = opalg.check_density(rho)
     if rho.shape != a.shape:
         raise ValueError(f"state dimension {rho.shape} does not match observable dim {c.dim}")

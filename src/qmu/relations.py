@@ -163,7 +163,8 @@ def error_disturbance_figures(u, sigma, zf, a, b, rho) -> tuple[np.ndarray, ...]
     eta^2 = <D(B)^dag D(B)> in rho (x) sigma.  The spreads of a and b and
     |tr(rho [A, B])| complete the tuple: five (n,) arrays, in the order of
     the verdict cores' arguments.  Nothing is checked here: ``scheme_figures``
-    checks the targets of one scheme, and the suites draw valid stacks.
+    checks the targets and the state of one scheme, and the suites draw valid
+    stacks.
     """
     b_total = opalg.tensor(b, np.eye(sigma.shape[-1]))
     disturbance = opalg.dagger(u) @ b_total @ u - b_total
@@ -187,15 +188,21 @@ def _rms(op, state):
 def scheme_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
     """``error_disturbance_figures`` of one scheme, as floats.
 
-    Raises ValueError unless a and b are Hermitian on the object space.
+    Raises ValueError unless a and b are Hermitian on the object space and
+    rho is a density operator.
     """
+    return _scheme_figures(scheme, a, b, opalg.check_density(rho))
+
+
+def _scheme_figures(scheme: MeasurementScheme, a, b, rho) -> tuple[float, ...]:
+    """``scheme_figures`` with rho already checked as a density operator."""
     a, b = opalg.check_hermitian(a), opalg.check_hermitian(b)
     dim_o = scheme.object_dim
     if a.shape != (dim_o, dim_o) or b.shape != (dim_o, dim_o):
         raise ValueError("target operators do not act on the object space of the coupling")
     figures = error_disturbance_figures(
         scheme.coupling[None], scheme.probe_state[None], scheme.pointer_operator()[None],
-        a[None], b[None], np.asarray(rho, dtype=complex)[None],
+        a[None], b[None], rho[None],
     )
     return tuple(float(f[0]) for f in figures)
 
@@ -211,7 +218,7 @@ def check_naive_heisenberg(scheme: MeasurementScheme, a, b, rho) -> RelationVerd
 
 def check_branciard_scheme(scheme: MeasurementScheme, a, b, rho) -> RelationVerdict:
     """Error-disturbance form: the second error is the disturbance of b."""
-    return branciard_verdict(*scheme_figures(scheme, a, b, check_purity(rho)))
+    return branciard_verdict(*_scheme_figures(scheme, a, b, check_purity(rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +344,8 @@ def check_branciard_joint(model: QubitJointModel, rho) -> RelationVerdict:
 
 
 def check_unbiased_tradeoffs(model: QubitJointModel, rho) -> dict[str, RelationVerdict]:
-    """``unbiased_tradeoffs`` of one model in one state."""
-    rho = np.asarray(rho, dtype=complex)
+    """``unbiased_tradeoffs`` of one model in one state; rho must be a density operator."""
+    rho = opalg.check_density(rho)
     verdicts = unbiased_tradeoffs(model.c[None], model.d[None], rho[None])
     return {name: _only_row(v) for name, v in verdicts.items()}
 

@@ -30,10 +30,12 @@ from .errmetrics import (
     value_comparison_eps,
 )
 from .grid import (
+    GridAliasingError,
     GridSystem,
     VonNeumannModel,
     apply_oscillator,
     apply_position,
+    check_aliasing,
     coupling_error,
     dense_position_error,
     dense_scheme_error,
@@ -558,13 +560,50 @@ def _gaussian_error(grid: GridSystem, key: str, width: float, center: float = 0.
     return None
 
 
+def _aliasing_error(grid: GridSystem, key: str, width: float, center: float) -> str | None:
+    """``_gaussian_error``, then ``check_aliasing`` on the sampled Gaussian, or None.
+
+    Only for the states a runner passes to ``check_aliasing`` after the work
+    (the husimi generator, the von Neumann object state): sampling costs O(n),
+    so the refusal comes first and is the same.  The probe and the ground
+    states are never checked for aliasing, so they are not checked here either.
+    """
+    error = _gaussian_error(grid, key, width, center)
+    if error is None:
+        try:
+            check_aliasing(grid, gaussian_state(grid, center, width))
+        except GridAliasingError as exc:
+            error = f"{key} {width!r} at center {center!r}: {exc}"
+    return error
+
+
+# Largest |coefficient| times the grid's top energy for the shifts alpha H and beta H.
+# Figures built from them stay below 2**255, so the products of four in the
+# Branciard relation stay below 2**1020, inside the float range.
+SHIFT_REACH = 2.0**255
+
+
 def _ground_state_limits(p: dict, config: RunConfig) -> str | None:
-    """``_gaussian_error`` of the width-1 ground state on the grid of ``n`` and ``L``."""
-    return _gaussian_error(GridSystem(p["n"], p["L"]), "the ground-state width", 1.0)
+    """``_gaussian_error`` of the width-1 ground state on the grid of ``n`` and ``L``,
+    then the coefficients ``alpha`` and ``beta`` of H the scenario takes.
+
+    H = (P^2 + Q^2 - 1)/2 reaches at most the top energy (p_max^2 + L^2)/2 on
+    the grid, p_max = n pi / (2 L); a coefficient times it is at most SHIFT_REACH.
+    """
+    grid = GridSystem(p["n"], p["L"])
+    error = _gaussian_error(grid, "the ground-state width", 1.0)
+    if error:
+        return error
+    top = 0.5 * (float(grid.momenta[0]) ** 2 + grid.half_width**2)
+    for key in ("alpha", "beta"):
+        if key in p and not abs(p[key]) * top <= SHIFT_REACH:
+            return (f"|{key}| must be at most {SHIFT_REACH / top!r}, 2**255 over the grid's "
+                    f"top energy {top!r}, got {p[key]!r}")
+    return None
 
 
 def _husimi_limits(p: dict, config: RunConfig) -> str | None:
-    return _gaussian_error(_husimi_grid(p, config), "width", p["width"], p["center"])
+    return _aliasing_error(_husimi_grid(p, config), "width", p["width"], p["center"])
 
 
 def _von_neumann_limits(p: dict, config: RunConfig) -> str | None:
@@ -579,7 +618,7 @@ def _von_neumann_limits(p: dict, config: RunConfig) -> str | None:
     if error is None and p["lam"] * p["L_obj"] > p["L_probe"]:
         error = ("pointer shifts must stay on the probe grid, lam * L_obj at most L_probe, "
                  f"got lam * L_obj = {p['lam'] * p['L_obj']!r} > L_probe = {p['L_probe']!r}")
-    return (error or _gaussian_error(obj, "width", p["width"], p["center"])
+    return (error or _aliasing_error(obj, "width", p["width"], p["center"])
             or _gaussian_error(probe, "probe_width", p["probe_width"]))
 
 

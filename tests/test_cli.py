@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closed_forms import wide_random_pairs
+from qmu import BLAS_THREAD_VARIABLES
 from qmu.cli import CHECKS, SWEEPS, build_parser, main
 from qmu.distributions import Coupling, Distribution, quantile_coupling, w2_quantile
-from qmu.grid import VonNeumannModel
+from qmu.grid import GridAliasingError, VonNeumannModel
 from qmu.scenarios import SCENARIOS, RunConfig, run_scenario
 from qmu.serialize import (
     decode_matrix,
@@ -475,19 +476,27 @@ def test_von_neumann_scenario_reads_the_shifts_not_the_dense_scheme(capsys, monk
     assert [s["passed"] for s in payload["scenarios"]] == [True]
 
 
-def test_check_numerical_failure_exits_3(capsys):
-    # The width-2 Gaussian of husimi-squeezed fits this grid's resolution
-    # limits, but too much of its mass lies at the boundary: GridAliasingError.
-    code, out, err = run_cli(capsys, "--grid-L", "6.5", "check", "phase-space")
+def _alias_late(monkeypatch):
+    """Make the runners' own aliasing check fail: no accepted input is known to."""
+    def aliased(grid, psi):
+        raise GridAliasingError("wavefunction mass 1.000e-07 within 1e-08 of the grid boundary")
+
+    monkeypatch.setattr("qmu.grid.check_aliasing", aliased)
+
+
+def test_check_numerical_failure_exits_3(capsys, monkeypatch):
+    _alias_late(monkeypatch)
+    code, out, err = run_cli(capsys, "check", "phase-space")
     assert code == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "phase-space" in err
 
 
-def test_scenario_run_all_late_failure_prints_one_line(capsys):
+def test_scenario_run_all_late_failure_prints_one_line(capsys, monkeypatch):
     # The first husimi-* scenario fails after earlier scenarios have run:
     # their tables must not come before the failure line.
-    code, out, err = run_cli(capsys, "--grid-L", "6.5", "scenario", "run", "--all")
+    _alias_late(monkeypatch)
+    code, out, err = run_cli(capsys, "scenario", "run", "--all")
     assert code == 3
     assert out == ""
     assert err.startswith("numerical failure in husimi-")
@@ -625,6 +634,15 @@ def test_malformed_numeric_flags_exit_2(tmp_path, capsys, argv):
     ("position-flip", "L=100"),
     ("oscillator-shift-zero-error", "L=1e-300"),
     ("double-zero-approximators", "L=2"),
+    ("oscillator-shift-zero-error", "alpha=-1.7e308"),
+    ("double-zero-approximators", "alpha=1.7e308"),
+    ("double-zero-approximators", "beta=1.7e308"),
+    ("double-zero-approximators", "beta=-1e100"),
+    ("von-neumann-position", "center=7"),
+    ("von-neumann-position", "width=2"),
+    ("husimi-squeezed", "L=7"),
+    ("husimi-squeezed", "center=7"),
+    ("husimi-displaced", "width=3"),
 ])
 def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatch, name,
                                                               override):
@@ -650,6 +668,7 @@ def test_parameters_that_name_no_model_exit_2_before_any_work(capsys, monkeypatc
     (("--grid-L", "1", "check", "phase-space"), "husimi-saturation", RunConfig(grid_l=1.0)),
     (("--grid-L", "6e153", "check", "phase-space"), "husimi-saturation",
      RunConfig(grid_l=6e153)),
+    (("--grid-L", "6.5", "check", "phase-space"), "husimi-squeezed", RunConfig(grid_l=6.5)),
     (("--grid-n", "8", "scenario", "run", "husimi-saturation"), "husimi-saturation",
      RunConfig(grid_n=8)),
     (("--grid-n", "8", "scenario", "run", "--all"), "husimi-displaced", RunConfig(grid_n=8)),
@@ -671,11 +690,13 @@ def test_a_configured_grid_that_resolves_no_state_exits_2_before_any_work(
     assert prefix + str(refused.value) == err.rstrip("\n")
 
 
-def test_float_overflow_prints_one_readable_line(capsys):
+def test_float_overflow_prints_one_readable_line(capsys, monkeypatch):
+    # alpha = 1e300 overflows in the runner; its limits refuse it, so they are lifted here.
+    name = "double-zero-approximators"
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(SCENARIOS[name], limits=None))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "scenario", "run", "double-zero-approximators",
-                                 "--set", "alpha=1e300")
+        code, out, err = run_cli(capsys, "scenario", "run", name, "--set", "alpha=1e300")
     assert (code, out) == (3, "")
     assert err == ("numerical failure in double-zero-approximators: "
                    "float overflow (Numerical result out of range)\n")
@@ -716,6 +737,74 @@ def test_python_dash_m_runs_the_cli():
                             capture_output=True, text=True, env=_src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["schema"] == "qmu/1"
+
+
+def _env_without_blas_pins() -> dict:
+    return {k: v for k, v in _src_env().items() if k not in BLAS_THREAD_VARIABLES}
+
+
+def test_cli_bytes_equal_the_one_blas_thread_bytes(tmp_path):
+    # oscillator-shift-zero-error's w2_state moves with the BLAS thread count
+    outputs = []
+    for pin in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        path = tmp_path / f"report{len(outputs)}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "qmu", "--seed", "0", "--out", str(path),
+             "scenario", "run", "oscillator-shift-zero-error"],
+            capture_output=True, text=True, env={**_env_without_blas_pins(), **pin}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# Imports qmu and reports the pool-size variables numpy was imported with
+# (None if it was not), which variables qmu wrote, and whether the environment
+# is as before.  The import stops at numpy or, past the pin block, at qmu's
+# first module.  With "numpy-first", a stand-in numpy is already loaded.
+NUMPY_IMPORT_SPY = """
+import json, os, sys
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+class Seen(BaseException):
+    pass
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            raise Seen({k: os.environ.get(k) for k in names})
+        if name == "qmu.distributions":
+            raise Seen(None)
+
+writes, setitem = [], type(os.environ).__setitem__
+def record(self, key, value):
+    writes.append(key)
+    setitem(self, key, value)
+type(os.environ).__setitem__ = record
+
+if sys.argv[1:] == ["numpy-first"]:
+    sys.modules["numpy"] = type(sys)("numpy")
+before = dict(os.environ)
+sys.meta_path.insert(0, Spy())
+try:
+    import qmu
+except Seen as seen:
+    print(json.dumps({"seen": seen.args[0], "writes": writes,
+                      "unchanged": dict(os.environ) == before}))
+"""
+ONE_THREAD = dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+
+
+@pytest.mark.parametrize("argv, pin, seen, writes", [
+    ((), {}, ONE_THREAD, list(BLAS_THREAD_VARIABLES)),
+    ((), {"OPENBLAS_NUM_THREADS": "3"}, {**ONE_THREAD, "OPENBLAS_NUM_THREADS": "3"},
+     ["OMP_NUM_THREADS", "MKL_NUM_THREADS"]),
+    (("numpy-first",), {}, None, []),
+], ids=["unset", "user-set", "numpy-first"])
+def test_importing_qmu_loads_numpy_with_one_blas_thread(argv, pin, seen, writes):
+    result = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_SPY, *argv], capture_output=True,
+                            text=True, env={**_env_without_blas_pins(), **pin}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"seen": seen, "writes": writes, "unchanged": True}
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -36,3 +36,27 @@ def imported_packages() -> set[str]:
 def test_third_party_imports_are_exactly_the_declared_dependencies():
     third_party = imported_packages() - set(sys.stdlib_module_names) - {"qmu"}
     assert sorted(third_party) == sorted(declared_dependencies())
+
+
+def test_nothing_that_can_load_numpy_comes_before_the_blas_pin_block():
+    """BLAS reads its pool size once, as numpy loads it: qmu pins it first.
+
+    Before the ``if "numpy" not in sys.modules`` block of qmu/__init__.py may
+    stand only the docstring, imports of os and sys, constant assignments and
+    function definitions; the block itself must import numpy.
+    """
+    body = ast.parse((ROOT / "src" / "qmu" / "__init__.py").read_text()).body
+    pin = next(i for i, node in enumerate(body) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "'numpy' not in sys.modules")
+    for node in body[:pin]:
+        if isinstance(node, ast.Import):
+            assert {alias.name for alias in node.names} <= {"os", "sys"}, ast.unparse(node)
+        elif isinstance(node, ast.Assign):
+            ast.literal_eval(node.value)  # raises unless the value is a constant
+        else:
+            assert isinstance(node, ast.FunctionDef) or (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            ), ast.unparse(node)
+    imported = [alias.name for node in ast.walk(ast.Module(body[:pin + 1], []))
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert "numpy" in imported

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -861,6 +862,24 @@ def test_error_report_rejects_a_malformed_state(rho, message):
     c = BlochObservable(1.0, np.array([0.0, 0.0, 0.7])).to_observable()
     with pytest.raises(ValueError, match=message):
         error_report(SIGMA_Z, c, rho)
+
+
+@pytest.mark.parametrize("target_scale, approximator_scale", [(1e160, 1.0), (1.0, 1e160),
+                                                              (2.0**510, 1.0), (-1.7e308, 1.0)])
+def test_error_report_refuses_outcomes_past_2_to_the_510(target_scale, approximator_scale):
+    """Past the reach the sups' squares overflow: a ValueError, never a nan or a wrong 0."""
+    rho = 0.5 * (np.eye(2) + SIGMA_Y)
+    c = spectral_measure(approximator_scale * SIGMA_X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"below 2\*\*510"):
+            error_report(target_scale * SIGMA_Z, c, rho)
+    # just inside the reach every figure is finite and scales with the outcomes
+    scale = 2.0**510 * (1 - 2.0**-53)
+    unit = error_report(SIGMA_Z, spectral_measure(SIGMA_X), rho)
+    rep = error_report(scale * SIGMA_Z, spectral_measure(scale * SIGMA_X), rho)
+    for name in ("eps_no", "w2_worst", "calibration"):
+        assert getattr(rep, name) == pytest.approx(scale * getattr(unit, name), rel=1e-12)
 
 
 def test_large_finite_worst_case_is_reported_as_a_number():

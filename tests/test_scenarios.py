@@ -105,6 +105,18 @@ def test_the_parameter_table_is_total():
                 isinstance(default, (int, float)) and math.isfinite(default)), (name, key)
 
 
+@pytest.mark.parametrize("name, override", [
+    ("position-flip", {"L": 4.0}),
+    ("oscillator-shift-zero-error", {"L": 4.0}),
+    ("von-neumann-position", {"probe_width": 2.5}),
+])
+def test_no_aliasing_refusal_for_a_state_no_runner_checks_for_aliasing(name, override):
+    # These Gaussians leave more than 1e-8 of their mass in the boundary cells,
+    # but only the husimi generator and the von Neumann object state are
+    # checked after the work, so only they are refused before it.
+    assert override_error(name, override, RunConfig()) is None
+
+
 def test_triple_highprec_zero():
     assert triple_eps_highprec() == 0.0
 

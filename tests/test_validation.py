@@ -3,7 +3,8 @@
 The list is README "Conventions" (the constructors and checkers that
 validate what they are given), plus ``bloch_state``, ``qubit_error_bound``
 and ``qubit_joint_feasible``.  Each case puts one NaN into an otherwise
-valid call, in an input that README says is checked.
+valid call, in an input that README says is checked.  The checkers that
+take a state also refuse a NaN state and the trace-2 "state" 2 rho.
 """
 
 import warnings
@@ -28,6 +29,7 @@ from qmu.relations import (
     check_branciard_scheme,
     check_naive_heisenberg,
     check_ozawa,
+    check_unbiased_tradeoffs,
     qubit_error_bound,
     qubit_joint_feasible,
 )
@@ -74,3 +76,32 @@ def test_a_nan_is_rejected_with_value_error(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             CALLS[name]()
+
+
+MODEL = qubit_joint_feasible(0.5 * EZ, 0.5 * EX, EZ, EX)
+STATE_CALLS = {
+    "check_ozawa": lambda rho: check_ozawa(SCHEME, SIGMA_Z, SIGMA_X, rho),
+    "check_naive_heisenberg": lambda rho: check_naive_heisenberg(SCHEME, SIGMA_Z, SIGMA_X, rho),
+    "check_unbiased_tradeoffs": lambda rho: check_unbiased_tradeoffs(MODEL, rho),
+    "eps_no_from_moments": lambda rho: eps_no_from_moments(SIGMA_Z, SHARP, rho),
+    "three_state_eps": lambda rho: three_state_eps(SIGMA_Z, SHARP, rho),
+}
+
+
+@pytest.mark.parametrize("state", ["nan", "trace-2"])
+@pytest.mark.parametrize("name", STATE_CALLS)
+def test_a_checker_rejects_a_state_that_is_no_density_operator(name, state):
+    rho = NAN_OP if state == "nan" else 2 * RHO
+    STATE_CALLS[name](RHO)  # the valid state passes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            STATE_CALLS[name](rho)
+
+
+def test_check_branciard_scheme_checks_its_state_once(monkeypatch):
+    seen = []
+    check_density = opalg.check_density
+    monkeypatch.setattr(opalg, "check_density", lambda rho: seen.append(rho) or check_density(rho))
+    check_branciard_scheme(SCHEME, SIGMA_Z, SIGMA_X, RHO)
+    assert len(seen) == 1
